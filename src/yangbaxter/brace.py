@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .groups import (
     FiniteGroup,
     Perm,
-    center,
+    _int_table,
     compose,
     direct_product_group,
     finite_group,
@@ -23,7 +23,7 @@ from .groups import (
     is_normal,
 )
 from .retraction import multipermutation_level
-from .solution import FiniteSolution, is_2reductive, is_left_distributive, verify
+from .solution import FiniteSolution, is_2reductive
 
 
 @dataclass(frozen=True)
@@ -58,47 +58,20 @@ class SkewBrace:
     def lambdas(self) -> tuple[Perm, ...]:
         """lambda_a(b) = a^-1 . (a o b); each an automorphism of (B, .)."""
         dot, circ, n = self.dot, self.circle, self.n
-        lams = tuple(
+        return tuple(
             tuple(dot.mul(dot.inv[a], circ.mul(a, b)) for b in range(n))
             for a in range(n)
         )
-        for a in range(n):
-            lam = lams[a]
-            for x in range(n):
-                for y in range(n):
-                    if lam[dot.mul(x, y)] != dot.mul(lam[x], lam[y]):
-                        raise AssertionError(
-                            f"lambda_{a} is not an automorphism of the dot group"
-                        )
-        for a in range(n):
-            for b in range(n):
-                if lams[circ.mul(a, b)] != compose(lams[a], lams[b]):
-                    raise AssertionError(
-                        "lambda is not a circle-group homomorphism into Aut"
-                    )
-        return lams
 
     @cached_property
     def rhos(self) -> tuple[Perm, ...]:
         """rho_y(x) = circle-inverse of lambda_x(y), composed with x o y."""
-        dot, circ, n = self.dot, self.circle, self.n
+        circ, n = self.circle, self.n
         lams = self.lambdas
-        rhos = []
-        for y in range(n):
-            row = []
-            for x in range(n):
-                xy = circ.mul(x, y)
-                val = circ.mul(circ.mul(circ.inv[lams[x][y]], x), y)
-                alt = _apply_inverse(lams[lams[x][y]], dot.mul(dot.mul(dot.inv[xy], x), xy))
-                if val != alt:
-                    raise AssertionError("the two defining formulas for rho disagree")
-                row.append(val)
-            rhos.append(tuple(row))
-        for a in range(n):
-            for b in range(n):
-                if rhos[circ.mul(a, b)] != compose(rhos[b], rhos[a]):
-                    raise AssertionError("rho is not a circle-group anti-homomorphism")
-        return tuple(rhos)
+        return tuple(
+            tuple(circ.mul(circ.mul(circ.inv[lams[x][y]], x), y) for x in range(n))
+            for y in range(n)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -106,13 +79,6 @@ class SkewBrace:
             "dot": [list(row) for row in self.dot.table],
             "circle": [list(row) for row in self.circle.table],
         }
-
-
-def _apply_inverse(perm: Perm, x: int) -> int:
-    for i, v in enumerate(perm):
-        if v == x:
-            return i
-    raise ValueError("not in image")
 
 
 def verify_brace(
@@ -146,7 +112,9 @@ def verify_brace(
 
 def brace_from_dict(data: dict) -> SkewBrace:
     try:
-        return verify_brace(data["dot"], data["circle"])
+        return verify_brace(
+            _int_table(data["dot"], "dot"), _int_table(data["circle"], "circle")
+        )
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in brace data") from exc
 
@@ -173,13 +141,12 @@ def load_brace_catalog(stream) -> list[tuple[str, SkewBrace]]:
 
 
 def associated_solution(b: SkewBrace) -> FiniteSolution:
-    """The solution (B, lambda, rho); involutive exactly for abelian dot."""
-    s = verify(b.lambdas, b.rhos)
-    from .solution import is_involutive
+    """The solution (B, lambda, rho); involutive exactly for abelian dot.
 
-    if is_involutive(s) != b.dot.is_abelian:
-        raise AssertionError("involutivity does not match abelianness of the dot group")
-    return s
+    Built without verification: the map of a skew brace is a solution
+    (Guarnieri and Vendramin, Math. Comp. 86, 2017).
+    """
+    return FiniteSolution(n=b.n, sigma=b.lambdas, tau=b.rhos)
 
 
 def opposite_brace(b: SkewBrace) -> SkewBrace:
@@ -188,30 +155,17 @@ def opposite_brace(b: SkewBrace) -> SkewBrace:
 
 
 def is_biskew(b: SkewBrace) -> bool:
-    """Whether (B, o, .) is a skew left brace as well.
+    """Whether (B, o, .) is a skew left brace as well, by the definition: the
+    brace law with the roles of the two groups swapped.
 
-    Computed by three routes that are required to agree: checking the brace
-    law with the roles swapped, lambda being a dot anti-homomorphism, and
-    left distributivity of the associated solution.
+    Equivalently lambda is a dot anti-homomorphism, or the associated
+    solution is left distributive; the test suite checks both.
     """
     try:
         verify_brace(b.circle.table, b.dot.table)
-        route_a = True
     except BraceError:
-        route_a = False
-    lams = b.lambdas
-    route_b = all(
-        lams[b.dot.mul(x, y)] == compose(lams[y], lams[x])
-        for x in range(b.n)
-        for y in range(b.n)
-    )
-    route_c = is_left_distributive(associated_solution(b))
-    if not (route_a == route_b == route_c):
-        raise AssertionError(
-            f"bi-skew routes disagree: swapped={route_a} antihom={route_b} "
-            f"leftdist={route_c}"
-        )
-    return route_a
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -233,48 +187,36 @@ def is_ideal(b: SkewBrace, elements: Sequence[int]) -> bool:
 
 
 def socle(b: SkewBrace) -> Ideal:
-    """Soc(B) = {a : a o b = a . b = b . a for all b}.
+    """Soc(B) = {a : a o b = a . b = b . a for all b}, an ideal.
 
-    Cross-checked against Ker lambda .cap. Ker rho and against
-    Ker lambda .cap. Z(B, .).
+    It equals Ker lambda .cap. Ker rho and Ker lambda .cap. Z(B, .); the test
+    suite checks both.
     """
     n = b.n
-    direct = tuple(
+    elements = tuple(
         a for a in range(n)
         if all(
             b.circle.mul(a, x) == b.dot.mul(a, x) == b.dot.mul(x, a)
             for x in range(n)
         )
     )
-    ident = identity_perm(n)
-    ker_lam = {a for a in range(n) if b.lambdas[a] == ident}
-    ker_rho = {a for a in range(n) if b.rhos[a] == ident}
-    if set(direct) != ker_lam & ker_rho:
-        raise AssertionError("socle != Ker lambda intersect Ker rho")
-    if set(direct) != ker_lam & set(center(b.dot)):
-        raise AssertionError("socle != Ker lambda intersect the dot-group center")
-    if not is_ideal(b, direct):
-        raise AssertionError("socle is not an ideal")
-    return Ideal(brace=b, elements=direct)
+    return Ideal(brace=b, elements=elements)
 
 
 def quotient_brace(b: SkewBrace, ideal: Sequence[int]) -> tuple[SkewBrace, tuple[int, ...]]:
     """Quotient by an ideal; cosets re-indexed by their minima.
 
-    The dot- and circle-coset partitions are computed separately and must
-    coincide before quotienting.
+    The cosets are taken in the dot group; for an ideal they are also the
+    circle cosets, which the test suite checks.
     """
     elems = sorted(set(ideal))
     if not is_ideal(b, elems):
         raise ValueError("subset is not an ideal")
     n = b.n
-    dot_coset = {a: frozenset(b.dot.mul(a, x) for x in elems) for a in range(n)}
-    circ_coset = {a: frozenset(b.circle.mul(a, x) for x in elems) for a in range(n)}
-    if dot_coset != circ_coset:
-        raise AssertionError("dot and circle cosets of the ideal differ")
-    reps = sorted({min(cs) for cs in dot_coset.values()})
+    coset_min = [min(b.dot.mul(a, x) for x in elems) for a in range(n)]
+    reps = sorted(set(coset_min))
     index = {r: i for i, r in enumerate(reps)}
-    proj = tuple(index[min(dot_coset[a])] for a in range(n))
+    proj = tuple(index[r] for r in coset_min)
     m = len(reps)
     dot_t = [[proj[b.dot.mul(reps[i], reps[j])] for j in range(m)] for i in range(m)]
     circ_t = [[proj[b.circle.mul(reps[i], reps[j])] for j in range(m)] for i in range(m)]
@@ -365,8 +307,10 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     """The four 2-reductivity identities on the associated solution and the
     matching homomorphism properties of lambda and rho.
 
-    Every claimed equivalence is computed from both sides independently and
-    any mismatch raises instead of being short-circuited.
+    Every field is computed on its own.  Equivalences between them (red1 with
+    lambda-hom, red2 with rho-hom, red3 with lambda-antihom, red4 with
+    rho-antihom, and all-four with two-sided, mp <= 2, class <= 2 and
+    opposite class <= 2) are theorems the test suite checks.
     """
     s = associated_solution(b)
     red = is_2reductive(s)
@@ -380,16 +324,6 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     lam_anti = all_pairs(lambda x, y: lams[dot.mul(x, y)] == compose(lams[y], lams[x]))
     rho_hom = all_pairs(lambda x, y: rhos[dot.mul(x, y)] == compose(rhos[x], rhos[y]))
     rho_anti = all_pairs(lambda x, y: rhos[dot.mul(x, y)] == compose(rhos[y], rhos[x]))
-
-    pairs = (
-        ("red1/lambda-hom", red.red1, lam_hom),
-        ("red2/rho-hom", red.red2, rho_hom),
-        ("red3/lambda-antihom", red.red3, lam_anti),
-        ("red4/rho-antihom", red.red4, rho_anti),
-    )
-    for name, lhs, rhs in pairs:
-        if lhs != rhs:
-            raise AssertionError(f"equivalence {name} fails: {lhs} vs {rhs}")
 
     two_sided = all_pairs(
         lambda x, y: lams[dot.mul(x, y)]
@@ -406,16 +340,6 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     nil_le2 = cls is not None and cls <= 2
     opp_cls = socle_series(opposite_brace(b)).nilpotency_class
     opp_le2 = opp_cls is not None and opp_cls <= 2
-
-    sides = {
-        "all-four": red.holds,
-        "two-sided": two_sided,
-        "mp<=2": mp_le2,
-        "class<=2": nil_le2,
-        "opposite-class<=2": opp_le2,
-    }
-    if len(set(sides.values())) != 1:
-        raise AssertionError(f"five-way equivalence fails: {sides}")
 
     return ReductivityProfile(
         red1=red.red1,

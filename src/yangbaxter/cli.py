@@ -8,6 +8,7 @@ Exit codes: 0 = success / property holds, 1 = mathematical violation
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -70,31 +71,41 @@ def write_census(record: CensusRecord, stream: TextIO) -> None:
 
 
 def load_payload(path: str, fmt: str = "auto"):
-    """Returns ("solution" | "brace" | "union", object); raises ValueError."""
+    """Returns ("solution" | "brace" | "union", object).
+
+    Malformed input raises ValueError("path: field: reason"); well-formed
+    tables that break an axiom raise VerificationError or BraceError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if fmt == "text":
-        return "solution", solutions.parse_solution_text(text)
-    if fmt == "auto" and not text.lstrip().startswith("{"):
-        return "solution", solutions.parse_solution_text(text)
+    if fmt == "text" or (fmt == "auto" and not text.lstrip().startswith("{")):
+        kind, load, data = "solution", solutions.parse_solution_text, text
+    else:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected a JSON object")
+        if "sigma" in data and "tau" in data:
+            kind, load = "solution", solutions.solution_from_dict
+        elif "dot" in data and "circle" in data:
+            kind, load = "brace", braces.brace_from_dict
+        elif "groups" in data and "C" in data and "D" in data:
+            kind, load = "union", unions.union_from_dict
+        else:
+            raise ValueError(
+                f"{path}: unrecognized schema (expected sigma/tau, dot/circle, or groups/C/D keys)"
+            )
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    if "sigma" in data and "tau" in data:
-        return "solution", solutions.solution_from_dict(data)
-    if "dot" in data and "circle" in data:
-        return "brace", braces.brace_from_dict(data)
-    if "groups" in data and "C" in data and "D" in data:
-        return "union", unions.union_from_dict(data)
-    raise ValueError(
-        f"{path}: unrecognized schema (expected sigma/tau, dot/circle, or groups/C/D keys)"
-    )
+        return kind, load(data)
+    except (VerificationError, braces.BraceError):
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +194,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    raw_cap = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
+    try:
+        cap = int(raw_cap)
+    except ValueError:
+        print(f"error: {ENUM_CAP_ENV}: {raw_cap!r} is not an integer", file=sys.stderr)
+        return EXIT_USAGE
     if not 1 <= args.n <= cap:
         print(
             f"error: n must be between 1 and {cap} "
@@ -191,10 +207,21 @@ def cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    record = build_census(args.n, jobs=args.jobs)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_census(record, fh)
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
+    with contextlib.ExitStack() as stack:
+        out = None
+        if args.out:
+            # opened before the census is built, so a bad path fails at once
+            try:
+                out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+            except OSError as exc:
+                print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
+                return EXIT_USAGE
+        record = build_census(args.n, jobs=args.jobs)
+        if out is not None:
+            write_census(record, out)
     print(json.dumps(record.summary_dict()))
     return EXIT_OK
 

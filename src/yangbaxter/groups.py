@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
 
@@ -105,9 +105,31 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     return FiniteGroup(n=n, table=rows, id=ident, inv=tuple(inv))
 
 
+def _int_table(value, field: str, n: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+    """A square table of ints from outside input, n x n when n is given.
+
+    Bools and floats are not ints here; any other shape or entry raises
+    ValueError("field: reason").
+    """
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field}: expected a list of rows, got {type(value).__name__}")
+    size = len(value) if n is None else n
+    if len(value) != size:
+        raise ValueError(f"{field}: has {len(value)} rows, expected {size}")
+    for i, row in enumerate(value):
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"{field}: row {i} is not a list")
+        if len(row) != size:
+            raise ValueError(f"{field}: row {i} has {len(row)} entries, expected {size}")
+        for j, v in enumerate(row):
+            if type(v) is not int:
+                raise ValueError(f"{field}: entry [{i}][{j}] = {v!r} is not an integer")
+    return tuple(tuple(row) for row in value)
+
+
 def group_from_dict(data: dict) -> FiniteGroup:
     try:
-        return finite_group(data["table"])
+        return finite_group(_int_table(data["table"], "table"))
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in group data") from exc
 
@@ -280,57 +302,13 @@ class AbelianGroup:
     def neg(self, a: int) -> int:
         return self.encode([-x for x in self.decode(a)])
 
-    def element_order(self, a: int) -> int:
-        k, acc = 1, a
-        while acc != 0:
-            acc = self.add(acc, a)
-            k += 1
-        return k
-
-    def closure(self, elems: Iterable[int]) -> frozenset[int]:
-        seen = {0}
-        frontier = [0]
-        gens = list(elems)
-        while frontier:
-            new = []
-            for a in frontier:
-                for s in gens:
-                    b = self.add(a, s)
-                    if b not in seen:
-                        seen.add(b)
-                        new.append(b)
-            frontier = new
-        return frozenset(seen)
-
     def generates(self, elems: Iterable[int]) -> bool:
-        return len(self.closure(elems)) == self.n
+        return len(subgroup_generated(self.as_finite_group, elems)) == self.n
 
     @cached_property
     def automorphisms(self) -> tuple[Perm, ...]:
-        """All automorphisms, enumerated by brute force over generator images."""
-        n = self.n
-        if n == 1:
-            return ((0,),)
-        k = len(self.factors)
-        units = [self.encode([1 if i == j else 0 for j in range(k)]) for i in range(k)]
-        candidates = []
-        for i, d in enumerate(self.factors):
-            candidates.append([x for x in range(n) if d % self.element_order(x) == 0])
-        multiples: list[list[int]] = []
-        result = []
-        for images in itertools.product(*candidates):
-            phi = [0] * n
-            for x in range(n):
-                coords = self.decode(x)
-                acc = 0
-                for c, img in zip(coords, images):
-                    for _ in range(c):
-                        acc = self.add(acc, img)
-                phi[x] = acc
-            if len(set(phi)) == n:
-                result.append(tuple(phi))
-        result.sort()
-        return tuple(result)
+        """All automorphisms, sorted."""
+        return tuple(sorted(_isomorphisms(self, self.as_finite_group)))
 
     @cached_property
     def as_finite_group(self) -> FiniteGroup:
@@ -343,6 +321,32 @@ class AbelianGroup:
         if not self.factors:
             return "Z1"
         return "x".join(f"Z{d}" for d in self.factors)
+
+
+def _isomorphisms(source: AbelianGroup, target: FiniteGroup) -> Iterator[Perm]:
+    """The isomorphisms source -> target, as tuples phi[x] = image of x.
+
+    target must be abelian.  Each is the extension of images of the standard
+    generators, whose orders divide the matching invariant factors; image
+    tuples are tried in itertools.product order and the bijective extensions
+    yielded as found.
+    """
+    n = source.n
+    if target.n != n:
+        return
+    table = target.table
+    orders = [element_order(target, x) for x in range(n)]
+    candidates = [[x for x in range(n) if d % orders[x] == 0] for d in source.factors]
+    for images in itertools.product(*candidates):
+        # mixed-radix order: phi[x * d + c] = phi[x] + c * image
+        phi = [target.id]
+        for d, img in zip(source.factors, images):
+            steps = [target.id]
+            for _ in range(d - 1):
+                steps.append(table[steps[-1]][img])
+            phi = [table[p][q] for p in phi for q in steps]
+        if len(set(phi)) == n:
+            yield tuple(phi)
 
 
 def abelian_group(orders: Iterable[int]) -> AbelianGroup:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .groups import Perm, compose, identity_perm, invert_perm, is_perm
+from .groups import Perm, _int_table, compose, identity_perm, invert_perm, is_perm
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,6 @@ def _braid_mismatch(sigma, tau, n: int) -> Optional[tuple[int, tuple[int, int, i
     return None
 
 
-def _birack_mismatch(sigma, tau, n: int) -> Optional[tuple[int, tuple[int, int, int]]]:
-    """Same verdict as the braid route, computed from the three identities."""
-    for x in range(n):
-        for y in range(n):
-            sxy, tyx = sigma[x][y], tau[y][x]
-            row1 = sigma[x]
-            for z in range(n):
-                if row1[sigma[y][z]] != sigma[sxy][sigma[tyx][z]]:
-                    return 1, (x, y, z)
-                if (tau[sigma[tyx][z]][sxy]
-                        != sigma[tau[sigma[y][z]][x]][tau[z][y]]):
-                    return 2, (x, y, z)
-                if tau[x][tau[y][z]] != tau[tau[x][y]][tau[sigma[y][x]][z]]:
-                    return 3, (x, y, z)
-    return None
-
-
 def validate_tables(
     sigma: Sequence[Sequence[int]],
     tau: Sequence[Sequence[int]],
@@ -108,8 +91,9 @@ def validate_tables(
     """Full solution check; returns None when the tables pass.
 
     Non-degeneracy, bijectivity of r on pairs, and the braid relation on all
-    triples.  The braid relation is checked both by composing r directly and
-    through the three birack identities; the two routes must agree.
+    triples, checked once by composing r directly; a failure is reported as
+    "birack:k" with k the first mismatched coordinate.  That the three birack
+    identities give the same verdict is a theorem the test suite checks.
     """
     n = len(sigma)
     if len(tau) != n:
@@ -130,11 +114,6 @@ def validate_tables(
                 return Violation("bijectivity", (images[img], (x, y)))
             images[img] = (x, y)
     braid = _braid_mismatch(sig, ta, n)
-    birack = _birack_mismatch(sig, ta, n)
-    if (braid is None) != (birack is None):
-        raise AssertionError(
-            f"braid and birack checks disagree: {braid} vs {birack}"
-        )
     if braid is not None:
         coord, triple = braid
         return Violation(f"birack:{coord}", triple)
@@ -176,12 +155,7 @@ def inverse_solution(s: FiniteSolution) -> FiniteSolution:
             u, v = s.r(x, y)
             sig[u][v] = x
             ta[v][u] = y
-    inv = verify(sig, ta)
-    for x in range(n):
-        for y in range(n):
-            if s.r(*inv.r(x, y)) != (x, y):
-                raise AssertionError("r o r^-1 != id")
-    return inv
+    return verify(sig, ta)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +382,11 @@ def solution_from_dict(data: dict) -> FiniteSolution:
         tau = data["tau"]
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in solution data") from exc
-    n = data.get("n", len(sigma))
-    if n != len(sigma):
-        raise ValueError(f"declared n={n} but sigma has {len(sigma)} rows")
-    return verify(sigma, tau)
+    sig = _int_table(sigma, "sigma")
+    n = data.get("n", len(sig))
+    if type(n) is not int or n != len(sig):
+        raise ValueError(f"n: declared {n!r} but sigma has {len(sig)} rows")
+    return verify(sig, _int_table(tau, "tau", n))
 
 
 def parse_solution_text(text: str) -> FiniteSolution:
@@ -420,14 +395,14 @@ def parse_solution_text(text: str) -> FiniteSolution:
     if len(blocks) != 2:
         raise ValueError(f"expected 2 blocks separated by a blank line, got {len(blocks)}")
     tables = []
-    for block in blocks:
-        rows = [
-            [int(tok) for tok in line.split()]
-            for line in block.strip().splitlines()
-            if line.strip()
-        ]
-        tables.append(rows)
-    return verify(tables[0], tables[1])
+    for field, block in zip(("sigma", "tau"), blocks):
+        lines = [line for line in block.strip().splitlines() if line.strip()]
+        try:
+            tables.append([[int(tok) for tok in line.split()] for line in lines])
+        except ValueError:
+            raise ValueError(f"{field}: entries must be integers") from None
+    sigma = _int_table(tables[0], "sigma")
+    return verify(sigma, _int_table(tables[1], "tau", len(sigma)))
 
 
 def solution_to_text(s: FiniteSolution) -> str:

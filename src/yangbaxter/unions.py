@@ -15,14 +15,20 @@ from functools import lru_cache
 from math import prod
 from typing import Optional, Sequence
 
-from .groups import AbelianGroup, Perm, abelian_groups_of_order, orbits
-from .retraction import permutation_groups
-from .solution import (
-    FiniteSolution,
-    InjectivityReport,
-    is_2reductive,
-    verify,
+from .groups import (
+    AbelianGroup,
+    FiniteGroup,
+    Perm,
+    _int_table,
+    _isomorphisms,
+    _partitions,
+    abelian_groups_of_order,
+    element_order,
+    invert_perm,
+    orbits,
 )
+from .retraction import permutation_groups
+from .solution import FiniteSolution, InjectivityReport, is_2reductive
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -84,32 +90,41 @@ def abelian_union(
     """
     k = len(groups)
     if k == 0:
-        raise ValueError("a union needs at least one block")
+        raise ValueError("groups: a union needs at least one block")
     cm = tuple(tuple(row) for row in c)
     dm = tuple(tuple(row) for row in d)
     for name, m in (("C", cm), ("D", dm)):
         if len(m) != k or any(len(row) != k for row in m):
-            raise ValueError(f"{name} must be a {k} x {k} matrix")
+            raise ValueError(f"{name}: must be a {k} x {k} matrix")
         for i in range(k):
             for j in range(k):
                 if not 0 <= m[i][j] < groups[j].n:
                     raise ValueError(
-                        f"{name}[{i}][{j}] = {m[i][j]} is not an element of block {j}"
+                        f"{name}: entry [{i}][{j}] = {m[i][j]} is not an element of block {j}"
                     )
     if require_generating:
         for j in range(k):
             col = [cm[i][j] for i in range(k)] + [dm[i][j] for i in range(k)]
             if not groups[j].generates(col):
-                raise ValueError(f"column {j} entries do not generate block {j}")
+                raise ValueError(f"C, D: column {j} entries do not generate block {j}")
     return AbelianUnion(groups=tuple(groups), c=cm, d=dm)
 
 
 def union_from_dict(data: dict) -> AbelianUnion:
     try:
-        groups = [AbelianGroup(factors=tuple(f)) for f in data["groups"]]
-        return abelian_union(groups, data["C"], data["D"])
+        blocks, c, d = data["groups"], data["C"], data["D"]
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in union data") from exc
+    if not isinstance(blocks, (list, tuple)) or not all(
+        isinstance(f, (list, tuple)) and all(type(x) is int for x in f) for f in blocks
+    ):
+        raise ValueError("groups: expected a list of invariant-factor lists")
+    try:
+        groups = [AbelianGroup(factors=tuple(f)) for f in blocks]
+    except ValueError as exc:
+        raise ValueError(f"groups: {exc}") from None
+    k = len(groups)
+    return abelian_union(groups, _int_table(c, "C", k), _int_table(d, "D", k))
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +147,7 @@ def union_to_solution(u: AbelianUnion) -> FiniteSolution:
             j = block_of[y]
             sig[x][y] = off[j] + u.groups[j].add(local[y], u.c[i][j])
             ta[x][y] = off[j] + u.groups[j].add(local[y], u.d[i][j])
-    s = verify(sig, ta)
-    if not is_2reductive(s).holds:
-        raise AssertionError("built union solution is not 2-reductive")
-    return s
+    return FiniteSolution(n=n, sigma=tuple(map(tuple, sig)), tau=tuple(map(tuple, ta)))
 
 
 @dataclass(frozen=True)
@@ -151,36 +163,12 @@ def _torsor_isomorphism(
     """Identify an abelian Cayley table (zero at index 0) with its canonical
     invariant-factor group; returns (group, local index -> canonical index)."""
     m = len(table)
-
-    def order_of(x: int) -> int:
-        k, acc = 1, x
-        while acc != 0:
-            acc = table[acc][x]
-            k += 1
-        return k
-
+    rows = tuple(tuple(row) for row in table)
+    target = FiniteGroup(n=m, table=rows, id=0, inv=tuple(row.index(0) for row in rows))
     for cand in abelian_groups_of_order(m):
-        k = len(cand.factors)
-        if k == 0:
-            return cand, (0,)
-        cands = [
-            [x for x in range(m) if cand.factors[i] % order_of(x) == 0]
-            for i in range(k)
-        ]
-        for images in itertools.product(*cands):
-            phi = [0] * cand.n
-            for idx in range(cand.n):
-                coords = cand.decode(idx)
-                acc = 0
-                for coef, img in zip(coords, images):
-                    for _ in range(coef):
-                        acc = table[acc][img]
-                phi[idx] = acc
-            if len(set(phi)) == m:
-                inverse = [0] * m
-                for canon_idx, loc in enumerate(phi):
-                    inverse[loc] = canon_idx
-                return cand, tuple(inverse)
+        phi = next(_isomorphisms(cand, target), None)
+        if phi is not None:
+            return cand, invert_perm(phi)
     raise AssertionError("orbit translation structure is not an abelian group")
 
 
@@ -370,22 +358,6 @@ def canonical_form(u: AbelianUnion) -> AbelianUnion:
 # Census enumeration
 
 
-def _partitions_desc(n: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(remaining: int, cap: int, acc: list[int]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return out
-
-
 def census_cells(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Distinct block-type multisets (sorted canonically) for carrier size n.
 
@@ -393,7 +365,7 @@ def census_cells(n: int) -> list[tuple[tuple[int, ...], ...]]:
     isomorphism invariant, so deduplication never crosses cells.
     """
     cells = set()
-    for partition in _partitions_desc(n):
+    for partition in _partitions(n):
         sizes = sorted(set(partition))
         mult = {m: partition.count(m) for m in sizes}
         per_size = []
@@ -531,8 +503,9 @@ def injectivity_checks(u: AbelianUnion) -> InjectivityReport:
     order_ok = True
     for i in range(k):
         for j in range(k):
-            oj = u.groups[j].element_order(u.groups[j].add(u.c[i][j], u.d[i][j]))
-            oi = u.groups[i].element_order(u.groups[i].add(u.c[j][i], u.d[j][i]))
+            gi, gj = u.groups[i], u.groups[j]
+            oj = element_order(gj.as_finite_group, gj.add(u.c[i][j], u.d[i][j]))
+            oi = element_order(gi.as_finite_group, gi.add(u.c[j][i], u.d[j][i]))
             if oj != oi:
                 order_ok = False
     return InjectivityReport(diagonal_ok=diagonal_ok, order_ok=order_ok)

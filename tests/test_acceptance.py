@@ -394,17 +394,47 @@ def test_criterion_6_brace_catalog(brace_catalog):
         ker_rho = {a for a in range(n) if rhos[a] == ident}
         if soc != ker_lam & ker_rho:
             violations.append(f"{name}: (c) socle != ker intersection")
-        try:
-            yb.is_biskew(b)  # raises if the three routes disagree
-        except AssertionError as exc:
-            violations.append(f"{name}: (d) {exc}")
         s = yb.associated_solution(b)
+        sig, tau = s.sigma, s.tau
+        triples = list(itertools.product(range(n), repeat=3))
+        antihom = all(
+            lams[dot.mul(x, y)][z] == lams[y][lams[x][z]] for x, y, z in triples
+        )
+        left_dist = all(
+            sig[x][sig[y][z]] == sig[sig[x][y]][sig[x][z]] for x, y, z in triples
+        )
+        if not yb.is_biskew(b) == antihom == left_dist:
+            violations.append(f"{name}: (d) bi-skew routes disagree")
         if yb.associated_solution(yb.opposite_brace(b)) != yb.inverse_solution(s):
             violations.append(f"{name}: (e) opposite vs inverse")
-        try:
-            yb.reductivity_profile(b)  # raises if any equivalence breaks
-        except AssertionError as exc:
-            violations.append(f"{name}: (f) {exc}")
+        prof = yb.reductivity_profile(b)
+        pairs = [(x, y) for x in range(n) for y in range(n)]
+        red = (
+            all(sig[sig[x][y]] == sig[y] for x, y in pairs),
+            all(tau[tau[x][y]] == tau[y] for x, y in pairs),
+            all(sig[tau[x][y]] == sig[y] for x, y in pairs),
+            all(tau[sig[x][y]] == tau[y] for x, y in pairs),
+        )
+        homs = tuple(
+            all(
+                fam[dot.mul(x, y)][z] == (fam[x][fam[y][z]] if hom else fam[y][fam[x][z]])
+                for x, y, z in triples
+            )
+            for fam, hom in ((lams, True), (rhos, True), (lams, False), (rhos, False))
+        )
+        two_sided = all(
+            fam[dot.mul(x, y)] == fam[dot.mul(y, x)] == fam[circ.mul(x, y)]
+            for fam in (lams, rhos)
+            for x, y in pairs
+        )
+        fields = (prof.red1, prof.red2, prof.red3, prof.red4)
+        if red != homs or red != fields:
+            violations.append(f"{name}: (f) identities {red} vs homs {homs}")
+        if not (
+            all(red) == two_sided == prof.multipermutation_le2
+            == prof.nilpotent_le2 == prof.opposite_nilpotent_le2
+        ):
+            violations.append(f"{name}: (f) five-way equivalence")
         ret = yb.retraction(s).solution
         quotient, _ = yb.quotient_brace(b, yb.socle(b).elements)
         expected = yb.associated_solution(quotient)

@@ -8,6 +8,7 @@ import pytest
 import yangbaxter as yb
 from yangbaxter.brace import BraceError
 from yangbaxter.groups import identity_perm
+from yangbaxter.solution import validate_tables
 
 
 def test_verify_brace_examples():
@@ -205,12 +206,56 @@ def test_reductivity_profiles():
 
 
 def test_reductivity_profile_runs_on_catalog(brace_catalog):
-    # the profile raises internally if any claimed equivalence breaks
+    # each identity matches one homomorphism property, and all four together
+    # match the two-sided condition, level <= 2 and class <= 2 (of the brace
+    # and of its opposite); the profile computes every field on its own
     for name, b in brace_catalog:
         prof = yb.reductivity_profile(b)
         assert prof.all_four == (
             prof.red1 and prof.red2 and prof.red3 and prof.red4
         ), name
+        assert prof.red1 == prof.lambda_dot_hom, name
+        assert prof.red2 == prof.rho_dot_hom, name
+        assert prof.red3 == prof.lambda_dot_antihom, name
+        assert prof.red4 == prof.rho_dot_antihom, name
+        assert (
+            prof.all_four
+            == prof.two_sided
+            == prof.multipermutation_le2
+            == prof.nilpotent_le2
+            == prof.opposite_nilpotent_le2
+        ), name
+
+
+def test_brace_theorems_on_catalog(brace_catalog):
+    # theorems the library relies on without checking them at run time
+    for name, b in brace_catalog:
+        n, dot, circ = b.n, b.dot, b.circle
+        lams, rhos = b.lambdas, b.rhos
+        # the map of a skew brace is a solution, involutive iff dot is abelian
+        s = yb.associated_solution(b)
+        assert validate_tables(s.sigma, s.tau) is None, name
+        assert yb.is_involutive(s) == dot.is_abelian, name
+        # rho_y(x) = lambda_{lambda_x(y)}^-1((x o y)^-1 . x . (x o y))
+        for x in range(n):
+            for y in range(n):
+                xy = circ.mul(x, y)
+                conj = dot.mul(dot.mul(dot.inv[xy], x), xy)
+                assert lams[lams[x][y]][rhos[y][x]] == conj, name
+        # Soc(B) = Ker lambda .cap. Z(B, .), and it is an ideal
+        soc = yb.socle(b).elements
+        ident = identity_perm(n)
+        ker_lam = {a for a in range(n) if lams[a] == ident}
+        assert set(soc) == ker_lam & set(yb.center(dot)), name
+        assert yb.is_ideal(b, soc), name
+        # the dot cosets of an ideal are its circle cosets
+        kernels = yb.kernel_ideals(b)
+        for ideal in (soc, kernels.ker_lambda, kernels.ker_rho):
+            if not yb.is_ideal(b, ideal):
+                continue
+            for a in range(n):
+                dot_coset = {dot.mul(a, x) for x in ideal}
+                assert dot_coset == {circ.mul(a, x) for x in ideal}, name
 
 
 def test_product_brace_lambda_formula():

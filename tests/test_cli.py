@@ -7,7 +7,10 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import yangbaxter as yb
+from yangbaxter import cli
 from yangbaxter.cli import main
 from yangbaxter.solution import solution_to_text
 
@@ -82,6 +85,54 @@ def test_verify_unknown_schema_exits_2(tmp_path, capsys):
     path = write(tmp_path, "odd.json", {"foo": 1})
     assert main(["verify", path]) == 2
     assert "unrecognized schema" in capsys.readouterr().err
+
+
+PERM2 = [[0, 1], [0, 1]]
+MALFORMED = {
+    "float-entries": ({"sigma": [[0.0, 1.0], [0.0, 1.0]], "tau": PERM2}, "sigma"),
+    "bool-entries": ({"sigma": [[False, True], [False, True]], "tau": PERM2}, "sigma"),
+    "flat-table": ({"sigma": [0, 1], "tau": PERM2}, "sigma"),
+    "string-table": ({"sigma": "ab", "tau": PERM2}, "sigma"),
+    "ragged-table": ({"sigma": PERM2, "tau": [[0, 1], [0]]}, "tau"),
+    "non-integer-n": ({"n": "2", "sigma": PERM2, "tau": PERM2}, "n"),
+    "scalar-dot": ({"dot": 5, "circle": [[0]]}, "dot"),
+    "scalar-block": ({"groups": [2], "C": [[1]], "D": [[0]]}, "groups"),
+    "float-constant": ({"groups": [[2]], "C": [[1.5]], "D": [[0]]}, "C"),
+    "ragged-text": ("0 1\n0\n\n0 1\n0 1\n", "sigma"),
+    "non-integer-text": ("0 1\n0 1\n\n0 1\n0 x\n", "tau"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_verify_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
+    payload, field = MALFORMED[case]
+    path = write(tmp_path, "bad.txt" if isinstance(payload, str) else "bad.json", payload)
+    assert main(["verify", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {field}: "), lines
+
+
+def test_enumerate_rejects_non_integer_cap(capsys, monkeypatch):
+    monkeypatch.setenv("YANGBAXTER_ENUM_CAP", "eight")
+    assert main(["enumerate", "3"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "YANGBAXTER_ENUM_CAP" in lines[0]
+
+
+def test_enumerate_rejects_jobs_below_1(capsys):
+    assert main(["enumerate", "3", "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_enumerate_unwritable_out_fails_before_building(tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the census was built before the output was opened")
+
+    monkeypatch.setattr(cli, "build_census", no_build)
+    out_path = str(tmp_path / "missing" / "census.jsonl")
+    assert main(["enumerate", "3", "--out", out_path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {out_path}: ")
 
 
 def test_enumerate_summary_and_file(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 import yangbaxter as yb
 from yangbaxter.solution import (
+    _braid_mismatch,
     parse_solution_text,
     solution_to_text,
     validate_tables,
@@ -34,6 +35,20 @@ def braid_holds_oracle(sigma, tau):
         r2 = (r1[0],) + r(r1[1], r1[2])
         rhs = r(r2[0], r2[1]) + (r2[2],)
         if lhs != rhs:
+            return False
+    return True
+
+
+def birack_holds(sigma, tau):
+    """The braid relation as the three birack identities, on all triples."""
+    n = len(sigma)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        sxy, tyx = sigma[x][y], tau[y][x]
+        if sigma[x][sigma[y][z]] != sigma[sxy][sigma[tyx][z]]:
+            return False
+        if tau[sigma[tyx][z]][sxy] != sigma[tau[sigma[y][z]][x]][tau[z][y]]:
+            return False
+        if tau[x][tau[y][z]] != tau[tau[x][y]][tau[sigma[y][x]][z]]:
             return False
     return True
 
@@ -77,9 +92,18 @@ def test_verify_agrees_with_braid_oracle_on_all_n2_tables():
     assert v is not None and v.check == "birack:2"
 
 
+def test_braid_and_birack_routes_agree_on_all_small_tables():
+    # the verifier's braid route against the three birack identities, on
+    # every pair of tables with permutation rows, bijective or not
+    for n in (1, 2, 3):
+        perms = list(itertools.permutations(range(n)))
+        for sigma in itertools.product(perms, repeat=n):
+            for tau in itertools.product(perms, repeat=n):
+                braid = _braid_mismatch(sigma, tau, n) is None
+                assert braid == birack_holds(sigma, tau), (sigma, tau)
+
+
 def test_verify_differential_random_tables():
-    # validate_tables internally runs both the braid and the birack route and
-    # asserts they agree; feed it random tables to exercise that cross-check.
     rng = random.Random(20240817)
     for n in (2, 3, 4):
         perms = [tuple(p) for p in itertools.permutations(range(n))]
@@ -116,6 +140,16 @@ def test_inverse_fixed_point_for_involutive(census):
         s = yb.union_to_solution(u)
         if yb.is_involutive(s):
             assert yb.inverse_solution(s) == s
+
+
+def test_inverse_solution_inverts_r(small_solutions, census_solutions):
+    corpus = small_solutions + [s for n in census_solutions for s in census_solutions[n]]
+    for s in corpus:
+        inv = yb.inverse_solution(s)
+        for x in range(s.n):
+            for y in range(s.n):
+                assert s.r(*inv.r(x, y)) == (x, y)
+                assert inv.r(*s.r(x, y)) == (x, y)
 
 
 def test_inverse_is_an_involution_on_solutions(small_solutions):

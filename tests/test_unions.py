@@ -7,6 +7,7 @@ import random
 import pytest
 
 import yangbaxter as yb
+from yangbaxter.solution import validate_tables
 from yangbaxter.unions import census_cells, enumerate_cell
 
 
@@ -144,10 +145,24 @@ def test_census_breakdown_n4(census):
 def test_census_soundness(census):
     for n in (1, 2, 3, 4):
         for u in census[n]:
-            s = yb.union_to_solution(u)  # verifies + 2-reductivity inside
+            s = yb.union_to_solution(u)
             groups = yb.permutation_groups(s)
             orbit_sizes = sorted(len(o) for o in yb.orbits(groups.full))
             assert orbit_sizes == sorted(g.n for g in u.groups)
+
+
+def test_union_solutions_are_2reductive_solutions(census_solutions, small_solutions):
+    # every union of abelian groups with constant matrices builds a
+    # 2-reductive solution; union_to_solution relies on it and checks neither
+    rebuilt = [
+        yb.union_to_solution(yb.solution_to_union(s).union)
+        for s in small_solutions
+        if yb.is_2reductive(s).holds
+    ]
+    assert rebuilt
+    for s in rebuilt + [s for n in census_solutions for s in census_solutions[n]]:
+        assert validate_tables(s.sigma, s.tau) is None
+        assert yb.is_2reductive(s).holds
 
 
 def test_census_rejects_bad_sizes():
