@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -53,17 +54,20 @@ class CensusRecord:
 def build_census(n: int, jobs: int = 1) -> CensusRecord:
     entries = unions.enumerate_2reductive(n, jobs=jobs)
     by_type: dict[str, int] = {}
-    for u in entries:
-        label = u.orbit_type_label()
-        by_type[label] = by_type.get(label, 0) + 1
+    # the entries of one cell are consecutive and share one groups tuple
+    for _, run in itertools.groupby(entries, key=lambda u: u.groups):
+        run = list(run)
+        label = run[0].orbit_type_label()
+        by_type[label] = by_type.get(label, 0) + len(run)
     return CensusRecord(n=n, count=len(entries), by_orbit_type=by_type, entries=entries)
 
 
 def write_census(record: CensusRecord, stream: TextIO) -> None:
     """JSON-lines: one canonical union per line, then one summary record."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     for u in record.entries:
-        stream.write(json.dumps(u.to_dict(), separators=(",", ":")) + "\n")
-    stream.write(json.dumps(record.summary_dict(), separators=(",", ":")) + "\n")
+        stream.write(encode(u.to_dict()) + "\n")
+    stream.write(encode(record.summary_dict()) + "\n")
 
 
 # ---------------------------------------------------------------------------

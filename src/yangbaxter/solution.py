@@ -9,6 +9,7 @@ tau[y][x]).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -376,13 +377,21 @@ def solutions_isomorphic(
 # Serialization
 
 
+def _sigma_table(value) -> tuple[tuple[int, ...], ...]:
+    """The sigma table of outside input; it fixes the carrier size n >= 1."""
+    sig = _int_table(value, "sigma")
+    if not sig:
+        raise ValueError("sigma: empty table, a solution needs at least one element")
+    return sig
+
+
 def solution_from_dict(data: dict) -> FiniteSolution:
     try:
         sigma = data["sigma"]
         tau = data["tau"]
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in solution data") from exc
-    sig = _int_table(sigma, "sigma")
+    sig = _sigma_table(sigma)
     n = data.get("n", len(sig))
     if type(n) is not int or n != len(sig):
         raise ValueError(f"n: declared {n!r} but sigma has {len(sig)} rows")
@@ -390,8 +399,9 @@ def solution_from_dict(data: dict) -> FiniteSolution:
 
 
 def parse_solution_text(text: str) -> FiniteSolution:
-    """Two whitespace-separated n x n integer blocks separated by a blank line."""
-    blocks = [b for b in text.replace("\r\n", "\n").split("\n\n") if b.strip()]
+    """Two whitespace-separated n x n integer blocks separated by a blank line
+    (a line holding only spaces or tabs counts as blank)."""
+    blocks = [b for b in re.split(r"\n[ \t]*\n", text.replace("\r\n", "\n")) if b.strip()]
     if len(blocks) != 2:
         raise ValueError(f"expected 2 blocks separated by a blank line, got {len(blocks)}")
     tables = []
@@ -401,7 +411,7 @@ def parse_solution_text(text: str) -> FiniteSolution:
             tables.append([[int(tok) for tok in line.split()] for line in lines])
         except ValueError:
             raise ValueError(f"{field}: entries must be integers") from None
-    sigma = _int_table(tables[0], "sigma")
+    sigma = _sigma_table(tables[0])
     return verify(sigma, _int_table(tables[1], "tau", len(sigma)))
 
 

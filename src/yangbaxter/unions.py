@@ -10,6 +10,7 @@ the orbits of the full permutation group.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -399,33 +400,41 @@ def _valid_columns(
 
 
 def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[tuple]:
-    """Canonical (C, D) encodings for one block-type cell, sorted."""
+    """Canonical (C, D) encodings for one block-type cell, sorted.
+
+    Each encoding is the least (flattened C, flattened D) over the cell's
+    symmetries, as in canonical_form.  A combo is stored as the
+    concatenation of its columns, each column listed once under every
+    automorphism of its block, so that every symmetry becomes one index
+    gather compiled per call.
+    """
     groups = [AbelianGroup(factors=t) for t in types]
     k = len(groups)
-    transforms = _cell_transforms(types)
-    columns = [_valid_columns(g, k) for g in groups]
+    kk = k * k
+    auts = [g.automorphisms for g in groups]
+    # column j of a combo spans starts[j] .. starts[j] + 2k|Aut(A_j)|: for
+    # each automorphism psi in turn, psi of C[0..k-1][j] then of D[0..k-1][j]
+    starts = list(itertools.accumulate((2 * k * len(a) for a in auts), initial=0))
+    aut_index = [{psi: t for t, psi in enumerate(a)} for a in auts]
+    getters = []
+    for pi, psis in _cell_transforms(types):
+        pos = [0] * (2 * kk)
+        for j in range(k):
+            at = starts[j] + 2 * k * aut_index[j][psis[j]]
+            for i in range(k):
+                dst = pi[i] * k + pi[j]
+                pos[dst] = at + i
+                pos[kk + dst] = at + k + i
+        getters.append(operator.itemgetter(*pos))
+    columns = [
+        [tuple(psi[x] for psi in a for x in cc + dc) for cc, dc in _valid_columns(g, k)]
+        for g, a in zip(groups, auts)
+    ]
     seen = set()
     for combo in itertools.product(*columns):
-        c = tuple(tuple(combo[j][0][i] for j in range(k)) for i in range(k))
-        d = tuple(tuple(combo[j][1][i] for j in range(k)) for i in range(k))
-        best = None
-        for pi, psis in transforms:
-            cand = _transform(k, c, d, pi, psis)
-            if best is None or cand < best:
-                best = cand
-        seen.add(best)
-    return sorted(seen)
-
-
-def _decode_cell_entry(
-    types: tuple[tuple[int, ...], ...], flat: tuple
-) -> AbelianUnion:
-    k = len(types)
-    cflat, dflat = flat
-    groups = tuple(AbelianGroup(factors=t) for t in types)
-    c = tuple(tuple(cflat[i * k:(i + 1) * k]) for i in range(k))
-    d = tuple(tuple(dflat[i * k:(i + 1) * k]) for i in range(k))
-    return AbelianUnion(groups=groups, c=c, d=d)
+        x = sum(combo, ())
+        seen.add(min([g(x) for g in getters]))
+    return sorted((key[:kk], key[kk:]) for key in seen)
 
 
 def enumerate_2reductive(n: int, jobs: int = 1) -> tuple[AbelianUnion, ...]:
@@ -433,8 +442,10 @@ def enumerate_2reductive(n: int, jobs: int = 1) -> tuple[AbelianUnion, ...]:
 
     Iterates partitions of n, abelian blocks per part, and all constant
     matrices passing the per-column generation filter, then canonicalizes
-    and deduplicates.  Cells run independently (in parallel when jobs > 1)
-    and merge into one deterministic sorted sequence.
+    and deduplicates.  Cells run independently (in parallel when jobs > 1).
+    The result is sorted by (k, block type keys, C, D): census_cells lists
+    the cells in that order and each cell comes back sorted, so the merge
+    only concatenates.
     """
     if n <= 0:
         raise ValueError(f"carrier size must be positive, got {n}")
@@ -448,9 +459,13 @@ def enumerate_2reductive(n: int, jobs: int = 1) -> tuple[AbelianUnion, ...]:
         per_cell = [enumerate_cell(cell) for cell in cells]
     out = []
     for types, entries in zip(cells, per_cell):
-        for flat in entries:
-            out.append(_decode_cell_entry(types, flat))
-    out.sort(key=lambda u: (u.k, [_type_key(g.factors) for g in u.groups], u.c, u.d))
+        k = len(types)
+        groups = tuple(AbelianGroup(factors=t) for t in types)
+        rows = [slice(i * k, (i + 1) * k) for i in range(k)]
+        for cflat, dflat in entries:
+            c = tuple(map(cflat.__getitem__, rows))
+            d = tuple(map(dflat.__getitem__, rows))
+            out.append(AbelianUnion(groups=groups, c=c, d=d))
     return tuple(out)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -36,6 +37,13 @@ def test_verify_solution_text_format(tmp_path, capsys):
     path = write(tmp_path, "sol.txt", solution_to_text(yb.projection_solution(2)))
     assert main(["verify", path, "--format", "text"]) == 0
     assert main(["verify", path]) == 0  # sniffed
+
+
+def test_verify_text_separator_line_may_hold_whitespace(tmp_path, capsys):
+    path = write(tmp_path, "sol.txt", "0 1\n0 1\n \t\n0 1\n0 1\n")
+    assert main(["verify", path]) == 0
+    out = capsys.readouterr().out
+    assert "n: 2" in out and "projection: True" in out
 
 
 def test_verify_irretractable_brace_solution(tmp_path, capsys):
@@ -100,6 +108,7 @@ MALFORMED = {
     "float-constant": ({"groups": [[2]], "C": [[1.5]], "D": [[0]]}, "C"),
     "ragged-text": ("0 1\n0\n\n0 1\n0 1\n", "sigma"),
     "non-integer-text": ("0 1\n0 1\n\n0 1\n0 x\n", "tau"),
+    "empty-carrier": ({"sigma": [], "tau": []}, "sigma"),
 }
 
 
@@ -267,10 +276,17 @@ def test_brace_law_violation_exits_1(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child must import the same package as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(yb.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "yangbaxter.cli", "enumerate", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 4

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 import yangbaxter as yb
 from yangbaxter.solution import validate_tables
-from yangbaxter.unions import census_cells, enumerate_cell
+from yangbaxter.unions import AbelianUnion, _valid_columns, census_cells, enumerate_cell
 
 
 Z1 = yb.abelian_group([])
@@ -94,7 +95,7 @@ def test_unions_isomorphic_agrees_with_solution_isomorphism(census):
 
 
 def test_canonical_form_idempotent(census):
-    for u in census[3] + census[4][:40]:
+    for u in itertools.chain.from_iterable(census.values()):
         cf = yb.canonical_form(u)
         assert yb.canonical_form(cf) == cf
         assert cf == u  # census output is already canonical
@@ -189,6 +190,22 @@ def test_census_cells_partition_structure():
     assert len(set(cells)) == len(cells)
     entries = enumerate_cell(((2,), ()))
     assert len(entries) == 15
+
+
+def test_enumerate_cell_agrees_with_canonical_form():
+    # enumerate_cell minimizes by compiled index gathers; canonical_form by
+    # _transform, one union at a time: both must give the same classes
+    for n in range(1, 6):
+        for types in census_cells(n):
+            groups = tuple(yb.abelian_group(list(t)) for t in types)
+            k = len(groups)
+            expected = set()
+            for combo in itertools.product(*(_valid_columns(g, k) for g in groups)):
+                c = tuple(tuple(combo[j][0][i] for j in range(k)) for i in range(k))
+                d = tuple(tuple(combo[j][1][i] for j in range(k)) for i in range(k))
+                cf = yb.canonical_form(AbelianUnion(groups=groups, c=c, d=d))
+                expected.add((sum(cf.c, ()), sum(cf.d, ())))
+            assert enumerate_cell(types) == sorted(expected), types
 
 
 def test_union_predicates_match_solution_predicates(census):
