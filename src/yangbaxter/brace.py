@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .groups import (
     FiniteGroup,
     Perm,
+    _coset_quotient,
     _int_table,
     compose,
     direct_product_group,
@@ -81,6 +82,20 @@ class SkewBrace:
         }
 
 
+def _brace_law_failure(dot: FiniteGroup, circ: FiniteGroup) -> Optional[tuple[int, int, int]]:
+    """First triple (a, b, c), in lex order, where a o (b . c) differs from
+    (a o b) . a^-1 . (a o c); None when the brace law holds."""
+    n = dot.n
+    for a in range(n):
+        ai = dot.inv[a]
+        for b in range(n):
+            ab = dot.mul(circ.mul(a, b), ai)
+            for c in range(n):
+                if circ.mul(a, dot.mul(b, c)) != dot.mul(ab, circ.mul(a, c)):
+                    return a, b, c
+    return None
+
+
 def verify_brace(
     dot_table: Sequence[Sequence[int]],
     circle_table: Sequence[Sequence[int]],
@@ -99,24 +114,21 @@ def verify_brace(
         raise BraceError(BraceViolation("carrier", (dot.n, circ.n)))
     if dot.id != circ.id:
         raise BraceError(BraceViolation("neutral-element", (dot.id, circ.id)))
-    n = dot.n
-    for a in range(n):
-        ai = dot.inv[a]
-        for b in range(n):
-            ab = dot.mul(circ.mul(a, b), ai)
-            for c in range(n):
-                if circ.mul(a, dot.mul(b, c)) != dot.mul(ab, circ.mul(a, c)):
-                    raise BraceError(BraceViolation("brace-law", (a, b, c)))
+    triple = _brace_law_failure(dot, circ)
+    if triple is not None:
+        raise BraceError(BraceViolation("brace-law", triple))
     return SkewBrace(dot=dot, circle=circ)
 
 
 def brace_from_dict(data: dict) -> SkewBrace:
     try:
-        return verify_brace(
-            _int_table(data["dot"], "dot"), _int_table(data["circle"], "circle")
-        )
+        dot, circle = data["dot"], data["circle"]
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in brace data") from exc
+    dot = _int_table(dot, "dot")
+    if not dot:
+        raise ValueError("dot: empty table, a brace needs at least one element")
+    return verify_brace(dot, _int_table(circle, "circle", len(dot)))
 
 
 def dump_brace_catalog(entries, stream) -> None:
@@ -150,22 +162,20 @@ def associated_solution(b: SkewBrace) -> FiniteSolution:
 
 
 def opposite_brace(b: SkewBrace) -> SkewBrace:
-    """Replace the dot group by its opposite; yields the inverse solution."""
-    return verify_brace(b.dot.opposite().table, b.circle.table)
+    """Replace the dot group by its opposite; yields the inverse solution.
+    Not verified again: the opposite is a skew brace (a test checks it)."""
+    return SkewBrace(dot=b.dot.opposite(), circle=b.circle)
 
 
 def is_biskew(b: SkewBrace) -> bool:
     """Whether (B, o, .) is a skew left brace as well, by the definition: the
-    brace law with the roles of the two groups swapped.
+    brace law with the roles of the two groups swapped (both groups are
+    already valid).
 
     Equivalently lambda is a dot anti-homomorphism, or the associated
     solution is left distributive; the test suite checks both.
     """
-    try:
-        verify_brace(b.circle.table, b.dot.table)
-    except BraceError:
-        return False
-    return True
+    return _brace_law_failure(b.circle, b.dot) is None
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +216,16 @@ def socle(b: SkewBrace) -> Ideal:
 def quotient_brace(b: SkewBrace, ideal: Sequence[int]) -> tuple[SkewBrace, tuple[int, ...]]:
     """Quotient by an ideal; cosets re-indexed by their minima.
 
-    The cosets are taken in the dot group; for an ideal they are also the
-    circle cosets, which the test suite checks.
+    Not verified again: the quotient is a skew brace, and the dot and circle
+    cosets of an ideal agree, so both groups index them alike; the test
+    suite checks both.
     """
-    elems = sorted(set(ideal))
+    elems = set(ideal)
     if not is_ideal(b, elems):
         raise ValueError("subset is not an ideal")
-    n = b.n
-    coset_min = [min(b.dot.mul(a, x) for x in elems) for a in range(n)]
-    reps = sorted(set(coset_min))
-    index = {r: i for i, r in enumerate(reps)}
-    proj = tuple(index[r] for r in coset_min)
-    m = len(reps)
-    dot_t = [[proj[b.dot.mul(reps[i], reps[j])] for j in range(m)] for i in range(m)]
-    circ_t = [[proj[b.circle.mul(reps[i], reps[j])] for j in range(m)] for i in range(m)]
-    return verify_brace(dot_t, circ_t), proj
+    dot, proj = _coset_quotient(b.dot, elems)
+    circ, _ = _coset_quotient(b.circle, elems)
+    return SkewBrace(dot=dot, circle=circ), proj
 
 
 @dataclass(frozen=True)

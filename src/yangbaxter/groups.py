@@ -192,35 +192,27 @@ def center(g: FiniteGroup) -> tuple[int, ...]:
 
 
 def quotient(g: FiniteGroup, s: Iterable[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient by a normal subgroup.
+    """Quotient by a normal subgroup; raises ValueError for any other subset.
 
     Returns (quotient group, projection).  Quotient elements are indexed by
     the sorted minima of the cosets; projection[x] is the index of x's coset.
     """
-    ss = sorted(set(s))
+    ss = set(s)
     if not is_normal(g, ss):
         raise ValueError("subset is not a normal subgroup")
-    coset_of = [-1] * g.n
-    reps = []
-    for a in range(g.n):
-        if coset_of[a] >= 0:
-            continue
-        coset = sorted(g.mul(a, x) for x in ss)
-        idx = len(reps)
-        reps.append(coset[0])
-        for y in coset:
-            coset_of[y] = idx
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    relabel = [0] * len(reps)
-    for new, old in enumerate(order):
-        relabel[old] = new
-    proj = tuple(relabel[coset_of[a]] for a in range(g.n))
-    reps = sorted(reps)
-    m = len(reps)
-    table = tuple(
-        tuple(proj[g.mul(reps[i], reps[j])] for j in range(m)) for i in range(m)
-    )
-    return finite_group(table), proj
+    return _coset_quotient(g, ss)
+
+
+def _coset_quotient(g: FiniteGroup, ss: set[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """quotient() for a subset the caller has checked to be normal; the table
+    is not validated again, as the cosets form a group (a test checks it)."""
+    coset_min = [min(g.mul(a, x) for x in ss) for a in range(g.n)]
+    reps = sorted(set(coset_min))
+    index = {r: i for i, r in enumerate(reps)}
+    proj = tuple(index[r] for r in coset_min)
+    table = tuple(tuple(proj[g.mul(a, b)] for b in reps) for a in reps)
+    inv = tuple(proj[g.inv[a]] for a in reps)
+    return FiniteGroup(n=len(reps), table=table, id=proj[g.id], inv=inv), proj
 
 
 # ---------------------------------------------------------------------------

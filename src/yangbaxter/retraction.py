@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .groups import PermGroup, perm_group_closure
-from .solution import FiniteSolution, verify
-
-KINDS = ("sim", "cosim", "approx", "custom")
+from .solution import FiniteSolution
 
 
 @dataclass(frozen=True)
@@ -104,15 +102,16 @@ class QuotientSolution:
 
 
 def quotient_solution(s: FiniteSolution, p: SolutionPartition) -> QuotientSolution:
-    """Solution induced on the blocks; blocks are re-indexed by their minima."""
+    """Solution induced on the blocks, re-indexed by their minima; not verified
+    again, as a quotient by a congruence is a solution (a test checks it)."""
     if not is_congruence(s, p):
         raise ValueError(f"partition {p.blocks} is not a congruence")
     blk = p.block_of
-    m = len(p.blocks)
     reps = [block[0] for block in p.blocks]
-    sig = [[blk[s.sigma[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    ta = [[blk[s.tau[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    return QuotientSolution(solution=verify(sig, ta), projection=blk)
+    sig = tuple(tuple(blk[s.sigma[a][b]] for b in reps) for a in reps)
+    ta = tuple(tuple(blk[s.tau[a][b]] for b in reps) for a in reps)
+    quotient = FiniteSolution(n=len(reps), sigma=sig, tau=ta)
+    return QuotientSolution(solution=quotient, projection=blk)
 
 
 def retraction(s: FiniteSolution) -> QuotientSolution:

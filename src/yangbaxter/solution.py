@@ -147,7 +147,8 @@ def permutational_solution(f: Sequence[int], g: Sequence[int]) -> FiniteSolution
 
 
 def inverse_solution(s: FiniteSolution) -> FiniteSolution:
-    """Invert r as a bijection of X^2 and repackage as a solution."""
+    """Invert r as a bijection of X^2 and repackage as a solution; not
+    verified again, as the inverse of a solution is one (a test checks it)."""
     n = s.n
     sig = [[0] * n for _ in range(n)]
     ta = [[0] * n for _ in range(n)]
@@ -156,7 +157,7 @@ def inverse_solution(s: FiniteSolution) -> FiniteSolution:
             u, v = s.r(x, y)
             sig[u][v] = x
             ta[v][u] = y
-    return verify(sig, ta)
+    return FiniteSolution(n=n, sigma=tuple(map(tuple, sig)), tau=tuple(map(tuple, ta)))
 
 
 # ---------------------------------------------------------------------------

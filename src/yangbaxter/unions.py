@@ -27,6 +27,7 @@ from .groups import (
     element_order,
     invert_perm,
     orbits,
+    perm_group_closure,
 )
 from .retraction import permutation_groups
 from .solution import FiniteSolution, InjectivityReport, is_2reductive
@@ -179,29 +180,18 @@ def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
         raise ValueError("solution is not 2-reductive")
     pg = permutation_groups(s).full
     orbs = orbits(pg)
-    chosen: dict[int, Perm] = {}
-    for orb in orbs:
-        e = orb[0]
-        remaining = set(orb)
-        for g in pg.elements:
-            x = g[e]
-            if x in remaining:
-                chosen[x] = g
-                remaining.remove(x)
-                if not remaining:
-                    break
-        if remaining:
-            raise AssertionError("orbit not covered by the permutation group")
 
     groups: list[AbelianGroup] = []
     to_canon: list[tuple[int, ...]] = []
     pos: list[dict[int, int]] = []
     for orb in orbs:
         index_of = {x: i for i, x in enumerate(orb)}
-        table = [
-            [index_of[chosen[x][y]] for y in orb]
-            for x in orb
-        ]
+        # the group acts regularly on each orbit: row i of the translation
+        # table is its one element taking orb[0] to orb[i]
+        local = perm_group_closure(
+            [[index_of[g[y]] for y in orb] for g in pg.generators], len(orb)
+        )
+        table = sorted(local.elements, key=lambda g: g[0])
         grp, mapping = _torsor_isomorphism(table)
         groups.append(grp)
         to_canon.append(mapping)

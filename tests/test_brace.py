@@ -248,7 +248,8 @@ def test_brace_theorems_on_catalog(brace_catalog):
         ker_lam = {a for a in range(n) if lams[a] == ident}
         assert set(soc) == ker_lam & set(yb.center(dot)), name
         assert yb.is_ideal(b, soc), name
-        # the dot cosets of an ideal are its circle cosets
+        # the dot cosets of an ideal are its circle cosets, and the quotient
+        # by an ideal is a brace onto which both groups project
         kernels = yb.kernel_ideals(b)
         for ideal in (soc, kernels.ker_lambda, kernels.ker_rho):
             if not yb.is_ideal(b, ideal):
@@ -256,6 +257,26 @@ def test_brace_theorems_on_catalog(brace_catalog):
             for a in range(n):
                 dot_coset = {dot.mul(a, x) for x in ideal}
                 assert dot_coset == {circ.mul(a, x) for x in ideal}, name
+            q, proj = yb.quotient_brace(b, ideal)
+            assert yb.verify_brace(q.dot.table, q.circle.table) == q, name
+            for x in range(n):
+                for y in range(n):
+                    assert proj[dot.mul(x, y)] == q.dot.mul(proj[x], proj[y]), name
+                    assert proj[circ.mul(x, y)] == q.circle.mul(proj[x], proj[y]), name
+        # the opposite is a brace, and so is every socle-series quotient of
+        # b and of its opposite
+        opp = yb.opposite_brace(b)
+        assert yb.verify_brace(opp.dot.table, opp.circle.table) == opp, name
+        for side in (b, opp):
+            for q in yb.socle_series(side).quotients[1:]:
+                assert yb.verify_brace(q.dot.table, q.circle.table) == q, name
+        # bi-skew is the full brace check with the two groups swapped
+        try:
+            yb.verify_brace(circ.table, dot.table)
+            swapped = True
+        except BraceError:
+            swapped = False
+        assert yb.is_biskew(b) == swapped, name
 
 
 def test_product_brace_lambda_formula():

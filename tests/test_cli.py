@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import pytest
 import yangbaxter as yb
 from yangbaxter import cli
 from yangbaxter.cli import main
+from yangbaxter.groups import finite_group
 from yangbaxter.solution import solution_to_text
 
 
@@ -109,6 +111,8 @@ MALFORMED = {
     "ragged-text": ("0 1\n0\n\n0 1\n0 1\n", "sigma"),
     "non-integer-text": ("0 1\n0 1\n\n0 1\n0 x\n", "tau"),
     "empty-carrier": ({"sigma": [], "tau": []}, "sigma"),
+    "empty-brace": ({"dot": [], "circle": []}, "dot"),
+    "short-circle": ({"dot": [[0]], "circle": []}, "circle"),
 }
 
 
@@ -259,6 +263,33 @@ def test_brace_report_and_solution_out(tmp_path, capsys):
     assert "associated_solution:" in out
     written = yb.solution_from_dict(json.load(open(sol_out)))
     assert written == yb.associated_solution(yb.z2n_brace(3))
+
+
+def test_reports_do_not_validate_what_they_derive(monkeypatch, brace_catalog, small_solutions):
+    # input is validated once, when it is loaded; quotients, opposites and
+    # inverses built from it are not checked again
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "yangbaxter"]
+    calls = {}
+    for name, orig in (
+        ("verify_brace", yb.verify_brace),
+        ("finite_group", finite_group),
+        ("verify", yb.verify),
+    ):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, key, counted)
+    for _, b in brace_catalog:
+        cli.brace_report(b, full=True, out=io.StringIO())
+    for s in small_solutions:
+        yb.multipermutation_level(s)
+    assert calls == {"verify_brace": 0, "finite_group": 0, "verify": 0}
 
 
 def test_brace_command_rejects_solution_file(tmp_path, capsys):

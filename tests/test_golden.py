@@ -2,9 +2,11 @@
 
 Each digest is the sha256 of a deterministic serialization: the census
 JSON-lines bytes, the decompositions of relabelled census solutions (union
-and carrier map), and the isomorphism witnesses found for them.  The
-witnesses pin the order in which automorphisms and torsor isomorphisms are
-tried, since the first match found is the one returned.
+and carrier map), the isomorphism witnesses found for them, the full brace
+reports of the brace catalog, the socle-series quotients of each catalog
+brace and of its opposite, and the retraction towers of the small
+solutions.  The witnesses pin the order in which automorphisms and torsor
+isomorphisms are tried, since the first match found is the one returned.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 import pytest
 
 import yangbaxter as yb
-from yangbaxter.cli import build_census, write_census
+from yangbaxter.cli import brace_report, build_census, write_census
 
 CENSUS_SHA256 = {
     1: "6dad408ba364a74b4b93653c088d089d9ffbe0cc584fd7dd24f02feb16651f52",
@@ -28,6 +30,9 @@ CENSUS_SHA256 = {
 }
 DECOMPOSITION_SHA256 = "bce80af7881ae1ab20db79f8f6a76b92912e76441dd681a35434b60ba2dea07c"
 WITNESS_SHA256 = "2303d50516f1258021e4ad600fd5e85f645dcff7a6c30d4ddf29e85ca81f006f"
+BRACE_REPORT_SHA256 = "1ddf1bb52cf9496875893282e17f1e1fde35f1452bb6490e276fae03546163e8"
+SOCLE_SERIES_SHA256 = "0b848501724b84c06e8988ef7a8a48c77386b5036faa2e9eb91e1d38dd551c41"
+RETRACTION_TOWER_SHA256 = "32abf8017810cf690404e2c6654a7514be9d98dd9ac6ab718e9721b6999a5e37"
 RELABEL_SEED = 20261018
 
 
@@ -74,3 +79,42 @@ def test_isomorphism_witness_digest(relabelled_decompositions):
         w = yb.unions_isomorphic(dec.union, u)
         records.append([list(w.pi), [list(p) for p in w.psis]])
     assert _sha256(records) == WITNESS_SHA256
+
+
+def test_brace_report_digest(brace_catalog):
+    records = []
+    for name, b in brace_catalog:
+        buf = io.StringIO()
+        brace_report(b, full=True, out=buf)
+        records.append([name, buf.getvalue()])
+    assert _sha256(records) == BRACE_REPORT_SHA256
+
+
+def _group_record(g):
+    return [[list(row) for row in g.table], g.id, list(g.inv)]
+
+
+def test_socle_series_digest(brace_catalog):
+    records = []
+    for name, b in brace_catalog:
+        for side in (b, yb.opposite_brace(b)):
+            series = yb.socle_series(side)
+            records.append([
+                name,
+                series.nilpotency_class,
+                [[_group_record(q.dot), _group_record(q.circle)] for q in series.quotients],
+            ])
+    assert _sha256(records) == SOCLE_SERIES_SHA256
+
+
+def test_retraction_tower_digest(small_solutions):
+    records = []
+    for s in small_solutions:
+        mp = yb.multipermutation_level(s)
+        tower, current = [], s
+        for _ in mp.tower_sizes[1:]:
+            q = yb.retraction(current)
+            tower.append([q.solution.to_dict(), list(q.projection)])
+            current = q.solution
+        records.append([s.to_dict(), mp.level, list(mp.tower_sizes), tower])
+    assert _sha256(records) == RETRACTION_TOWER_SHA256

@@ -231,6 +231,19 @@ def test_quotient_order_and_homomorphism():
     for a in range(8):
         for b in range(8):
             assert proj[q8.mul(a, b)] == q.mul(proj[a], proj[b])
+    # built without validation: the cosets of a normal subgroup form a group;
+    # checked for every normal cyclic subgroup of the groups of order <= 8
+    for name, g in yb.small_groups(8):
+        for x in range(g.n):
+            sub = yb.subgroup_generated(g, [x])
+            if not yb.is_normal(g, sub):
+                continue
+            q, proj = yb.quotient(g, sub)
+            assert finite_group(q.table) == q, name
+            assert q.n * len(sub) == g.n, name
+            for a in range(g.n):
+                for b in range(g.n):
+                    assert proj[g.mul(a, b)] == q.mul(proj[a], proj[b]), name
 
 
 def test_quotient_rejects_non_normal():

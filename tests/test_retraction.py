@@ -8,6 +8,7 @@ import pytest
 
 import yangbaxter as yb
 from yangbaxter.retraction import relation, partition_from_blocks
+from yangbaxter.solution import validate_tables
 
 
 def test_relation_on_permutational_solution_is_single_block():
@@ -128,6 +129,22 @@ def test_multipermutation_level_is_isomorphism_invariant(small_solutions):
             mp = yb.multipermutation_level(t)
             assert mp.level == base.level
             assert mp.tower_sizes == base.tower_sizes
+
+
+def test_retraction_tower_quotients_are_solutions(small_solutions, census_solutions):
+    # quotient_solution builds its tables without verification: the quotient
+    # of a solution by a congruence is a solution
+    corpus = small_solutions + [s for n in range(1, 5) for s in census_solutions[n]]
+    for s in corpus:
+        sizes, current = [s.n], s
+        while current.n > 1:
+            q = yb.retraction(current).solution
+            if q.n == current.n:
+                break
+            assert validate_tables(q.sigma, q.tau) is None
+            sizes.append(q.n)
+            current = q
+        assert tuple(sizes) == yb.multipermutation_level(s).tower_sizes
 
 
 def test_permutation_groups_examples():

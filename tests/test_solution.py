@@ -146,6 +146,8 @@ def test_inverse_solution_inverts_r(small_solutions, census_solutions):
     corpus = small_solutions + [s for n in census_solutions for s in census_solutions[n]]
     for s in corpus:
         inv = yb.inverse_solution(s)
+        # built without verification: the inverse of a solution is one
+        assert validate_tables(inv.sigma, inv.tau) is None
         for x in range(s.n):
             for y in range(s.n):
                 assert s.r(*inv.r(x, y)) == (x, y)
