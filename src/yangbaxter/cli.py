@@ -33,15 +33,12 @@ ENUM_CAP_ENV = "YANGBAXTER_ENUM_CAP"
 @dataclass(frozen=True)
 class CensusRecord:
     n: int
-    count: int
     by_orbit_type: dict[str, int]
     entries: tuple[unions.AbelianUnion, ...]
 
-    def __post_init__(self):
-        if self.count != len(self.entries) or self.count != sum(
-            self.by_orbit_type.values()
-        ):
-            raise ValueError("census record counts are inconsistent")
+    @property
+    def count(self) -> int:
+        return len(self.entries)
 
     def summary_dict(self) -> dict:
         return {
@@ -59,7 +56,7 @@ def build_census(n: int, jobs: int = 1) -> CensusRecord:
         run = list(run)
         label = run[0].orbit_type_label()
         by_type[label] = by_type.get(label, 0) + len(run)
-    return CensusRecord(n=n, count=len(entries), by_orbit_type=by_type, entries=entries)
+    return CensusRecord(n=n, by_orbit_type=by_type, entries=entries)
 
 
 def write_census(record: CensusRecord, stream: TextIO) -> None:
@@ -231,12 +228,13 @@ def cmd_enumerate(args) -> int:
 
 
 def _as_union(kind: str, obj) -> Optional[unions.AbelianUnion]:
+    """The union of a union or solution input; None when it is not 2-reductive."""
     if kind == "union":
         return obj
-    if kind == "solution":
-        if solutions.is_2reductive(obj).holds:
-            return unions.solution_to_union(obj).union
-    return None
+    try:
+        return unions.solution_to_union(obj).union
+    except ValueError:
+        return None
 
 
 def cmd_classify(args) -> int:

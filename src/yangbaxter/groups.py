@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -274,25 +274,11 @@ class AbelianGroup:
     def n(self) -> int:
         return prod(self.factors)
 
-    def decode(self, x: int) -> tuple[int, ...]:
-        coords = []
-        for d in reversed(self.factors):
-            coords.append(x % d)
-            x //= d
-        return tuple(reversed(coords))
-
-    def encode(self, coords: Sequence[int]) -> int:
-        x = 0
-        for c, d in zip(coords, self.factors):
-            x = x * d + (c % d)
-        return x
-
     def add(self, a: int, b: int) -> int:
-        ca, cb = self.decode(a), self.decode(b)
-        return self.encode([x + y for x, y in zip(ca, cb)])
+        return self.as_finite_group.table[a][b]
 
     def neg(self, a: int) -> int:
-        return self.encode([-x for x in self.decode(a)])
+        return self.as_finite_group.inv[a]
 
     def generates(self, elems: Iterable[int]) -> bool:
         return len(subgroup_generated(self.as_finite_group, elems)) == self.n
@@ -304,10 +290,15 @@ class AbelianGroup:
 
     @cached_property
     def as_finite_group(self) -> FiniteGroup:
-        n = self.n
-        table = tuple(tuple(self.add(a, b) for b in range(n)) for a in range(n))
-        inv = tuple(self.neg(a) for a in range(n))
-        return FiniteGroup(n=n, table=table, id=0, inv=inv)
+        # one factor at a time, the new factor's coordinate the least
+        # significant digit: (x, c) + (y, e) = (x + y, c + e mod d)
+        table: list[list[int]] = [[0]]
+        inv = [0]
+        for d in self.factors:
+            cyclic = [[(c + e) % d for e in range(d)] for c in range(d)]
+            table = [[p * d + q for p in row for q in crow] for row in table for crow in cyclic]
+            inv = [p * d + (-c) % d for p in inv for c in range(d)]
+        return FiniteGroup(n=self.n, table=tuple(map(tuple, table)), id=0, inv=tuple(inv))
 
     def label(self) -> str:
         if not self.factors:
@@ -341,8 +332,15 @@ def _isomorphisms(source: AbelianGroup, target: FiniteGroup) -> Iterator[Perm]:
             yield tuple(phi)
 
 
+@lru_cache(maxsize=128)
+def _abelian_block(factors: tuple[int, ...]) -> AbelianGroup:
+    """The one shared AbelianGroup per invariant-factor type, so that its table
+    and automorphisms are built once; 128 holds every type of order <= 64."""
+    return AbelianGroup(factors=factors)
+
+
 def abelian_group(orders: Iterable[int]) -> AbelianGroup:
-    return AbelianGroup(factors=invariant_factors(orders))
+    return _abelian_block(invariant_factors(orders))
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
@@ -368,7 +366,7 @@ def abelian_groups_of_order(n: int) -> tuple[AbelianGroup, ...]:
     if n <= 0:
         raise ValueError(f"order must be positive, got {n}")
     if n == 1:
-        return (AbelianGroup(factors=()),)
+        return (_abelian_block(()),)
     primes: dict[int, int] = {}
     m, d = n, 2
     while d * d <= m:
@@ -386,7 +384,7 @@ def abelian_groups_of_order(n: int) -> tuple[AbelianGroup, ...]:
         orders = []
         for p, part in combo:
             orders.extend(p ** e for e in part)
-        groups.append(AbelianGroup(factors=invariant_factors(orders)))
+        groups.append(_abelian_block(invariant_factors(orders)))
     groups.sort(key=lambda g: (len(g.factors), g.factors))
     return tuple(groups)
 

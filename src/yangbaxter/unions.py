@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .groups import (
     AbelianGroup,
     FiniteGroup,
     Perm,
+    _abelian_block,
     _int_table,
     _isomorphisms,
     _partitions,
@@ -122,7 +122,7 @@ def union_from_dict(data: dict) -> AbelianUnion:
     ):
         raise ValueError("groups: expected a list of invariant-factor lists")
     try:
-        groups = [AbelianGroup(factors=tuple(f)) for f in blocks]
+        groups = [_abelian_block(tuple(f)) for f in blocks]
     except ValueError as exc:
         raise ValueError(f"groups: {exc}") from None
     k = len(groups)
@@ -206,7 +206,10 @@ def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
             e_j = orbs[j][0]
             c[i][j] = to_canon[j][pos[j][s.sigma[e_i][e_j]]]
             d[i][j] = to_canon[j][pos[j][s.tau[e_i][e_j]]]
-    union = abelian_union(groups, c, d)
+    # each column generates its block: the group acts regularly on the orbit
+    union = AbelianUnion(
+        groups=tuple(groups), c=tuple(map(tuple, c)), d=tuple(map(tuple, d))
+    )
     off = union.offsets
     carrier_map = [0] * s.n
     for j, orb in enumerate(orbs):
@@ -270,79 +273,74 @@ def unions_isomorphic(
     return None
 
 
-@lru_cache(maxsize=None)
-def _cell_transforms(
+def _cell_gathers(
     types: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[tuple[int, ...], tuple[Perm, ...]], ...]:
-    """All (pi, psi-tuple) symmetries of a sorted block-type sequence."""
+) -> tuple[list[AbelianGroup], list[tuple[Perm, ...]], Iterator[operator.itemgetter]]:
+    """The blocks of a sorted block-type cell, their automorphisms, and one
+    index gather per symmetry (pi, psis) of the cell.
+
+    The gathers read a spread union: column j spans starts[j] ..
+    starts[j] + 2k|Aut(A_j)|, holding for each automorphism psi in turn psi
+    of C[0..k-1][j] then of D[0..k-1][j].  The gather of (pi, psis) returns
+    the flattened (C', D') with C'[pi(i)][pi(j)] = psi_j(C[i][j]), so the
+    least gather is the least image over the cell's symmetries.  They are
+    yielded lazily, so canonical_form holds one at a time: Aut(Z2^4) alone
+    gives 20160.
+    """
+    groups = [_abelian_block(t) for t in types]
+    auts = [g.automorphisms for g in groups]
     k = len(types)
+    kk = k * k
+    starts = list(itertools.accumulate((2 * k * len(a) for a in auts), initial=0))
+    # pi permutes blocks only within runs of equal type
     runs: list[list[int]] = []
     for i in range(k):
         if runs and types[runs[-1][0]] == types[i]:
             runs[-1].append(i)
         else:
             runs.append([i])
-    pis = []
-    for parts in itertools.product(*(itertools.permutations(run) for run in runs)):
-        pi = [0] * k
-        for run, perm in zip(runs, parts):
-            for src, dst in zip(run, perm):
-                pi[src] = dst
-        pis.append(tuple(pi))
-    auts = [AbelianGroup(factors=t).automorphisms for t in types]
-    out = []
-    for pi in pis:
-        for psis in itertools.product(*auts):
-            out.append((pi, psis))
-    return tuple(out)
 
+    def gathers() -> Iterator[operator.itemgetter]:
+        for parts in itertools.product(*(itertools.permutations(run) for run in runs)):
+            pi = [0] * k
+            for run, perm in zip(runs, parts):
+                for src, dst in zip(run, perm):
+                    pi[src] = dst
+            # ts[j] is the index of psi_j in auts[j]
+            for ts in itertools.product(*(range(len(a)) for a in auts)):
+                pos = [0] * (2 * kk)
+                for j in range(k):
+                    at = starts[j] + 2 * k * ts[j]
+                    for i in range(k):
+                        dst = pi[i] * k + pi[j]
+                        pos[dst] = at + i
+                        pos[kk + dst] = at + k + i
+                yield operator.itemgetter(*pos)
 
-def _transform(
-    k: int, c: Matrix, d: Matrix, pi: tuple[int, ...], psis: tuple[Perm, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Flattened (C', D') with C'[pi(i)][pi(j)] = psi_j(C[i][j])."""
-    nc = [0] * (k * k)
-    nd = [0] * (k * k)
-    for i in range(k):
-        pi_i = pi[i] * k
-        for j in range(k):
-            psi = psis[j]
-            nc[pi_i + pi[j]] = psi[c[i][j]]
-            nd[pi_i + pi[j]] = psi[d[i][j]]
-    return tuple(nc), tuple(nd)
-
-
-def _sort_blocks(u: AbelianUnion) -> AbelianUnion:
-    order = sorted(range(u.k), key=lambda i: _type_key(u.groups[i].factors))
-    pi = [0] * u.k
-    for new, old in enumerate(order):
-        pi[old] = new
-    k = u.k
-    groups = tuple(u.groups[old] for old in order)
-    c = [[0] * k for _ in range(k)]
-    d = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            c[pi[i]][pi[j]] = u.c[i][j]
-            d[pi[i]][pi[j]] = u.d[i][j]
-    return AbelianUnion(groups=groups, c=tuple(map(tuple, c)), d=tuple(map(tuple, d)))
+    return groups, auts, gathers()
 
 
 def canonical_form(u: AbelianUnion) -> AbelianUnion:
     """Least representative of the isomorphism class: blocks sorted by type,
     matrices minimized over block permutations and group automorphisms."""
-    base = _sort_blocks(u)
-    types = tuple(g.factors for g in base.groups)
-    k = base.k
-    best = None
-    for pi, psis in _cell_transforms(types):
-        cand = _transform(k, base.c, base.d, pi, psis)
-        if best is None or cand < best:
-            best = cand
-    cflat, dflat = best
-    c = tuple(tuple(cflat[i * k:(i + 1) * k]) for i in range(k))
-    d = tuple(tuple(dflat[i * k:(i + 1) * k]) for i in range(k))
-    return AbelianUnion(groups=base.groups, c=c, d=d)
+    order = sorted(range(u.k), key=lambda i: _type_key(u.groups[i].factors))
+    _, auts, gathers = _cell_gathers(tuple(u.groups[i].factors for i in order))
+    spread = tuple(
+        psi[m[i][j]]
+        for j, a in zip(order, auts)
+        for psi in a
+        for m in (u.c, u.d)
+        for i in order
+    )
+    best = min(g(spread) for g in gathers)
+    k = u.k
+    cflat, dflat = best[:k * k], best[k * k:]
+    rows = [slice(i * k, (i + 1) * k) for i in range(k)]
+    return AbelianUnion(
+        groups=tuple(u.groups[i] for i in order),
+        c=tuple(map(cflat.__getitem__, rows)),
+        d=tuple(map(dflat.__getitem__, rows)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,29 +391,14 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[tuple]:
     """Canonical (C, D) encodings for one block-type cell, sorted.
 
     Each encoding is the least (flattened C, flattened D) over the cell's
-    symmetries, as in canonical_form.  A combo is stored as the
-    concatenation of its columns, each column listed once under every
-    automorphism of its block, so that every symmetry becomes one index
-    gather compiled per call.
+    symmetries, as in canonical_form: a combo of valid columns is stored
+    spread, the concatenation of its columns each under every automorphism
+    of its block, and each symmetry is one index gather of _cell_gathers.
     """
-    groups = [AbelianGroup(factors=t) for t in types]
+    groups, auts, gathers = _cell_gathers(types)
+    getters = list(gathers)
     k = len(groups)
     kk = k * k
-    auts = [g.automorphisms for g in groups]
-    # column j of a combo spans starts[j] .. starts[j] + 2k|Aut(A_j)|: for
-    # each automorphism psi in turn, psi of C[0..k-1][j] then of D[0..k-1][j]
-    starts = list(itertools.accumulate((2 * k * len(a) for a in auts), initial=0))
-    aut_index = [{psi: t for t, psi in enumerate(a)} for a in auts]
-    getters = []
-    for pi, psis in _cell_transforms(types):
-        pos = [0] * (2 * kk)
-        for j in range(k):
-            at = starts[j] + 2 * k * aut_index[j][psis[j]]
-            for i in range(k):
-                dst = pi[i] * k + pi[j]
-                pos[dst] = at + i
-                pos[kk + dst] = at + k + i
-        getters.append(operator.itemgetter(*pos))
     columns = [
         [tuple(psi[x] for psi in a for x in cc + dc) for cc, dc in _valid_columns(g, k)]
         for g, a in zip(groups, auts)
@@ -450,7 +433,7 @@ def enumerate_2reductive(n: int, jobs: int = 1) -> tuple[AbelianUnion, ...]:
     out = []
     for types, entries in zip(cells, per_cell):
         k = len(types)
-        groups = tuple(AbelianGroup(factors=t) for t in types)
+        groups = tuple(map(_abelian_block, types))
         rows = [slice(i * k, (i + 1) * k) for i in range(k)]
         for cflat, dflat in entries:
             c = tuple(map(cflat.__getitem__, rows))

@@ -161,6 +161,12 @@ def test_enumerate_summary_and_file(tmp_path, capsys):
     assert sum(tail["by_orbit_type"].values()) == 20
 
 
+def test_census_record_counts_agree():
+    for n in range(1, 6):
+        record = cli.build_census(n)
+        assert sum(record.by_orbit_type.values()) == record.count == len(record.entries)
+
+
 def test_enumerate_cap(tmp_path, capsys, monkeypatch):
     assert main(["enumerate", "9"]) == 2
     monkeypatch.setenv("YANGBAXTER_ENUM_CAP", "4")
@@ -265,16 +271,12 @@ def test_brace_report_and_solution_out(tmp_path, capsys):
     assert written == yb.associated_solution(yb.z2n_brace(3))
 
 
-def test_reports_do_not_validate_what_they_derive(monkeypatch, brace_catalog, small_solutions):
-    # input is validated once, when it is loaded; quotients, opposites and
-    # inverses built from it are not checked again
+def _count_calls(monkeypatch, functions):
+    """Wrap every library binding of each named function with a counter;
+    returns the live {name: calls} dict."""
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "yangbaxter"]
     calls = {}
-    for name, orig in (
-        ("verify_brace", yb.verify_brace),
-        ("finite_group", finite_group),
-        ("verify", yb.verify),
-    ):
+    for name, orig in functions.items():
         calls[name] = 0
 
         def counted(*args, _name=name, _orig=orig, **kwargs):
@@ -285,11 +287,32 @@ def test_reports_do_not_validate_what_they_derive(monkeypatch, brace_catalog, sm
             for key, value in list(vars(module).items()):
                 if value is orig:
                     monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_reports_do_not_validate_what_they_derive(monkeypatch, brace_catalog, small_solutions):
+    # input is validated once, when it is loaded; quotients, opposites and
+    # inverses built from it are not checked again
+    calls = _count_calls(
+        monkeypatch,
+        {"verify_brace": yb.verify_brace, "finite_group": finite_group, "verify": yb.verify},
+    )
     for _, b in brace_catalog:
         cli.brace_report(b, full=True, out=io.StringIO())
     for s in small_solutions:
         yb.multipermutation_level(s)
     assert calls == {"verify_brace": 0, "finite_group": 0, "verify": 0}
+
+
+def test_classify_checks_2_reductivity_once_per_file(tmp_path, capsys, monkeypatch):
+    u = yb.enumerate_2reductive(4)[100]
+    s = yb.union_to_solution(u)
+    p1 = write(tmp_path, "a.json", s.to_dict())
+    p2 = write(tmp_path, "b.json", yb.relabel(s, [3, 1, 0, 2]).to_dict())
+    calls = _count_calls(monkeypatch, {"is_2reductive": yb.is_2reductive})
+    assert main(["classify", p1, p2]) == 0
+    assert capsys.readouterr().out.startswith("isomorphic:")
+    assert calls == {"is_2reductive": 2}
 
 
 def test_brace_command_rejects_solution_file(tmp_path, capsys):
@@ -306,18 +329,42 @@ def test_brace_law_violation_exits_1(tmp_path, capsys):
     assert "brace-law" in capsys.readouterr().err
 
 
-def test_console_entry_point():
+def _child_env():
     # the child must import the same package as this test, installed or not
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(yb.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "yangbaxter.cli", "enumerate", "2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 4
+
+
+def test_library_imports_only_the_standard_library():
+    # numpy and hypothesis may be installed where the tests run, so a stray
+    # import would not fail there; compare what the imports add to sys.modules
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pkgutil, yangbaxter\n"
+        "for m in pkgutil.iter_modules(yangbaxter.__path__):\n"
+        "    __import__('yangbaxter.' + m.name)\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "yangbaxter" in loaded
+    assert loaded - {"yangbaxter"} <= sys.stdlib_module_names, loaded

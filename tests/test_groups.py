@@ -321,3 +321,31 @@ def test_group_serialization_round_trip():
     assert group_from_dict(q8.to_dict()) == q8
     with pytest.raises(ValueError):
         group_from_dict({"n": 2})
+
+
+def test_abelian_block_tables_are_coordinatewise_addition():
+    # the union-file format: element x of Z_d1 x ... x Z_dk is the x-th digit
+    # tuple in mixed-radix order, the first factor most significant
+    types = []
+
+    def chains(prefix, order):
+        types.append(tuple(prefix))
+        last = prefix[-1] if prefix else 1
+        for d in range(max(2, last), 17):
+            if d % last == 0 and order * d <= 16:
+                chains(prefix + [d], order * d)
+
+    chains([], 1)
+    blocks = [g for m in range(1, 17) for g in yb.abelian_groups_of_order(m)]
+    assert sorted(g.factors for g in blocks) == sorted(types)
+    for g in blocks:
+        coords = list(itertools.product(*(range(d) for d in g.factors)))
+        index = {x: i for i, x in enumerate(coords)}
+        fg = g.as_finite_group
+        assert fg.n == g.n == len(coords) and fg.id == 0
+        for a, ca in enumerate(coords):
+            neg = index[tuple(-x % d for x, d in zip(ca, g.factors))]
+            assert fg.inv[a] == g.neg(a) == neg, g.factors
+            for b, cb in enumerate(coords):
+                total = index[tuple((x + y) % d for x, y, d in zip(ca, cb, g.factors))]
+                assert fg.table[a][b] == g.add(a, b) == total, g.factors

@@ -4,17 +4,65 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import prod
 
 import pytest
 
 import yangbaxter as yb
 from yangbaxter.solution import validate_tables
-from yangbaxter.unions import AbelianUnion, _valid_columns, census_cells, enumerate_cell
+from yangbaxter.unions import AbelianUnion, census_cells, enumerate_cell
 
 
 Z1 = yb.abelian_group([])
 Z2 = yb.abelian_group([2])
 Z3 = yb.abelian_group([3])
+
+
+def _transform(k, c, d, pi, psis):
+    """Flattened (C', D') with C'[pi(i)][pi(j)] = psi_j(C[i][j])."""
+    nc = [0] * (k * k)
+    nd = [0] * (k * k)
+    for i in range(k):
+        for j in range(k):
+            at = pi[i] * k + pi[j]
+            nc[at] = psis[j][c[i][j]]
+            nd[at] = psis[j][d[i][j]]
+    return tuple(nc), tuple(nd)
+
+
+def _oracle_canonical(u):
+    """Least flattened (C, D) over every bijection of u's blocks onto the
+    blocks sorted by (-order, factors) and every tuple of automorphisms."""
+    k = u.k
+    target = sorted((g.factors for g in u.groups), key=lambda f: (-prod(f), f))
+    best = None
+    for pi in itertools.permutations(range(k)):
+        if any(target[pi[i]] != u.groups[i].factors for i in range(k)):
+            continue
+        for psis in itertools.product(*(g.automorphisms for g in u.groups)):
+            cand = _transform(k, u.c, u.d, pi, psis)
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def _span_size(factors, elems):
+    """Order of the subgroup of Z_d1 x ... x Z_dk generated by elems, each
+    element read as its mixed-radix digits (first factor most significant)."""
+    coords = list(itertools.product(*(range(d) for d in factors)))
+    gens = [coords[x] for x in elems]
+    span = {coords[0]}
+    frontier = [coords[0]]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = tuple((x + y) % d for x, y, d in zip(a, g, factors))
+                if b not in span:
+                    span.add(b)
+                    new.append(b)
+        frontier = new
+    return len(span)
 
 
 def test_union_to_solution_projection():
@@ -57,7 +105,7 @@ def test_solution_to_union_requires_2reductive():
         )
 
 
-def test_round_trip_with_carrier_map(census):
+def test_round_trip_with_carrier_map(census, small_solutions):
     for n in (2, 3, 4):
         for u in census[n]:
             s = yb.union_to_solution(u)
@@ -65,6 +113,13 @@ def test_round_trip_with_carrier_map(census):
             assert yb.relabel(s, dec.carrier_map) == yb.union_to_solution(dec.union)
             witness = yb.unions_isomorphic(dec.union, u)
             assert witness is not None
+    # solution_to_union builds its union without validating it; the
+    # validating constructor accepts every decomposition
+    for s in [yb.union_to_solution(u) for n in (2, 3, 4) for u in census[n]] + [
+        s for s in small_solutions if yb.is_2reductive(s).holds
+    ]:
+        u = yb.solution_to_union(s).union
+        assert yb.abelian_union(u.groups, u.c, u.d) == u
 
 
 def test_unions_isomorphic_identity(census):
@@ -193,19 +248,64 @@ def test_census_cells_partition_structure():
 
 
 def test_enumerate_cell_agrees_with_canonical_form():
-    # enumerate_cell minimizes by compiled index gathers; canonical_form by
-    # _transform, one union at a time: both must give the same classes
+    # enumerate_cell and canonical_form share their compiled gathers; the
+    # oracle loops over (pi, psis) one union at a time, over every combo of
+    # columns that generate their blocks
     for n in range(1, 6):
         for types in census_cells(n):
             groups = tuple(yb.abelian_group(list(t)) for t in types)
             k = len(groups)
+            columns = [
+                [
+                    col
+                    for col in itertools.product(range(g.n), repeat=2 * k)
+                    if _span_size(g.factors, col) == g.n
+                ]
+                for g in groups
+            ]
             expected = set()
-            for combo in itertools.product(*(_valid_columns(g, k) for g in groups)):
-                c = tuple(tuple(combo[j][0][i] for j in range(k)) for i in range(k))
-                d = tuple(tuple(combo[j][1][i] for j in range(k)) for i in range(k))
-                cf = yb.canonical_form(AbelianUnion(groups=groups, c=c, d=d))
-                expected.add((sum(cf.c, ()), sum(cf.d, ())))
+            for combo in itertools.product(*columns):
+                c = tuple(tuple(combo[j][i] for j in range(k)) for i in range(k))
+                d = tuple(tuple(combo[j][k + i] for j in range(k)) for i in range(k))
+                expected.add(_oracle_canonical(AbelianUnion(groups=groups, c=c, d=d)))
             assert enumerate_cell(types) == sorted(expected), types
+
+
+def test_canonical_form_on_blocks_outside_the_small_census():
+    # Z8, Z2xZ4, Z3xZ3 and Z2^3 (168 automorphisms) never occur at n <= 5,
+    # nor do repeated blocks other than Z2 and Z1
+    cells = [
+        ((8,),), ((2, 4),), ((3, 3),), ((2, 2, 2),),
+        ((8,), (8,)), ((2, 4), (2, 4)), ((3, 3), (3, 3)), ((2, 2, 2), (2, 2, 2)),
+        ((2,), (2, 2, 2)), ((3, 3), (8,), (2, 4)), ((2, 4), (), (2, 4)),
+        ((3, 3), (3,), (3, 3)), ((8,), (8,), (8,)),
+    ]
+    rng = random.Random(4099)
+    for types in cells:
+        groups = tuple(yb.abelian_group(list(t)) for t in types)
+        k = len(groups)
+        for _ in range(2):
+            c, d = (
+                tuple(tuple(rng.randrange(g.n) for g in groups) for _ in range(k))
+                for _ in range(2)
+            )
+            cf = yb.canonical_form(AbelianUnion(groups=groups, c=c, d=d))
+            assert (sum(cf.c, ()), sum(cf.d, ())) == _oracle_canonical(
+                AbelianUnion(groups=groups, c=c, d=d)
+            ), types
+            for _ in range(3):
+                pi = rng.sample(range(k), k)
+                psis = [rng.choice(g.automorphisms) for g in groups]
+                nc, nd = _transform(k, c, d, pi, psis)
+                moved = [None] * k
+                for i in range(k):
+                    moved[pi[i]] = groups[i]
+                scrambled = AbelianUnion(
+                    groups=tuple(moved),
+                    c=tuple(nc[i * k:(i + 1) * k] for i in range(k)),
+                    d=tuple(nd[i * k:(i + 1) * k] for i in range(k)),
+                )
+                assert yb.canonical_form(scrambled) == cf, types
 
 
 def test_union_predicates_match_solution_predicates(census):
