@@ -23,8 +23,8 @@ from .groups import (
     identity_perm,
     is_normal,
 )
-from .retraction import multipermutation_level
-from .solution import FiniteSolution, is_2reductive
+from .retraction import MultipermutationResult, multipermutation_level
+from .solution import FiniteSolution, TwoReductivity, is_2reductive
 
 
 @dataclass(frozen=True)
@@ -256,10 +256,14 @@ def socle_series(b: SkewBrace) -> SocleSeries:
             return SocleSeries(
                 quotients=tuple(series), nilpotency_class=len(series) - 1
             )
-        soc = socle(current)
-        if len(soc.elements) == 1:
+        soc = set(socle(current).elements)
+        if len(soc) == 1:
             return SocleSeries(quotients=tuple(series), nilpotency_class=None)
-        current, _ = quotient_brace(current, soc.elements)
+        # quotient_brace without its ideal check: the socle is an ideal
+        current = SkewBrace(
+            dot=_coset_quotient(current.dot, soc)[0],
+            circle=_coset_quotient(current.circle, soc)[0],
+        )
         series.append(current)
     raise AssertionError("socle series failed to shrink or stabilize")
 
@@ -288,29 +292,40 @@ def kernel_ideals(b: SkewBrace) -> KernelReport:
 # Reductivity profile
 
 
+def _le2(level: Optional[int]) -> bool:
+    """A level or class, None when never reached, is at most 2."""
+    return level is not None and level <= 2
+
+
 @dataclass(frozen=True)
 class ReductivityProfile:
-    red1: bool
-    red2: bool
-    red3: bool
-    red4: bool
+    solution: FiniteSolution             # the associated solution
+    reductivity: TwoReductivity          # its four identities
+    multipermutation: MultipermutationResult
+    series: SocleSeries                  # of the brace
+    opposite_series: SocleSeries         # of its opposite
     lambda_dot_hom: bool
     lambda_dot_antihom: bool
     rho_dot_hom: bool
     rho_dot_antihom: bool
     two_sided: bool                      # lambda_{a.b} = lambda_{b.a} = lambda_{a o b}, rho alike
-    multipermutation_le2: bool
-    nilpotent_le2: bool
-    opposite_nilpotent_le2: bool
 
-    @property
-    def all_four(self) -> bool:
-        return self.red1 and self.red2 and self.red3 and self.red4
+    red1 = property(lambda self: self.reductivity.red1)
+    red2 = property(lambda self: self.reductivity.red2)
+    red3 = property(lambda self: self.reductivity.red3)
+    red4 = property(lambda self: self.reductivity.red4)
+    all_four = property(lambda self: self.reductivity.holds)
+
+    multipermutation_le2 = property(lambda self: _le2(self.multipermutation.level))
+    nilpotent_le2 = property(lambda self: _le2(self.series.nilpotency_class))
+    opposite_nilpotent_le2 = property(lambda self: _le2(self.opposite_series.nilpotency_class))
 
 
 def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     """The four 2-reductivity identities on the associated solution and the
-    matching homomorphism properties of lambda and rho.
+    matching homomorphism properties of lambda and rho, with the results the
+    rest is read from: the solution, its multipermutation level, and the
+    socle series of b and of its opposite.
 
     Every field is computed on its own.  Equivalences between them (red1 with
     lambda-hom, red2 with rho-hom, red3 with lambda-antihom, red4 with
@@ -318,47 +333,28 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     opposite class <= 2) are theorems the test suite checks.
     """
     s = associated_solution(b)
-    red = is_2reductive(s)
     lams, rhos = b.lambdas, b.rhos
     dot, circ, n = b.dot, b.circle, b.n
 
     def all_pairs(pred) -> bool:
         return all(pred(x, y) for x in range(n) for y in range(n))
 
-    lam_hom = all_pairs(lambda x, y: lams[dot.mul(x, y)] == compose(lams[x], lams[y]))
-    lam_anti = all_pairs(lambda x, y: lams[dot.mul(x, y)] == compose(lams[y], lams[x]))
-    rho_hom = all_pairs(lambda x, y: rhos[dot.mul(x, y)] == compose(rhos[x], rhos[y]))
-    rho_anti = all_pairs(lambda x, y: rhos[dot.mul(x, y)] == compose(rhos[y], rhos[x]))
-
-    two_sided = all_pairs(
-        lambda x, y: lams[dot.mul(x, y)]
-        == lams[dot.mul(y, x)]
-        == lams[circ.mul(x, y)]
-    ) and all_pairs(
-        lambda x, y: rhos[dot.mul(x, y)]
-        == rhos[dot.mul(y, x)]
-        == rhos[circ.mul(x, y)]
-    )
-    mp = multipermutation_level(s)
-    mp_le2 = mp.level is not None and mp.level <= 2
-    cls = socle_series(b).nilpotency_class
-    nil_le2 = cls is not None and cls <= 2
-    opp_cls = socle_series(opposite_brace(b)).nilpotency_class
-    opp_le2 = opp_cls is not None and opp_cls <= 2
+    def two_sided(fam) -> bool:
+        return all_pairs(
+            lambda x, y: fam[dot.mul(x, y)] == fam[dot.mul(y, x)] == fam[circ.mul(x, y)]
+        )
 
     return ReductivityProfile(
-        red1=red.red1,
-        red2=red.red2,
-        red3=red.red3,
-        red4=red.red4,
-        lambda_dot_hom=lam_hom,
-        lambda_dot_antihom=lam_anti,
-        rho_dot_hom=rho_hom,
-        rho_dot_antihom=rho_anti,
-        two_sided=two_sided,
-        multipermutation_le2=mp_le2,
-        nilpotent_le2=nil_le2,
-        opposite_nilpotent_le2=opp_le2,
+        solution=s,
+        reductivity=is_2reductive(s),
+        multipermutation=multipermutation_level(s),
+        series=socle_series(b),
+        opposite_series=socle_series(opposite_brace(b)),
+        lambda_dot_hom=all_pairs(lambda x, y: lams[dot.mul(x, y)] == compose(lams[x], lams[y])),
+        lambda_dot_antihom=all_pairs(lambda x, y: lams[dot.mul(x, y)] == compose(lams[y], lams[x])),
+        rho_dot_hom=all_pairs(lambda x, y: rhos[dot.mul(x, y)] == compose(rhos[x], rhos[y])),
+        rho_dot_antihom=all_pairs(lambda x, y: rhos[dot.mul(x, y)] == compose(rhos[y], rhos[x])),
+        two_sided=two_sided(lams) and two_sided(rhos),
     )
 
 

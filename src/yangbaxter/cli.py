@@ -113,9 +113,11 @@ def load_payload(path: str, fmt: str = "auto"):
 # Reports
 
 
-def solution_report(s: FiniteSolution, out: TextIO) -> None:
-    red = solutions.is_2reductive(s)
-    mp = multipermutation_level(s)
+def solution_report(s: FiniteSolution, out: TextIO, red=None, mp=None) -> None:
+    """red and mp are is_2reductive(s) and multipermutation_level(s), computed
+    here unless the caller already has them."""
+    red = red or solutions.is_2reductive(s)
+    mp = mp or multipermutation_level(s)
     lines = [
         ("n", s.n),
         ("involutive", solutions.is_involutive(s)),
@@ -137,19 +139,19 @@ def solution_report(s: FiniteSolution, out: TextIO) -> None:
         out.write(f"{key}: {value}\n")
 
 
-def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> None:
+def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.ReductivityProfile:
+    """Writes the report of b; returns the profile it is rendered from."""
+    profile = braces.reductivity_profile(b)
+    series = profile.series
     out.write(f"n: {b.n}\n")
     out.write(f"dot_abelian: {b.dot.is_abelian}\n")
     out.write(f"bi_skew: {braces.is_biskew(b)}\n")
-    soc = braces.socle(b)
-    out.write(f"socle: {list(soc.elements)}\n")
-    series = braces.socle_series(b)
+    out.write(f"socle: {list(braces.socle(b).elements)}\n")
     out.write(f"socle_series_sizes: {[q.n for q in series.quotients]}\n")
     out.write(f"nilpotency: {series.describe()}\n")
     kernels = braces.kernel_ideals(b)
     out.write(f"ker_lambda: {list(kernels.ker_lambda)} ideal: {kernels.ker_lambda_is_ideal}\n")
     out.write(f"ker_rho: {list(kernels.ker_rho)} ideal: {kernels.ker_rho_is_ideal}\n")
-    profile = braces.reductivity_profile(b)
     out.write(
         "reductivity: "
         f"red1={profile.red1} red2={profile.red2} "
@@ -162,27 +164,50 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> None:
     )
     out.write(f"two_reductive: {profile.all_four}\n")
     if full:
-        s = braces.associated_solution(b)
         out.write("associated_solution:\n")
-        solution_report(s, out)
+        solution_report(profile.solution, out, profile.reductivity, profile.multipermutation)
+    return profile
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_verify(args) -> int:
+class _Exit(Exception):
+    """Ends a command early; args are the exit code and one line for stderr."""
+
+
+def _load(path: str, kinds=("solution", "brace", "union"), violations=(), fmt="auto"):
+    """load_payload for a command that takes the given kinds of input.
+
+    An axiom violation of a type in violations is the command's verdict and
+    exits 1 with its witness; every other failure exits 2 with one line that
+    names the path.
+    """
     try:
-        kind, obj = load_payload(args.file, args.format)
-    except VerificationError as exc:
-        print(f"violation: {exc.violation}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except braces.BraceError as exc:
-        print(f"violation: {exc.violation}", file=sys.stderr)
-        return EXIT_VIOLATION
+        kind, obj = load_payload(path, fmt)
+    except violations as exc:
+        raise _Exit(EXIT_VIOLATION, f"violation: {exc.violation}") from None
+    except (VerificationError, braces.BraceError) as exc:
+        raise _Exit(EXIT_USAGE, f"error: {path}: {exc}") from None
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: {exc}") from None
+    if kind not in kinds:
+        raise _Exit(EXIT_USAGE, f"error: {path}: a {kind}, expected a {' or '.join(kinds)}")
+    return kind, obj
+
+
+def _create(path: str) -> TextIO:
+    """Opens an output file before the work, so a bad path fails at once."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, f"error: {path}: {exc.strerror}") from None
+
+
+def cmd_verify(args) -> int:
+    violations = (VerificationError, braces.BraceError)
+    kind, obj = _load(args.file, violations=violations, fmt=args.format)
     if kind == "union":
         obj = unions.union_to_solution(obj)
         kind = "solution"
@@ -199,27 +224,15 @@ def cmd_enumerate(args) -> int:
     try:
         cap = int(raw_cap)
     except ValueError:
-        print(f"error: {ENUM_CAP_ENV}: {raw_cap!r} is not an integer", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: {ENUM_CAP_ENV}: {raw_cap!r} is not an integer") from None
     if not 1 <= args.n <= cap:
-        print(
-            f"error: n must be between 1 and {cap} "
-            f"(override with {ENUM_CAP_ENV})",
-            file=sys.stderr,
+        raise _Exit(
+            EXIT_USAGE, f"error: n must be between 1 and {cap} (override with {ENUM_CAP_ENV})"
         )
-        return EXIT_USAGE
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: --jobs must be at least 1, got {args.jobs}")
     with contextlib.ExitStack() as stack:
-        out = None
-        if args.out:
-            # opened before the census is built, so a bad path fails at once
-            try:
-                out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
-            except OSError as exc:
-                print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
-                return EXIT_USAGE
+        out = stack.enter_context(_create(args.out)) if args.out else None
         record = build_census(args.n, jobs=args.jobs)
         if out is not None:
             write_census(record, out)
@@ -238,15 +251,8 @@ def _as_union(kind: str, obj) -> Optional[unions.AbelianUnion]:
 
 
 def cmd_classify(args) -> int:
-    try:
-        kind1, obj1 = load_payload(args.file1, "auto")
-        kind2, obj2 = load_payload(args.file2, "auto")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if "brace" in (kind1, kind2):
-        print("error: classify expects solutions or unions", file=sys.stderr)
-        return EXIT_USAGE
+    kind1, obj1 = _load(args.file1, ("solution", "union"))
+    kind2, obj2 = _load(args.file2, ("solution", "union"))
     u1, u2 = _as_union(kind1, obj1), _as_union(kind2, obj2)
     if u1 is not None and u2 is not None:
         witness = unions.unions_isomorphic(u1, u2)
@@ -259,12 +265,11 @@ def cmd_classify(args) -> int:
     s1 = obj1 if kind1 == "solution" else unions.union_to_solution(obj1)
     s2 = obj2 if kind2 == "solution" else unions.union_to_solution(obj2)
     if max(s1.n, s2.n) > 6:
-        print(
+        raise _Exit(
+            EXIT_USAGE,
             "error: inputs are not 2-reductive and too large for brute-force "
             "isomorphism (n > 6)",
-            file=sys.stderr,
         )
-        return EXIT_USAGE
     phi = solutions.solutions_isomorphic(s1, s2)
     if phi is None:
         print("not isomorphic")
@@ -274,23 +279,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_brace(args) -> int:
-    try:
-        kind, obj = load_payload(args.file, "auto")
-    except braces.BraceError as exc:
-        print(f"violation: {exc.violation}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if kind != "brace":
-        print(f"error: {args.file} does not contain a brace", file=sys.stderr)
-        return EXIT_USAGE
-    brace_report(obj, full=args.report == "full", out=sys.stdout)
-    if args.solution_out:
-        s = braces.associated_solution(obj)
-        with open(args.solution_out, "w", encoding="utf-8") as fh:
-            json.dump(s.to_dict(), fh)
-            fh.write("\n")
+    _, b = _load(args.file, ("brace",), violations=braces.BraceError)
+    with contextlib.ExitStack() as stack:
+        sol_out = stack.enter_context(_create(args.solution_out)) if args.solution_out else None
+        profile = brace_report(b, full=args.report == "full", out=sys.stdout)
+        if sol_out is not None:
+            json.dump(profile.solution.to_dict(), sol_out)
+            sol_out.write("\n")
     return EXIT_OK
 
 
@@ -332,9 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        code, message = exc.args
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

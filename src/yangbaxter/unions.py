@@ -230,17 +230,32 @@ class UnionIsomorphism:
     psis: tuple[Perm, ...]       # psis[j] maps block j of the first union
 
 
-def _admissible_pis(
+def _block_bijections(
     types1: Sequence[tuple[int, ...]], types2: Sequence[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
+    """Block bijections pi with types2[pi[i]] == types1[i], lazily and in
+    lexicographic order."""
     k = len(types1)
     if sorted(types1) != sorted(types2):
-        return []
-    out = []
-    for pi in itertools.permutations(range(k)):
-        if all(types2[pi[i]] == types1[i] for i in range(k)):
-            out.append(pi)
-    return out
+        return
+    # with equal type multisets every partial choice extends to a bijection
+    options = [[j for j in range(k) if types2[j] == t] for t in types1]
+    pi: list[int] = []
+    used = [False] * k
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        if len(pi) == k:
+            yield tuple(pi)
+            return
+        for j in options[len(pi)]:
+            if not used[j]:
+                used[j] = True
+                pi.append(j)
+                yield from extend()
+                pi.pop()
+                used[j] = False
+
+    yield from extend()
 
 
 def unions_isomorphic(
@@ -253,7 +268,7 @@ def unions_isomorphic(
     types1 = [g.factors for g in u1.groups]
     types2 = [g.factors for g in u2.groups]
     k = u1.k
-    for pi in _admissible_pis(types1, types2):
+    for pi in _block_bijections(types1, types2):
         psis = []
         for j in range(k):
             found = None
@@ -292,20 +307,9 @@ def _cell_gathers(
     k = len(types)
     kk = k * k
     starts = list(itertools.accumulate((2 * k * len(a) for a in auts), initial=0))
-    # pi permutes blocks only within runs of equal type
-    runs: list[list[int]] = []
-    for i in range(k):
-        if runs and types[runs[-1][0]] == types[i]:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
 
     def gathers() -> Iterator[operator.itemgetter]:
-        for parts in itertools.product(*(itertools.permutations(run) for run in runs)):
-            pi = [0] * k
-            for run, perm in zip(runs, parts):
-                for src, dst in zip(run, perm):
-                    pi[src] = dst
+        for pi in _block_bijections(types, types):
             # ts[j] is the index of psi_j in auts[j]
             for ts in itertools.product(*(range(len(a)) for a in auts)):
                 pos = [0] * (2 * kk)

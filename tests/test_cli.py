@@ -118,11 +118,24 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_verify_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
+    # every command that reads a file goes through the same loader
     payload, field = MALFORMED[case]
     path = write(tmp_path, "bad.txt" if isinstance(payload, str) else "bad.json", payload)
-    assert main(["verify", path]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {field}: "), lines
+    for argv in (["verify", path], ["classify", path, path], ["brace", path]):
+        assert main(argv) == 2, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {field}: "), lines
+
+
+def test_axiom_violation_is_a_verdict_only_for_verify(tmp_path, capsys):
+    # well-formed tables whose tau rows are not permutations
+    path = write(tmp_path, "bad.json", {"sigma": PERM2, "tau": [[0, 0], [1, 1]]})
+    assert main(["verify", path]) == 1
+    assert capsys.readouterr().err.splitlines() == ["violation: tau-row fails at (0,)"]
+    for argv in (["classify", path, path], ["brace", path]):
+        assert main(argv) == 2, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {path}: tau-row fails at (0,)"], lines
 
 
 def test_enumerate_rejects_non_integer_cap(capsys, monkeypatch):
@@ -252,6 +265,15 @@ def test_classify_large_non_2reductive_exits_2(tmp_path, capsys):
     assert "brute-force" in capsys.readouterr().err
 
 
+def test_classify_projection_solutions_with_many_equal_blocks(tmp_path, capsys):
+    # twelve trivial blocks: 12! block bijections, of which the first fits
+    s = yb.projection_solution(12)
+    p1 = write(tmp_path, "a.json", s.to_dict())
+    p2 = write(tmp_path, "b.json", yb.relabel(s, list(range(12))[::-1]).to_dict())
+    assert main(["classify", p1, p2]) == 0
+    assert capsys.readouterr().out == f"isomorphic: pi={list(range(12))} psis={[[0]] * 12}\n"
+
+
 def test_classify_rejects_brace_input(tmp_path, capsys):
     path = write(tmp_path, "b.json", yb.z2n_brace(1).to_dict())
     assert main(["classify", path, path]) == 2
@@ -269,6 +291,16 @@ def test_brace_report_and_solution_out(tmp_path, capsys):
     assert "associated_solution:" in out
     written = yb.solution_from_dict(json.load(open(sol_out)))
     assert written == yb.associated_solution(yb.z2n_brace(3))
+
+
+def test_brace_unwritable_solution_out_fails_before_the_report(tmp_path, capsys):
+    path = write(tmp_path, "z6.json", yb.z2n_brace(3).to_dict())
+    sol_out = str(tmp_path / "missing" / "assoc.json")
+    assert main(["brace", path, "--report", "full", "--solution-out", sol_out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {sol_out}: "), lines
 
 
 def _count_calls(monkeypatch, functions):
@@ -302,6 +334,31 @@ def test_reports_do_not_validate_what_they_derive(monkeypatch, brace_catalog, sm
     for s in small_solutions:
         yb.multipermutation_level(s)
     assert calls == {"verify_brace": 0, "finite_group": 0, "verify": 0}
+
+
+def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brace_catalog):
+    # the profile holds the socle series of b and of its opposite and the
+    # associated solution's identities and level; the report renders those
+    functions = {
+        "socle_series": yb.socle_series,
+        "multipermutation_level": yb.multipermutation_level,
+        "is_2reductive": yb.is_2reductive,
+    }
+    calls = _count_calls(monkeypatch, functions)
+    for full in (True, False):
+        for name, b in brace_catalog:
+            before = dict(calls)
+            cli.brace_report(b, full=full, out=io.StringIO())
+            ran = {key: calls[key] - before[key] for key in calls}
+            assert ran == {"socle_series": 2, "multipermutation_level": 1, "is_2reductive": 1}, (
+                name, full,
+            )
+    path = write(tmp_path, "sol.json", yb.projection_solution(3).to_dict())
+    before = dict(calls)
+    assert main(["verify", path]) == 0
+    assert {key: calls[key] - before[key] for key in calls} == {
+        "socle_series": 0, "multipermutation_level": 1, "is_2reductive": 1,
+    }
 
 
 def test_classify_checks_2_reductivity_once_per_file(tmp_path, capsys, monkeypatch):
