@@ -231,6 +231,7 @@ def quotient_brace(b: SkewBrace, ideal: Sequence[int]) -> tuple[SkewBrace, tuple
 @dataclass(frozen=True)
 class SocleSeries:
     quotients: tuple[SkewBrace, ...]       # B_0 = B, B_1, ...
+    socles: tuple[Ideal, ...]              # socles[i] = Soc(B_i)
     nilpotency_class: Optional[int]
 
     @property
@@ -250,15 +251,20 @@ class SocleSeries:
 
 def socle_series(b: SkewBrace) -> SocleSeries:
     series = [b]
+    socles = []
     current = b
     for _ in range(b.n + 1):
+        socles.append(socle(current))
         if current.n == 1:
             return SocleSeries(
-                quotients=tuple(series), nilpotency_class=len(series) - 1
+                quotients=tuple(series), socles=tuple(socles),
+                nilpotency_class=len(series) - 1,
             )
-        soc = set(socle(current).elements)
+        soc = set(socles[-1].elements)
         if len(soc) == 1:
-            return SocleSeries(quotients=tuple(series), nilpotency_class=None)
+            return SocleSeries(
+                quotients=tuple(series), socles=tuple(socles), nilpotency_class=None
+            )
         # quotient_brace without its ideal check: the socle is an ideal
         current = SkewBrace(
             dot=_coset_quotient(current.dot, soc)[0],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
+import functools
 import json
 import os
 import sys
@@ -32,13 +32,29 @@ ENUM_CAP_ENV = "YANGBAXTER_ENUM_CAP"
 
 @dataclass(frozen=True)
 class CensusRecord:
+    """A census as unions.census_keys' cells: each cell's block types and
+    the (flattened C, flattened D) keys of its classes.  entries, the
+    unions themselves, is built on first use and kept."""
+
     n: int
-    by_orbit_type: dict[str, int]
-    entries: tuple[unions.AbelianUnion, ...]
+    cells: tuple[unions.CensusCell, ...]
 
     @property
     def count(self) -> int:
-        return len(self.entries)
+        return sum(len(keys) for _, keys in self.cells)
+
+    @property
+    def by_orbit_type(self) -> dict[str, int]:
+        # a cell's types are sorted canonically, as orbit_type_label sorts
+        return {
+            "+".join(unions.AbelianGroup(t).label() for t in types): len(keys)
+            for types, keys in self.cells
+            if keys
+        }
+
+    @functools.cached_property
+    def entries(self) -> tuple[unions.AbelianUnion, ...]:
+        return unions.unions_of_cells(self.cells)
 
     def summary_dict(self) -> dict:
         return {
@@ -49,21 +65,24 @@ class CensusRecord:
 
 
 def build_census(n: int, jobs: int = 1) -> CensusRecord:
-    entries = unions.enumerate_2reductive(n, jobs=jobs)
-    by_type: dict[str, int] = {}
-    # the entries of one cell are consecutive and share one groups tuple
-    for _, run in itertools.groupby(entries, key=lambda u: u.groups):
-        run = list(run)
-        label = run[0].orbit_type_label()
-        by_type[label] = by_type.get(label, 0) + len(run)
-    return CensusRecord(n=n, by_orbit_type=by_type, entries=entries)
+    return CensusRecord(n=n, cells=tuple(unions.census_keys(n, jobs=jobs)))
 
 
 def write_census(record: CensusRecord, stream: TextIO) -> None:
-    """JSON-lines: one canonical union per line, then one summary record."""
+    """JSON-lines: one canonical union per line, then one summary record.
+
+    Each line is a union's to_dict, compact; every line of a cell comes from
+    one template holding the cell's groups, with a %d slot per entry of C
+    and D, and the cell is written at once.
+    """
     encode = json.JSONEncoder(separators=(",", ":")).encode
-    for u in record.entries:
-        stream.write(encode(u.to_dict()) + "\n")
+    for types, keys in record.cells:
+        k = len(types)
+        row = "[" + ",".join(["%d"] * k) + "]"
+        matrix = "[" + ",".join([row] * k) + "]"
+        groups = encode([list(t) for t in types])
+        line = f'{{"groups":{groups},"C":{matrix},"D":{matrix}}}\n'
+        stream.write("".join([line % (c + d) for c, d in keys]))
     stream.write(encode(record.summary_dict()) + "\n")
 
 
@@ -146,7 +165,7 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.Reducti
     out.write(f"n: {b.n}\n")
     out.write(f"dot_abelian: {b.dot.is_abelian}\n")
     out.write(f"bi_skew: {braces.is_biskew(b)}\n")
-    out.write(f"socle: {list(braces.socle(b).elements)}\n")
+    out.write(f"socle: {list(series.socles[0].elements)}\n")
     out.write(f"socle_series_sizes: {[q.n for q in series.quotients]}\n")
     out.write(f"nilpotency: {series.describe()}\n")
     kernels = braces.kernel_ideals(b)

@@ -300,7 +300,10 @@ def _cell_gathers(
     the flattened (C', D') with C'[pi(i)][pi(j)] = psi_j(C[i][j]), so the
     least gather is the least image over the cell's symmetries.  They are
     yielded lazily, so canonical_form holds one at a time: Aut(Z2^4) alone
-    gives 20160.
+    gives 20160.  The first gather is the identity, pi = id and every
+    psi = id (block bijections come in lexicographic order and automorphisms
+    sorted), so it returns the union's own flattened (C, D), the layout
+    enumerate_cell compares the other gathers with.
     """
     groups = [_abelian_block(t) for t in types]
     auts = [g.automorphisms for g in groups]
@@ -398,32 +401,38 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[tuple]:
     symmetries, as in canonical_form: a combo of valid columns is stored
     spread, the concatenation of its columns each under every automorphism
     of its block, and each symmetry is one index gather of _cell_gathers.
+    The generation is orderly (R. C. Read, "Every one a winner", 1978):
+    every (C, D) of the cell is exactly one combo, so a combo is kept when
+    no gather maps it below its own layout, the identity gather's image,
+    and dropped at the first gather that does.  One combo per class passes.
     """
     groups, auts, gathers = _cell_gathers(types)
-    getters = list(gathers)
+    ident, *others = gathers
     k = len(groups)
     kk = k * k
     columns = [
         [tuple(psi[x] for psi in a for x in cc + dc) for cc, dc in _valid_columns(g, k)]
         for g, a in zip(groups, auts)
     ]
-    seen = set()
+    kept = []
     for combo in itertools.product(*columns):
         x = sum(combo, ())
-        seen.add(min([g(x) for g in getters]))
-    return sorted((key[:kk], key[kk:]) for key in seen)
+        own = ident(x)
+        for g in others:
+            if g(x) < own:
+                break
+        else:
+            kept.append(own)
+    kept.sort()
+    return [(key[:kk], key[kk:]) for key in kept]
 
 
-def enumerate_2reductive(n: int, jobs: int = 1) -> tuple[AbelianUnion, ...]:
-    """All 2-reductive solutions of size n, one canonical union per class.
+CensusCell = tuple[tuple[tuple[int, ...], ...], list[tuple]]
 
-    Iterates partitions of n, abelian blocks per part, and all constant
-    matrices passing the per-column generation filter, then canonicalizes
-    and deduplicates.  Cells run independently (in parallel when jobs > 1).
-    The result is sorted by (k, block type keys, C, D): census_cells lists
-    the cells in that order and each cell comes back sorted, so the merge
-    only concatenates.
-    """
+
+def census_keys(n: int, jobs: int = 1) -> list[CensusCell]:
+    """(block types, enumerate_cell keys) for every cell of size n, in
+    census_cells order; the cells run in parallel when jobs > 1."""
     if n <= 0:
         raise ValueError(f"carrier size must be positive, got {n}")
     cells = census_cells(n)
@@ -434,16 +443,33 @@ def enumerate_2reductive(n: int, jobs: int = 1) -> tuple[AbelianUnion, ...]:
             per_cell = list(pool.map(enumerate_cell, cells))
     else:
         per_cell = [enumerate_cell(cell) for cell in cells]
+    return list(zip(cells, per_cell))
+
+
+def unions_of_cells(cells: Sequence[CensusCell]) -> tuple[AbelianUnion, ...]:
+    """The unions encoded by census_keys' cells, in the same order."""
     out = []
-    for types, entries in zip(cells, per_cell):
+    for types, keys in cells:
         k = len(types)
         groups = tuple(map(_abelian_block, types))
         rows = [slice(i * k, (i + 1) * k) for i in range(k)]
-        for cflat, dflat in entries:
+        for cflat, dflat in keys:
             c = tuple(map(cflat.__getitem__, rows))
             d = tuple(map(dflat.__getitem__, rows))
             out.append(AbelianUnion(groups=groups, c=c, d=d))
     return tuple(out)
+
+
+def enumerate_2reductive(n: int, jobs: int = 1) -> tuple[AbelianUnion, ...]:
+    """All 2-reductive solutions of size n, one canonical union per class.
+
+    Iterates partitions of n, abelian blocks per part, and all constant
+    matrices passing the per-column generation filter, keeping the least
+    member of each class (census_keys).  The result is sorted by (k, block
+    type keys, C, D): census_cells lists the cells in that order and each
+    cell comes back sorted, so the merge only concatenates.
+    """
+    return unions_of_cells(census_keys(n, jobs))
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,9 @@ def test_brace_theorems_on_catalog(brace_catalog):
         opp = yb.opposite_brace(b)
         assert yb.verify_brace(opp.dot.table, opp.circle.table) == opp, name
         for side in (b, opp):
-            quotients = yb.socle_series(side).quotients
+            series = yb.socle_series(side)
+            quotients = series.quotients
+            assert series.socles == tuple(map(yb.socle, quotients)), name
             for prev, q in zip(quotients, quotients[1:]):
                 soc = yb.socle(prev).elements
                 assert yb.is_ideal(prev, soc), name

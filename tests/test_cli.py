@@ -180,6 +180,20 @@ def test_census_record_counts_agree():
         assert sum(record.by_orbit_type.values()) == record.count == len(record.entries)
 
 
+def test_census_lines_match_the_library_census(census):
+    # write_census fills one line template per cell from the cell's keys;
+    # enumerate_2reductive builds the unions from the same keys
+    for n in range(1, 5):
+        record = cli.build_census(n)
+        assert record.entries == census[n]
+        buf = io.StringIO()
+        cli.write_census(record, buf)
+        lines = buf.getvalue().splitlines()
+        assert [yb.union_from_dict(json.loads(line)) for line in lines[:-1]] == list(census[n])
+        assert json.loads(lines[-1]) == record.summary_dict()
+    assert yb.enumerate_2reductive(5, jobs=2) == census[5]
+
+
 def test_enumerate_cap(tmp_path, capsys, monkeypatch):
     assert main(["enumerate", "9"]) == 2
     monkeypatch.setenv("YANGBAXTER_ENUM_CAP", "4")
@@ -338,9 +352,11 @@ def test_reports_do_not_validate_what_they_derive(monkeypatch, brace_catalog, sm
 
 def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brace_catalog):
     # the profile holds the socle series of b and of its opposite and the
-    # associated solution's identities and level; the report renders those
+    # associated solution's identities and level; the report renders those,
+    # its socle line too: the socle of b is the series' first step
     functions = {
         "socle_series": yb.socle_series,
+        "socle": yb.socle,
         "multipermutation_level": yb.multipermutation_level,
         "is_2reductive": yb.is_2reductive,
     }
@@ -348,16 +364,18 @@ def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brac
     for full in (True, False):
         for name, b in brace_catalog:
             before = dict(calls)
-            cli.brace_report(b, full=full, out=io.StringIO())
+            profile = cli.brace_report(b, full=full, out=io.StringIO())
             ran = {key: calls[key] - before[key] for key in calls}
-            assert ran == {"socle_series": 2, "multipermutation_level": 1, "is_2reductive": 1}, (
-                name, full,
-            )
+            # one socle per quotient of each series
+            socles = len(profile.series.quotients) + len(profile.opposite_series.quotients)
+            assert ran == {
+                "socle_series": 2, "socle": socles, "multipermutation_level": 1, "is_2reductive": 1,
+            }, (name, full)
     path = write(tmp_path, "sol.json", yb.projection_solution(3).to_dict())
     before = dict(calls)
     assert main(["verify", path]) == 0
     assert {key: calls[key] - before[key] for key in calls} == {
-        "socle_series": 0, "multipermutation_level": 1, "is_2reductive": 1,
+        "socle_series": 0, "socle": 0, "multipermutation_level": 1, "is_2reductive": 1,
     }
 
 

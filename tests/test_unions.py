@@ -10,7 +10,7 @@ import pytest
 
 import yangbaxter as yb
 from yangbaxter.solution import validate_tables
-from yangbaxter.unions import AbelianUnion, census_cells, enumerate_cell
+from yangbaxter.unions import AbelianUnion, _cell_gathers, census_cells, enumerate_cell
 
 
 Z1 = yb.abelian_group([])
@@ -269,6 +269,30 @@ def test_enumerate_cell_agrees_with_canonical_form():
                 d = tuple(tuple(combo[j][k + i] for j in range(k)) for i in range(k))
                 expected.add(_oracle_canonical(AbelianUnion(groups=groups, c=c, d=d)))
             assert enumerate_cell(types) == sorted(expected), types
+
+
+def test_first_cell_gather_is_the_identity():
+    # enumerate_cell compares every gather's image with the first one's, as
+    # the combo's own (C, D); a spread laid out as _cell_gathers documents
+    rng = random.Random(8191)
+    for n in range(1, 7):
+        for types in census_cells(n):
+            groups, auts, gathers = _cell_gathers(types)
+            first = next(gathers)
+            k = len(groups)
+            for _ in range(3):
+                c, d = (
+                    [[rng.randrange(g.n) for g in groups] for _ in range(k)]
+                    for _ in range(2)
+                )
+                spread = tuple(
+                    psi[m[i][j]]
+                    for j in range(k)
+                    for psi in auts[j]
+                    for m in (c, d)
+                    for i in range(k)
+                )
+                assert first(spread) == sum(map(tuple, c + d), ()), types
 
 
 def test_canonical_form_on_blocks_outside_the_small_census():
