@@ -16,7 +16,9 @@ from .groups import (
     FiniteGroup,
     Perm,
     _coset_quotient,
+    _first_difference,
     _int_table,
+    _row_kernel,
     compose,
     direct_product_group,
     finite_group,
@@ -58,19 +60,16 @@ class SkewBrace:
     @cached_property
     def lambdas(self) -> tuple[Perm, ...]:
         """lambda_a(b) = a^-1 . (a o b); each an automorphism of (B, .)."""
-        dot, circ, n = self.dot, self.circle, self.n
-        return tuple(
-            tuple(dot.mul(dot.inv[a], circ.mul(a, b)) for b in range(n))
-            for a in range(n)
-        )
+        dot_rows, circ_rows = self.dot.table, self.circle.table
+        return tuple(compose(dot_rows[ai], circ_rows[a]) for a, ai in enumerate(self.dot.inv))
 
     @cached_property
     def rhos(self) -> tuple[Perm, ...]:
         """rho_y(x) = circle-inverse of lambda_x(y), composed with x o y."""
-        circ, n = self.circle, self.n
+        ct, cinv, n = self.circle.table, self.circle.inv, self.n
         lams = self.lambdas
         return tuple(
-            tuple(circ.mul(circ.mul(circ.inv[lams[x][y]], x), y) for x in range(n))
+            tuple([ct[ct[cinv[lams[x][y]]][x]][y] for x in range(n)])
             for y in range(n)
         )
 
@@ -85,14 +84,18 @@ class SkewBrace:
 def _brace_law_failure(dot: FiniteGroup, circ: FiniteGroup) -> Optional[tuple[int, int, int]]:
     """First triple (a, b, c), in lex order, where a o (b . c) differs from
     (a o b) . a^-1 . (a o c); None when the brace law holds."""
-    n = dot.n
-    for a in range(n):
-        ai = dot.inv[a]
-        for b in range(n):
-            ab = dot.mul(circ.mul(a, b), ai)
-            for c in range(n):
-                if circ.mul(a, dot.mul(b, c)) != dot.mul(ab, circ.mul(a, c)):
-                    return a, b, c
+    # per pair, the maps c -> a o (b . c) and c -> (a o b) . a^-1 . (a o c)
+    # are circ_a o dot_b and dot_{(a o b) . a^-1} o circ_a, on table rows
+    dt, ct = dot.table, circ.table
+    dot_rows, dot_maps, then = _row_kernel(dt)
+    circ_rows, circ_maps, _ = _row_kernel(ct)
+    for a, ai in enumerate(dot.inv):
+        row_a, circ_a, map_a = ct[a], circ_rows[a], circ_maps[a]
+        for b in range(dot.n):
+            lhs = then(dot_rows[b], map_a)
+            rhs = then(circ_a, dot_maps[dt[row_a[b]][ai]])
+            if lhs != rhs:
+                return a, b, _first_difference(lhs, rhs)
     return None
 
 
@@ -202,14 +205,9 @@ def socle(b: SkewBrace) -> Ideal:
     It equals Ker lambda .cap. Ker rho and Ker lambda .cap. Z(B, .); the test
     suite checks both.
     """
-    n = b.n
-    elements = tuple(
-        a for a in range(n)
-        if all(
-            b.circle.mul(a, x) == b.dot.mul(a, x) == b.dot.mul(x, a)
-            for x in range(n)
-        )
-    )
+    dt, ct = b.dot.table, b.circle.table
+    columns = tuple(zip(*dt))
+    elements = tuple(a for a in range(b.n) if ct[a] == dt[a] == columns[a])
     return Ideal(brace=b, elements=elements)
 
 
@@ -339,28 +337,33 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     opposite class <= 2) are theorems the test suite checks.
     """
     s = associated_solution(b)
-    lams, rhos = b.lambdas, b.rhos
-    dot, circ, n = b.dot, b.circle, b.n
+    dt, ct = b.dot.table, b.circle.table
+    pairs = [(x, y) for x in range(b.n) for y in range(b.n)]
 
-    def all_pairs(pred) -> bool:
-        return all(pred(x, y) for x in range(n) for y in range(n))
-
-    def two_sided(fam) -> bool:
-        return all_pairs(
-            lambda x, y: fam[dot.mul(x, y)] == fam[dot.mul(y, x)] == fam[circ.mul(x, y)]
+    def dot_hom(fam) -> tuple[bool, bool]:
+        """Whether fam_{x.y} = fam_x fam_y, and whether fam_{x.y} = fam_y fam_x."""
+        rows, maps, then = _row_kernel(fam)
+        return (
+            all(rows[dt[x][y]] == then(rows[y], maps[x]) for x, y in pairs),
+            all(rows[dt[x][y]] == then(rows[x], maps[y]) for x, y in pairs),
         )
 
+    def two_sided(fam) -> bool:
+        return all(fam[dt[x][y]] == fam[dt[y][x]] == fam[ct[x][y]] for x, y in pairs)
+
+    lambda_hom, lambda_antihom = dot_hom(b.lambdas)
+    rho_hom, rho_antihom = dot_hom(b.rhos)
     return ReductivityProfile(
         solution=s,
         reductivity=is_2reductive(s),
         multipermutation=multipermutation_level(s),
         series=socle_series(b),
         opposite_series=socle_series(opposite_brace(b)),
-        lambda_dot_hom=all_pairs(lambda x, y: lams[dot.mul(x, y)] == compose(lams[x], lams[y])),
-        lambda_dot_antihom=all_pairs(lambda x, y: lams[dot.mul(x, y)] == compose(lams[y], lams[x])),
-        rho_dot_hom=all_pairs(lambda x, y: rhos[dot.mul(x, y)] == compose(rhos[x], rhos[y])),
-        rho_dot_antihom=all_pairs(lambda x, y: rhos[dot.mul(x, y)] == compose(rhos[y], rhos[x])),
-        two_sided=two_sided(lams) and two_sided(rhos),
+        lambda_dot_hom=lambda_hom,
+        lambda_dot_antihom=lambda_antihom,
+        rho_dot_hom=rho_hom,
+        rho_dot_antihom=rho_antihom,
+        two_sided=two_sided(b.lambdas) and two_sided(b.rhos),
     )
 
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
 
@@ -22,7 +22,32 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     """Compose two permutations, applying q first: (p o q)(x) = p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple([p[i] for i in q])
+
+
+def _row_kernel(table: Sequence[Sequence[int]]) -> tuple[Sequence, Sequence, Callable]:
+    """The rows of a table of maps of {0..n-1} to itself, encoded once for
+    composition: returns (rows, maps, then) where then(rows[j], maps[i]) is
+    the encoded row of compose(table[i], table[j]).  Encoded rows compare
+    with == as the tuples do, so every check that compares two composed
+    maps is written once.
+
+    Up to n = 256 a row is bytes and its map the row padded to a 256-byte
+    translate table, so then is bytes.translate and composes in C; above
+    that rows and maps are the tuples and then is a list comprehension.
+    """
+    n = len(table[0]) if table else 0
+    if n > 256:
+        rows = [tuple(row) for row in table]
+        return rows, rows, lambda q, p: compose(p, q)
+    pad = bytes(256 - n)
+    rows = [bytes(row) for row in table]
+    return rows, [row + pad for row in rows], bytes.translate
+
+
+def _first_difference(u: Sequence[int], v: Sequence[int]) -> int:
+    """The first index where two encoded rows of the same length differ."""
+    return next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
 
 
 def invert_perm(p: Sequence[int]) -> Perm:
@@ -90,12 +115,15 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
             break
     if ident is None:
         raise ValueError("table has no identity element")
+    # row_{ab} = row_a o row_b: the left translations form a homomorphism
+    enc, maps, then = _row_kernel(rows)
     for a in range(n):
+        row_a, map_a = rows[a], maps[a]
         for b in range(n):
-            tab = rows[a][b]
-            for c in range(n):
-                if rows[tab][c] != rows[a][rows[b][c]]:
-                    raise ValueError(f"associativity fails at triple ({a}, {b}, {c})")
+            lhs, rhs = enc[row_a[b]], then(enc[b], map_a)
+            if lhs != rhs:
+                c = _first_difference(lhs, rhs)
+                raise ValueError(f"associativity fails at triple ({a}, {b}, {c})")
     inv = [0] * n
     for a in range(n):
         found = [b for b in range(n) if rows[a][b] == ident]
@@ -312,24 +340,38 @@ def _isomorphisms(source: AbelianGroup, target: FiniteGroup) -> Iterator[Perm]:
     target must be abelian.  Each is the extension of images of the standard
     generators, whose orders divide the matching invariant factors; image
     tuples are tried in itertools.product order and the bijective extensions
-    yielded as found.
+    yielded as found.  The images are extended one generator at a time, and
+    a prefix whose partial extension is not injective is dropped with every
+    tuple that starts with it, as no later generator can make it injective.
     """
     n = source.n
     if target.n != n:
         return
     table = target.table
     orders = [element_order(target, x) for x in range(n)]
-    candidates = [[x for x in range(n) if d % orders[x] == 0] for d in source.factors]
-    for images in itertools.product(*candidates):
-        # mixed-radix order: phi[x * d + c] = phi[x] + c * image
-        phi = [target.id]
-        for d, img in zip(source.factors, images):
-            steps = [target.id]
-            for _ in range(d - 1):
-                steps.append(table[steps[-1]][img])
-            phi = [table[p][q] for p in phi for q in steps]
-        if len(set(phi)) == n:
+    # per generator, the multiples 0, img, 2 img, ... of each candidate image
+    candidates = []
+    for d in source.factors:
+        options = []
+        for img in range(n):
+            if d % orders[img] == 0:
+                steps = [target.id]
+                for _ in range(d - 1):
+                    steps.append(table[steps[-1]][img])
+                options.append(steps)
+        candidates.append(options)
+
+    def extend(phi: list[int], i: int) -> Iterator[Perm]:
+        if i == len(candidates):
             yield tuple(phi)
+            return
+        for steps in candidates[i]:
+            # mixed-radix order: phi[x * d + c] = phi[x] + c * image
+            ext = [table[p][q] for p in phi for q in steps]
+            if len(set(ext)) == len(ext):
+                yield from extend(ext, i + 1)
+
+    yield from extend([target.id], 0)
 
 
 @lru_cache(maxsize=128)

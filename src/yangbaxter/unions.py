@@ -9,6 +9,7 @@ the orbits of the full permutation group.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import operator
 from dataclasses import dataclass
@@ -447,17 +448,28 @@ def census_keys(n: int, jobs: int = 1) -> list[CensusCell]:
 
 
 def unions_of_cells(cells: Sequence[CensusCell]) -> tuple[AbelianUnion, ...]:
-    """The unions encoded by census_keys' cells, in the same order."""
-    out = []
-    for types, keys in cells:
-        k = len(types)
-        groups = tuple(map(_abelian_block, types))
-        rows = [slice(i * k, (i + 1) * k) for i in range(k)]
-        for cflat, dflat in keys:
-            c = tuple(map(cflat.__getitem__, rows))
-            d = tuple(map(dflat.__getitem__, rows))
-            out.append(AbelianUnion(groups=groups, c=c, d=d))
-    return tuple(out)
+    """The unions encoded by census_keys' cells, in the same order.
+
+    The cyclic garbage collector is paused while they are built: the unions
+    hold no cycles, and its passes over the growing list took half the time
+    of building the n = 6 census.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = []
+        for types, keys in cells:
+            k = len(types)
+            groups = tuple(map(_abelian_block, types))
+            rows = [slice(i * k, (i + 1) * k) for i in range(k)]
+            for cflat, dflat in keys:
+                c = tuple(map(cflat.__getitem__, rows))
+                d = tuple(map(dflat.__getitem__, rows))
+                out.append(AbelianUnion(groups=groups, c=c, d=d))
+        return tuple(out)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerate_2reductive(n: int, jobs: int = 1) -> tuple[AbelianUnion, ...]:
