@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -71,18 +73,23 @@ def build_census(n: int, jobs: int = 1) -> CensusRecord:
 def write_census(record: CensusRecord, stream: TextIO) -> None:
     """JSON-lines: one canonical union per line, then one summary record.
 
-    Each line is a union's to_dict, compact; every line of a cell comes from
-    one template holding the cell's groups, with a %d slot per entry of C
-    and D, and the cell is written at once.
+    Each line is a union's to_dict, compact.  A cell's keys come sorted, so
+    those that share a C are adjacent: each run fills the C half of the
+    cell's line template once, leaving a %d slot per entry of D for its
+    lines, and the cell is written at once.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
     for types, keys in record.cells:
         k = len(types)
         row = "[" + ",".join(["%d"] * k) + "]"
         matrix = "[" + ",".join([row] * k) + "]"
-        groups = encode([list(t) for t in types])
-        line = f'{{"groups":{groups},"C":{matrix},"D":{matrix}}}\n'
-        stream.write("".join([line % (c + d) for c, d in keys]))
+        head = f'{{"groups":{encode([list(t) for t in types])},"C":'
+        tail = f',"D":{matrix}}}\n'
+        lines = []
+        for c, run in itertools.groupby(keys, key=operator.itemgetter(0)):
+            line = head + matrix % c + tail
+            lines.extend([line % d for _, d in run])
+        stream.write("".join(lines))
     stream.write(encode(record.summary_dict()) + "\n")
 
 
@@ -303,8 +310,7 @@ def cmd_brace(args) -> int:
         sol_out = stack.enter_context(_create(args.solution_out)) if args.solution_out else None
         profile = brace_report(b, full=args.report == "full", out=sys.stdout)
         if sol_out is not None:
-            json.dump(profile.solution.to_dict(), sol_out)
-            sol_out.write("\n")
+            sol_out.write(json.dumps(profile.solution.to_dict()) + "\n")
     return EXIT_OK
 
 
@@ -345,8 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: main runs once per
+    request when the library serves several in one process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _Exit as exc:

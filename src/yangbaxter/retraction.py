@@ -3,10 +3,11 @@ towers, multipermutation level, and the three permutation groups."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import PermGroup, perm_group_closure
+from .groups import PermGroup, _row_kernel, perm_group_closure
 from .solution import FiniteSolution
 
 
@@ -75,23 +76,27 @@ def partition_from_blocks(
 
 
 def is_congruence(s: FiniteSolution, p: SolutionPartition) -> bool:
-    """Compatibility of the partition with sigma, tau and their inverses."""
+    """Compatibility of the partition with sigma, tau and their inverses.
+
+    Each row is mapped through the block map once, as a whole: the mapped
+    rows of a block's points must equal its first point's, and each mapped
+    row must not change when its argument moves to its block's first point,
+    that is, it must be constant on every block.
+    """
+    n = s.n
     blk = p.block_of
-    maps = (s.sigma, s.sigma_inv, s.tau, s.tau_inv)
-    for block in p.blocks:
-        x0 = block[0]
-        for x in block[1:]:
-            for m in maps:
-                r0, r1 = m[x0], m[x]
-                if any(blk[r0[y]] != blk[r1[y]] for y in range(s.n)):
-                    return False
-    for x in range(s.n):
-        for m in maps:
-            row = m[x]
-            for block in p.blocks:
-                b0 = blk[row[block[0]]]
-                if any(blk[row[y]] != b0 for y in block[1:]):
-                    return False
+    first = [p.blocks[b][0] for b in blk]
+    tables = (s.sigma, s.sigma_inv, s.tau, s.tau_inv)
+    rows, maps, then = _row_kernel([blk, first, *itertools.chain(*tables)])
+    to_block, to_first = maps[0], rows[1]
+    for t in range(len(tables)):
+        at = 2 + t * n
+        mapped = [then(rows[at + x], to_block) for x in range(n)]
+        for x in range(n):
+            if mapped[x] != mapped[first[x]]:
+                return False
+            if then(then(to_first, maps[at + x]), to_block) != mapped[x]:
+                return False
     return True
 
 

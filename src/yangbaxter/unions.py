@@ -295,54 +295,68 @@ def _cell_gathers(
     """The blocks of a sorted block-type cell, their automorphisms, and one
     index gather per symmetry (pi, psis) of the cell.
 
-    The gathers read a spread union: column j spans starts[j] ..
-    starts[j] + 2k|Aut(A_j)|, holding for each automorphism psi in turn psi
-    of C[0..k-1][j] then of D[0..k-1][j].  The gather of (pi, psis) returns
-    the flattened (C', D') with C'[pi(i)][pi(j)] = psi_j(C[i][j]), so the
-    least gather is the least image over the cell's symmetries.  They are
-    yielded lazily, so canonical_form holds one at a time: Aut(Z2^4) alone
-    gives 20160.  The first gather is the identity, pi = id and every
-    psi = id (block bijections come in lexicographic order and automorphisms
-    sorted), so it returns the union's own flattened (C, D), the layout
+    The gathers read a spread matrix: column j spans starts[j] ..
+    starts[j] + k|Aut(A_j)|, holding for each automorphism psi in turn psi
+    of M[0..k-1][j].  The gather of (pi, psis) returns the flattened M'
+    with M'[pi(i)][pi(j)] = psi_j(M[i][j]); C and D are spread alike and
+    one gather maps either, so the least (gather of C, gather of D) is the
+    least image of (C, D) over the cell's symmetries.  They are yielded
+    lazily, so canonical_form holds one at a time: Aut(Z2^4) alone gives
+    20160.  The first gather is the identity, pi = id and every psi = id
+    (block bijections come in lexicographic order and automorphisms
+    sorted), so it returns a matrix's own flattened entries, the layout
     enumerate_cell compares the other gathers with.
     """
     groups = [_abelian_block(t) for t in types]
     auts = [g.automorphisms for g in groups]
     k = len(types)
-    kk = k * k
-    starts = list(itertools.accumulate((2 * k * len(a) for a in auts), initial=0))
+    starts = list(itertools.accumulate((k * len(a) for a in auts), initial=0))
 
     def gathers() -> Iterator[operator.itemgetter]:
         for pi in _block_bijections(types, types):
             # ts[j] is the index of psi_j in auts[j]
             for ts in itertools.product(*(range(len(a)) for a in auts)):
-                pos = [0] * (2 * kk)
+                pos = [0] * (k * k)
                 for j in range(k):
-                    at = starts[j] + 2 * k * ts[j]
+                    at = starts[j] + k * ts[j]
                     for i in range(k):
-                        dst = pi[i] * k + pi[j]
-                        pos[dst] = at + i
-                        pos[kk + dst] = at + k + i
-                yield operator.itemgetter(*pos)
+                        pos[pi[i] * k + pi[j]] = at + i
+                # itemgetter of one index returns the item, not a 1-tuple
+                yield operator.itemgetter(*pos) if k > 1 else operator.itemgetter(
+                    slice(pos[0], pos[0] + 1)
+                )
 
     return groups, auts, gathers()
 
 
+def _spread(m: Matrix, order: Sequence[int], auts: Sequence[tuple[Perm, ...]]) -> tuple:
+    """A matrix's entries laid out as _cell_gathers reads them, with the
+    blocks taken in the given order."""
+    return tuple(
+        psi[m[i][j]] for j, a in zip(order, auts) for psi in a for i in order
+    )
+
+
 def canonical_form(u: AbelianUnion) -> AbelianUnion:
     """Least representative of the isomorphism class: blocks sorted by type,
-    matrices minimized over block permutations and group automorphisms."""
+    matrices minimized over block permutations and group automorphisms.
+
+    One pass over the gathers keeps the least image of C and, over the
+    gathers that tie with it, the least image of D: the least (C, D) has
+    the least C, and only the symmetries that give that C compete on D.
+    """
     order = sorted(range(u.k), key=lambda i: _type_key(u.groups[i].factors))
     _, auts, gathers = _cell_gathers(tuple(u.groups[i].factors for i in order))
-    spread = tuple(
-        psi[m[i][j]]
-        for j, a in zip(order, auts)
-        for psi in a
-        for m in (u.c, u.d)
-        for i in order
-    )
-    best = min(g(spread) for g in gathers)
+    spread_c, spread_d = _spread(u.c, order, auts), _spread(u.d, order, auts)
+    first = next(gathers)
+    cflat, dflat = first(spread_c), first(spread_d)
+    for g in gathers:
+        image = g(spread_c)
+        if image < cflat:
+            cflat, dflat = image, g(spread_d)
+        elif image == cflat:
+            dflat = min(dflat, g(spread_d))
     k = u.k
-    cflat, dflat = best[:k * k], best[k * k:]
     rows = [slice(i * k, (i + 1) * k) for i in range(k)]
     return AbelianUnion(
         groups=tuple(u.groups[i] for i in order),
@@ -380,7 +394,8 @@ def census_cells(n: int) -> list[tuple[tuple[int, ...], ...]]:
 def _valid_columns(
     group: AbelianGroup, k: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (C-column, D-column) pairs whose entries generate the block."""
+    """All (C-column, D-column) pairs whose entries generate the block, in
+    product order, so the pairs that share a C-column are adjacent."""
     m = group.n
     out = []
     cache: dict[frozenset, bool] = {}
@@ -399,33 +414,57 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[tuple]:
     """Canonical (C, D) encodings for one block-type cell, sorted.
 
     Each encoding is the least (flattened C, flattened D) over the cell's
-    symmetries, as in canonical_form: a combo of valid columns is stored
-    spread, the concatenation of its columns each under every automorphism
-    of its block, and each symmetry is one index gather of _cell_gathers.
-    The generation is orderly (R. C. Read, "Every one a winner", 1978):
-    every (C, D) of the cell is exactly one combo, so a combo is kept when
-    no gather maps it below its own layout, the identity gather's image,
-    and dropped at the first gather that does.  One combo per class passes.
+    symmetries, as in canonical_form.  The generation is orderly (R. C.
+    Read, "Every one a winner", 1978), in two stages.  The least member of
+    a class has the least C of C's orbit, and only the symmetries that fix
+    that C, its stabiliser, can give it a smaller D.  So a C-matrix, one
+    C-column per block among those that some D-column completes, is kept
+    when no gather maps it below its own layout, the identity gather's
+    image, and its stabiliser is collected on the way.  Then each D whose
+    columns complete C's is kept when no gather of the stabiliser maps it
+    lower; with a trivial stabiliser, the common case, every D is kept
+    untested.  Matrices are stored spread, each column under every
+    automorphism of its block, so a gather reads either half.
     """
     groups, auts, gathers = _cell_gathers(types)
     ident, *others = gathers
     k = len(groups)
-    kk = k * k
-    columns = [
-        [tuple(psi[x] for psi in a for x in cc + dc) for cc, dc in _valid_columns(g, k)]
-        for g, a in zip(groups, auts)
-    ]
+    # per block: spread C-column -> the spread D-columns that complete it
+    completions = []
+    for g, a in zip(groups, auts):
+        spread = {
+            col: tuple(psi[x] for psi in a for x in col)
+            for col in itertools.product(range(g.n), repeat=k)
+        }
+        completions.append({
+            spread[cc]: [spread[dc] for _, dc in pairs]
+            for cc, pairs in itertools.groupby(
+                _valid_columns(g, k), key=operator.itemgetter(0)
+            )
+        })
     kept = []
-    for combo in itertools.product(*columns):
-        x = sum(combo, ())
-        own = ident(x)
+    for c_combo in itertools.product(*completions):
+        x = sum(c_combo, ())
+        cflat = ident(x)
+        stabiliser = []
         for g in others:
-            if g(x) < own:
+            image = g(x)
+            if image < cflat:
                 break
+            if image == cflat:
+                stabiliser.append(g)
         else:
-            kept.append(own)
+            d_columns = [col[cc] for col, cc in zip(completions, c_combo)]
+            for d_combo in itertools.product(*d_columns):
+                y = sum(d_combo, ())
+                dflat = ident(y)
+                for g in stabiliser:
+                    if g(y) < dflat:
+                        break
+                else:
+                    kept.append((cflat, dflat))
     kept.sort()
-    return [(key[:kk], key[kk:]) for key in kept]
+    return kept
 
 
 CensusCell = tuple[tuple[tuple[int, ...], ...], list[tuple]]

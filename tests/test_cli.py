@@ -305,6 +305,15 @@ def test_brace_report_and_solution_out(tmp_path, capsys):
     assert "associated_solution:" in out
     written = yb.solution_from_dict(json.load(open(sol_out)))
     assert written == yb.associated_solution(yb.z2n_brace(3))
+    # the file is the solution's to_dict in json's default spacing, one line
+    with open(sol_out, "rb") as fh:
+        assert fh.read() == (
+            b'{"n": 6, "sigma": [[0, 1, 2, 3, 4, 5], [0, 5, 4, 3, 2, 1], '
+            b'[0, 1, 2, 3, 4, 5], [0, 5, 4, 3, 2, 1], [0, 1, 2, 3, 4, 5], '
+            b'[0, 5, 4, 3, 2, 1]], "tau": [[0, 1, 2, 3, 4, 5], [0, 3, 2, 5, 4, 1], '
+            b'[0, 5, 2, 1, 4, 3], [0, 1, 2, 3, 4, 5], [0, 3, 2, 5, 4, 1], '
+            b'[0, 5, 2, 1, 4, 3]]}\n'
+        )
 
 
 def test_brace_unwritable_solution_out_fails_before_the_report(tmp_path, capsys):

@@ -60,6 +60,85 @@ def test_cosim_of_z6_brace_solution_is_not_a_congruence():
         yb.quotient_solution(s, relation(s, "cosim"))
 
 
+def _congruence_by_elements(s, p):
+    """The element-by-element congruence test: rows of a block's points
+    agree under the block map, and each row is constant on every block."""
+    blk = p.block_of
+    maps = (s.sigma, s.sigma_inv, s.tau, s.tau_inv)
+    for block in p.blocks:
+        x0 = block[0]
+        for x in block[1:]:
+            for m in maps:
+                r0, r1 = m[x0], m[x]
+                if any(blk[r0[y]] != blk[r1[y]] for y in range(s.n)):
+                    return False
+    for x in range(s.n):
+        for m in maps:
+            row = m[x]
+            for block in p.blocks:
+                b0 = blk[row[block[0]]]
+                if any(blk[row[y]] != b0 for y in block[1:]):
+                    return False
+    return True
+
+
+def _random_partitions(s, rng, count):
+    """Relations, their coarsenings, and random partitions of s's carrier."""
+    out = [relation(s, kind) for kind in ("sim", "cosim", "approx")]
+    for _ in range(count):
+        base = rng.choice(out[:3]).blocks
+        labels = [rng.randrange(len(base)) for _ in base]
+        merged = {}
+        for label, block in zip(labels, base):
+            merged.setdefault(label, []).extend(block)
+        out.append(partition_from_blocks(s, list(merged.values())))
+        parts = rng.randrange(1, s.n + 1)
+        by_label = {}
+        for x in range(s.n):
+            by_label.setdefault(rng.randrange(parts), []).append(x)
+        out.append(partition_from_blocks(s, list(by_label.values())))
+    return out
+
+
+def test_congruence_agrees_with_the_element_test(small_solutions, census_solutions, brace_catalog):
+    rng = random.Random(2039)
+    solutions = (
+        small_solutions
+        + census_solutions[4][::7]
+        + [yb.associated_solution(b) for _, b in brace_catalog]
+    )
+    verdicts = []
+    for s in solutions:
+        for p in _random_partitions(s, rng, 3):
+            verdict = yb.is_congruence(s, p)
+            assert verdict == _congruence_by_elements(s, p), (s, p.blocks)
+            verdicts.append(verdict)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+def test_congruence_above_256_points():
+    # past 256 points rows are tuples and composed in Python.  In each Z130
+    # block the row of x adds an entry of C or D whose parity depends only
+    # on x's block: the even cosets of each block form a congruence; the
+    # parity classes across both blocks are unions of them, but rows of
+    # the two blocks disagree on them; a pair {0, 1} is not moved as a whole
+    z130 = yb.abelian_group([130])
+    u = yb.abelian_union([z130, z130], [[1, 5], [0, 2]], [[3, 1], [0, 2]])
+    s = yb.union_to_solution(u)
+    cosets, parity = {}, {}
+    for x in range(s.n):
+        cosets.setdefault((x // 130, x % 2), []).append(x)
+        parity.setdefault(x % 2, []).append(x)
+    partitions = [
+        partition_from_blocks(s, list(cosets.values())),
+        partition_from_blocks(s, list(parity.values())),
+        partition_from_blocks(s, [[0, 1]] + [[x] for x in range(2, s.n)]),
+    ] + _random_partitions(s, random.Random(521), 1)
+    verdicts = [yb.is_congruence(s, p) for p in partitions]
+    assert verdicts == [_congruence_by_elements(s, p) for p in partitions]
+    assert verdicts[:3] == [True, False, False]
+
+
 def test_left_distributive_implies_sim_congruence(small_solutions):
     for s in small_solutions:
         if yb.is_left_distributive(s):

@@ -271,9 +271,54 @@ def test_enumerate_cell_agrees_with_canonical_form():
             assert enumerate_cell(types) == sorted(expected), types
 
 
+def _spread(m, auts):
+    """A matrix laid out as _cell_gathers documents: column j under each
+    automorphism of block j in turn."""
+    k = len(auts)
+    return tuple(psi[m[i][j]] for j in range(k) for psi in auts[j] for i in range(k))
+
+
+def _one_stage_cell(types):
+    """The cell's keys by a one-stage orderly test: a combo of columns that
+    generate their blocks is kept when no gather maps its whole (C, D)
+    below the identity gather's image."""
+    groups, auts, gathers = _cell_gathers(types)
+    ident, *others = gathers
+    k = len(groups)
+    # each generating column of block j, as its C half and D half spread
+    columns = [
+        [
+            (
+                tuple(psi[x] for psi in a for x in col[:k]),
+                tuple(psi[x] for psi in a for x in col[k:]),
+            )
+            for col in itertools.product(range(g.n), repeat=2 * k)
+            if _span_size(g.factors, col) == g.n
+        ]
+        for g, a in zip(groups, auts)
+    ]
+    kept = []
+    for combo in itertools.product(*columns):
+        sc = sum((cc for cc, _ in combo), ())
+        sd = sum((dc for _, dc in combo), ())
+        own = (ident(sc), ident(sd))
+        if all((g(sc), g(sd)) >= own for g in others):
+            kept.append(own)
+    return sorted(kept)
+
+
+def test_two_stage_cells_match_the_one_stage_test():
+    # enumerate_cell tests C against every symmetry and D only against C's
+    # stabiliser; the one-stage test compares whole (C, D) images
+    for n in range(1, 7):
+        for types in census_cells(n):
+            assert enumerate_cell(types) == _one_stage_cell(types), types
+
+
 def test_first_cell_gather_is_the_identity():
     # enumerate_cell compares every gather's image with the first one's, as
-    # the combo's own (C, D); a spread laid out as _cell_gathers documents
+    # a matrix's own layout; C and D are spread alike, and the first gather
+    # returns flattened C from C's spread and flattened D from D's
     rng = random.Random(8191)
     for n in range(1, 7):
         for types in census_cells(n):
@@ -285,14 +330,38 @@ def test_first_cell_gather_is_the_identity():
                     [[rng.randrange(g.n) for g in groups] for _ in range(k)]
                     for _ in range(2)
                 )
-                spread = tuple(
-                    psi[m[i][j]]
-                    for j in range(k)
-                    for psi in auts[j]
-                    for m in (c, d)
-                    for i in range(k)
-                )
-                assert first(spread) == sum(map(tuple, c + d), ()), types
+                assert first(_spread(c, auts)) == sum(map(tuple, c), ()), types
+                assert first(_spread(d, auts)) == sum(map(tuple, d), ()), types
+
+
+def test_canonical_form_is_the_least_image_over_all_gathers():
+    # canonical_form keeps D only over the gathers that tie on C; the
+    # reference takes the least whole (C, D) image, on random unions and on
+    # unions whose C has a large stabiliser (C = 0, or every entry equal)
+    cells = [t for n in range(1, 7) for t in census_cells(n)] + [
+        ((8,), (8,)), ((2, 2), (2, 2)), ((2, 2, 2), (2, 2, 2)), ((3, 3), (3, 3), (3,)),
+        ((8,), (8,), (8,)), ((2, 2), (2, 2), ()),
+    ]
+    rng = random.Random(16381)
+    for types in cells:
+        groups, auts, gathers = _cell_gathers(types)
+        gathers = list(gathers)
+        k = len(groups)
+        entry = rng.randrange(min(g.n for g in groups))
+        randoms = [
+            [[rng.randrange(g.n) for g in groups] for _ in range(k)] for _ in range(4)
+        ]
+        zero = [[0] * k for _ in range(k)]
+        flat = [[entry] * k for _ in range(k)]
+        for c, d in [
+            (randoms[0], randoms[1]), (zero, randoms[2]), (flat, randoms[3]), (zero, zero)
+        ]:
+            sc, sd = _spread(c, auts), _spread(d, auts)
+            least = min((g(sc), g(sd)) for g in gathers)
+            cf = yb.canonical_form(
+                AbelianUnion(groups=tuple(groups), c=tuple(map(tuple, c)), d=tuple(map(tuple, d)))
+            )
+            assert (sum(cf.c, ()), sum(cf.d, ())) == least, types
 
 
 def test_canonical_form_on_blocks_outside_the_small_census():
