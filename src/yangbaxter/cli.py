@@ -76,7 +76,8 @@ def write_census(record: CensusRecord, stream: TextIO) -> None:
     Each line is a union's to_dict, compact.  A cell's keys come sorted, so
     those that share a C are adjacent: each run fills the C half of the
     cell's line template once, leaving a %d slot per entry of D for its
-    lines, and the cell is written at once.
+    lines, and the run is written at once.  Runs hold at most 512 lines at
+    n = 6, so the text in flight stays small; a whole cell is up to 4 MB.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
     for types, keys in record.cells:
@@ -85,11 +86,9 @@ def write_census(record: CensusRecord, stream: TextIO) -> None:
         matrix = "[" + ",".join([row] * k) + "]"
         head = f'{{"groups":{encode([list(t) for t in types])},"C":'
         tail = f',"D":{matrix}}}\n'
-        lines = []
         for c, run in itertools.groupby(keys, key=operator.itemgetter(0)):
             line = head + matrix % c + tail
-            lines.extend([line % d for _, d in run])
-        stream.write("".join(lines))
+            stream.write("".join([line % d for _, d in run]))
     stream.write(encode(record.summary_dict()) + "\n")
 
 

@@ -194,6 +194,27 @@ def test_census_lines_match_the_library_census(census):
     assert yb.enumerate_2reductive(5, jobs=2) == census[5]
 
 
+def test_write_census_streams_one_run_at_a_time():
+    # each write holds the lines of one run of keys sharing a C, never a
+    # whole cell, so the text in flight stays small
+    record = cli.build_census(5)
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    buf = Recorder()
+    cli.write_census(record, buf)
+    body = writes[:-1]
+    assert "".join(writes) == buf.getvalue()
+    for text in body:
+        assert len({json.dumps(json.loads(line)["C"]) for line in text.splitlines()}) == 1
+    biggest = max(len(keys) for _, keys in record.cells)
+    assert max(text.count("\n") for text in body) < biggest
+
+
 def test_enumerate_cap(tmp_path, capsys, monkeypatch):
     assert main(["enumerate", "9"]) == 2
     monkeypatch.setenv("YANGBAXTER_ENUM_CAP", "4")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from math import prod
@@ -10,7 +11,14 @@ import pytest
 
 import yangbaxter as yb
 from yangbaxter.solution import validate_tables
-from yangbaxter.unions import AbelianUnion, _cell_gathers, census_cells, enumerate_cell
+from yangbaxter.unions import (
+    AbelianUnion,
+    _cell_gathers,
+    census_cells,
+    census_keys,
+    enumerate_cell,
+    unions_of_cells,
+)
 
 
 Z1 = yb.abelian_group([])
@@ -233,6 +241,21 @@ def test_census_deterministic_and_parallel(census):
     assert again == census[4]
     parallel = yb.enumerate_2reductive(4, jobs=2)
     assert parallel == census[4]
+
+
+def test_census_leaves_the_collector_as_found():
+    # census_keys and unions_of_cells pause the cyclic collector while they
+    # build; each must hand it back in the state it found it
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            cells = census_keys(3)
+            assert gc.isenabled() is enabled
+            unions_of_cells(cells)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_census_cells_partition_structure():
