@@ -8,6 +8,7 @@ all as ``compose(p, q)[x] = p[q[x]]``, i.e. q is applied first.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
@@ -334,44 +335,106 @@ class AbelianGroup:
         return "x".join(f"Z{d}" for d in self.factors)
 
 
-def _isomorphisms(source: AbelianGroup, target: FiniteGroup) -> Iterator[Perm]:
-    """The isomorphisms source -> target, as tuples phi[x] = image of x.
+def _isomorphisms(
+    source: AbelianGroup,
+    target: FiniteGroup,
+    elements: Sequence[int] = (),
+    forced: Sequence[int] = (),
+) -> Iterator[Perm]:
+    """The isomorphisms phi: source -> target, as tuples phi[x] = image of x,
+    with phi(elements[i]) = forced[i] for each i < len(forced).
 
-    target must be abelian.  Each is the extension of images of the standard
-    generators, whose orders divide the matching invariant factors; image
-    tuples are tried in itertools.product order and the bijective extensions
-    yielded as found.  The images are extended one generator at a time, and
-    a prefix whose partial extension is not injective is dropped with every
-    tuple that starts with it, as no later generator can make it injective.
+    target must be abelian.  The maps are yielded in lexicographic order of
+    the images of elements followed by source's standard generators, which
+    with no elements is the itertools.product order of generator images.
+    Images are assigned one element at a time, in increasing order, each
+    extending an injective homomorphism phi defined on the span of the
+    elements so far.  An element a already in the span has its image
+    forced.  Otherwise let c be the least number with c a in the span: an
+    image h is admissible iff c h = phi(c a) and no t h with 0 < t < c lies
+    in phi(span), and then phi(s + t a) = phi(s) + t h extends phi
+    injectively.  The standard generators make the last span all of source,
+    so every map yielded is bijective, and a branch that cannot get there
+    dies out.
     """
     n = source.n
     if target.n != n:
         return
-    table = target.table
-    orders = [element_order(target, x) for x in range(n)]
-    # per generator, the multiples 0, img, 2 img, ... of each candidate image
-    candidates = []
-    for d in source.factors:
-        options = []
-        for img in range(n):
-            if d % orders[img] == 0:
-                steps = [target.id]
-                for _ in range(d - 1):
-                    steps.append(table[steps[-1]][img])
-                options.append(steps)
-        candidates.append(options)
-
-    def extend(phi: list[int], i: int) -> Iterator[Perm]:
-        if i == len(candidates):
-            yield tuple(phi)
+    if forced:
+        # forced images that do not form a partial bijection allow no map
+        pairs = set(zip(elements, forced))
+        if len(pairs) != len(dict(pairs)) or len(pairs) != len({y: x for x, y in pairs}):
             return
-        for steps in candidates[i]:
-            # mixed-radix order: phi[x * d + c] = phi[x] + c * image
-            ext = [table[p][q] for p in phi for q in steps]
-            if len(set(ext)) == len(ext):
-                yield from extend(ext, i + 1)
+    src, table = source.as_finite_group.table, target.table
+    # then the standard generators: in mixed-radix order e_i = prod(factors[i + 1:])
+    steps, weight = [*elements], n
+    for d in source.factors:
+        weight //= d
+        steps.append(weight)
+    points = range(n)
+    by_multiple: dict[tuple[int, int], list[tuple[int, list[tuple[int, ...]]]]] = {}
 
-    yield from extend([target.id], 0)
+    def candidates(c: int, back: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+        """Each h with c h = back, increasing, with the table rows of h, 2h,
+        .., (c - 1)h."""
+        if (c, back) not in by_multiple:
+            by_multiple[c, back] = out = []
+            for h in points:
+                rows = [table[h]]
+                for _ in range(c - 2):
+                    rows.append(table[rows[-1][h]])
+                if rows[-1][h] == back:
+                    out.append((h, rows))
+        return by_multiple[c, back]
+
+    # the span so far is keys, in the order it grew: key p is at where[p]
+    # and maps to images[where[p]]
+    def settle(where: dict[int, int], images: list[int], i: int) -> Optional[int]:
+        """The first step from i outside the span; None if a forced image
+        of a step inside it disagrees."""
+        while i < len(steps) and steps[i] in where:
+            if i < len(forced) and images[where[steps[i]]] != forced[i]:
+                return None
+            i += 1
+        return i
+
+    def extend(
+        keys: list[int], where: dict[int, int], images: list[int], i: int
+    ) -> Iterator[Perm]:
+        a = steps[i]
+        # the multiples a, 2a, .., (c - 1)a outside the span, and c a
+        mults = [a]
+        while (x := src[mults[-1]][a]) not in where:
+            mults.append(x)
+        options = candidates(len(mults) + 1, images[where[x]])
+        if i < len(forced):
+            options = [(h, hrows) for h, hrows in options if h == forced[i]]
+        # phi(s + t a) = phi(s) + t h for 0 < t < c
+        keys2 = keys + [row[s] for row in map(src.__getitem__, mults) for s in keys]
+        where2 = dict(zip(keys2, range(n)))
+        if len(keys2) == n:
+            # the span is all of source: every later image is forced
+            as_tuple = operator.itemgetter(*sorted(range(n), key=keys2.__getitem__))
+        hit = set(images)
+        for h, hrows in options:
+            # phi(s) + t h lies in phi(span) iff t h does
+            ys = [row[y] for row in hrows for y in images]
+            if not hit.isdisjoint(ys):
+                continue
+            images2 = images + ys
+            j = settle(where2, images2, i + 1)
+            if j is None:
+                continue
+            if len(keys2) == n:
+                yield as_tuple(images2)
+            else:
+                yield from extend(keys2, where2, images2, j)
+
+    i = settle({0: 0}, [target.id], 0)
+    if i == len(steps):         # source is trivial
+        yield (target.id,)
+    elif i is not None:
+        yield from extend([0], {0: 0}, [target.id], i)
 
 
 @lru_cache(maxsize=128)

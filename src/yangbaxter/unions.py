@@ -14,7 +14,7 @@ import gc
 import itertools
 import operator
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from .groups import (
@@ -165,14 +165,24 @@ def _torsor_isomorphism(
     table: Sequence[Sequence[int]],
 ) -> tuple[AbelianGroup, tuple[int, ...]]:
     """Identify an abelian Cayley table (zero at index 0) with its canonical
-    invariant-factor group; returns (group, local index -> canonical index)."""
+    invariant-factor group; returns (group, local index -> canonical index).
+
+    The number of x with q x = 0, for each divisor q of the order, fixes a
+    finite abelian group up to isomorphism; for Z_d1 x ... x Z_dk it is the
+    product of the gcd(q, d_i).  So only the candidate whose counts match
+    the table's is searched.
+    """
     m = len(table)
     rows = tuple(tuple(row) for row in table)
     target = FiniteGroup(n=m, table=rows, id=0, inv=tuple(row.index(0) for row in rows))
+    orders = [element_order(target, x) for x in range(m)]
+    divisors = [q for q in range(1, m + 1) if m % q == 0]
+    counts = [sum(q % o == 0 for o in orders) for q in divisors]
     for cand in abelian_groups_of_order(m):
-        phi = next(_isomorphisms(cand, target), None)
-        if phi is not None:
-            return cand, invert_perm(phi)
+        if [prod(gcd(q, d) for d in cand.factors) for q in divisors] == counts:
+            phi = next(_isomorphisms(cand, target), None)
+            if phi is not None:
+                return cand, invert_perm(phi)
     raise AssertionError("orbit translation structure is not an abelian group")
 
 
@@ -264,27 +274,31 @@ def unions_isomorphic(
     u1: AbelianUnion, u2: AbelianUnion
 ) -> Optional[UnionIsomorphism]:
     """Search block bijections and per-block group isomorphisms matching the
-    constant matrices; None when the built solutions are not isomorphic."""
+    constant matrices; None when the built solutions are not isomorphic.
+
+    Block bijections are tried in lexicographic order.  For each, psi_j is
+    the least automorphism, as a tuple, sending column j of u1 to column
+    pi(j) of u2: the first extension of those forced images to the elements
+    of A_j in index order.  When the column generates A_j, as it does in
+    every validated union, that psi_j is the only one.
+    """
     if u1.k != u2.k:
         return None
     types1 = [g.factors for g in u1.groups]
     types2 = [g.factors for g in u2.groups]
-    k = u1.k
+    # the columns of each matrix
+    c1, d1, c2, d2 = (list(zip(*m)) for m in (u1.c, u1.d, u2.c, u2.d))
     for pi in _block_bijections(types1, types2):
         psis = []
-        for j in range(k):
-            found = None
-            for psi in u1.groups[j].automorphisms:
-                if all(
-                    psi[u1.c[i][j]] == u2.c[pi[i]][pi[j]]
-                    and psi[u1.d[i][j]] == u2.d[pi[i]][pi[j]]
-                    for i in range(k)
-                ):
-                    found = psi
-                    break
-            if found is None:
+        for j, g in enumerate(u1.groups):
+            # column j of u1 goes to column pi[j] of u2 read over rows pi[i];
+            # then every element, so that the first map is the least tuple
+            images = [*map(c2[pi[j]].__getitem__, pi), *map(d2[pi[j]].__getitem__, pi)]
+            steps = [*c1[j], *d1[j], *range(g.n)]
+            psi = next(_isomorphisms(g, g.as_finite_group, steps, images), None)
+            if psi is None:
                 break
-            psis.append(found)
+            psis.append(psi)
         else:
             return UnionIsomorphism(pi=tuple(pi), psis=tuple(psis))
     return None
@@ -302,8 +316,7 @@ def _cell_gathers(
     with M'[pi(i)][pi(j)] = psi_j(M[i][j]); C and D are spread alike and
     one gather maps either, so the least (gather of C, gather of D) is the
     least image of (C, D) over the cell's symmetries.  They are yielded
-    lazily, so canonical_form holds one at a time: Aut(Z2^4) alone gives
-    20160.  The first gather is the identity, pi = id and every psi = id
+    lazily.  The first gather is the identity, pi = id and every psi = id
     (block bijections come in lexicographic order and automorphisms
     sorted), so it returns a matrix's own flattened entries, the layout
     enumerate_cell compares the other gathers with.
@@ -330,40 +343,62 @@ def _cell_gathers(
     return groups, auts, gathers()
 
 
-def _spread(m: Matrix, order: Sequence[int], auts: Sequence[tuple[Perm, ...]]) -> tuple:
-    """A matrix's entries laid out as _cell_gathers reads them, with the
-    blocks taken in the given order."""
-    return tuple(
-        psi[m[i][j]] for j, a in zip(order, auts) for psi in a for i in order
-    )
-
-
 def canonical_form(u: AbelianUnion) -> AbelianUnion:
     """Least representative of the isomorphism class: blocks sorted by type,
     matrices minimized over block permutations and group automorphisms.
 
-    One pass over the gathers keeps the least image of C and, over the
-    gathers that tie with it, the least image of D: the least (C, D) has
-    the least C, and only the symmetries that give that C compete on D.
+    Fix a block bijection pi.  Every entry of the image, C'[pi(i)][pi(j)] =
+    psi_j(C[i][j]) and D' alike, depends on psi_j alone, and the first
+    position where two images differ lies in one column.  So the least
+    (flattened C', flattened D') under pi takes, in each column pi(j), the
+    least image under Aut(A_j) of that column's entries read top to bottom,
+    C's then D's: one least-image search per column, the sum of the |Aut|
+    rather than their product.  The least over every pi is the form.
+    Columns repeat across block bijections, so their least images are kept
+    for the rest of the call.
     """
-    order = sorted(range(u.k), key=lambda i: _type_key(u.groups[i].factors))
-    _, auts, gathers = _cell_gathers(tuple(u.groups[i].factors for i in order))
-    spread_c, spread_d = _spread(u.c, order, auts), _spread(u.d, order, auts)
-    first = next(gathers)
-    cflat, dflat = first(spread_c), first(spread_d)
-    for g in gathers:
-        image = g(spread_c)
-        if image < cflat:
-            cflat, dflat = image, g(spread_d)
-        elif image == cflat:
-            dflat = min(dflat, g(spread_d))
     k = u.k
-    rows = [slice(i * k, (i + 1) * k) for i in range(k)]
-    return AbelianUnion(
-        groups=tuple(u.groups[i] for i in order),
-        c=tuple(map(cflat.__getitem__, rows)),
-        d=tuple(map(dflat.__getitem__, rows)),
+    order = sorted(range(k), key=lambda i: _type_key(u.groups[i].factors))
+    groups = tuple(u.groups[i] for i in order)
+    types = tuple(g.factors for g in groups)
+    # column j of the sorted union: its C entries, then its D entries
+    columns = [(*[u.c[i][j] for i in order], *[u.d[i][j] for i in order]) for j in order]
+    # per block type, column -> its least image; blocks of one type share
+    least = {t: {} for t in types}
+    memos = [least[t] for t in types]
+    # the image's columns end to end, read back as flattened C', then D'
+    to_rows = operator.itemgetter(
+        *(q * 2 * k + r for r in range(k) for q in range(k)),
+        *(q * 2 * k + k + r for r in range(k) for q in range(k)),
     )
+    best = None
+    for pi in _block_bijections(types, types):
+        # the image under pi's inverse, which runs over the same bijections:
+        # column q of the image is column pi[q], its row r from row pi[r]
+        pick = operator.itemgetter(*pi, *[k + i for i in pi])
+        image = []
+        for j in pi:
+            col = pick(columns[j])
+            w = memos[j].get(col)
+            if w is None:
+                w = memos[j][col] = _least_image(groups[j], col)
+            image += w
+        image = to_rows(image)
+        if best is None or image < best:
+            best = image
+    rows = [slice(i * k, (i + 1) * k) for i in range(2 * k)]
+    return AbelianUnion(
+        groups=groups,
+        c=tuple(map(best.__getitem__, rows[:k])),
+        d=tuple(map(best.__getitem__, rows[k:])),
+    )
+
+
+def _least_image(g: AbelianGroup, col: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least image of a tuple of elements of g under
+    Aut(g): the images of the first automorphism in that order."""
+    psi = next(_isomorphisms(g, g.as_finite_group, col))
+    return tuple(map(psi.__getitem__, col))
 
 
 # ---------------------------------------------------------------------------

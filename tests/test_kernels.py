@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -301,8 +302,32 @@ def test_row_kernel_composes_like_compose():
 
 @pytest.mark.parametrize("order", [8, 9, 12, 16])
 def test_pruned_isomorphisms_yield_the_product_order_filter(order):
+    # with elements and forced images, the maps are the filter's that send
+    # the forced prefix of elements to its images, in lexicographic order
+    # of the images of elements and then of the standard generators
+    rng = random.Random(order)
     groups = yb.abelian_groups_of_order(order)
     for source in groups:
+        gens = [order // prod(source.factors[:i + 1]) for i in range(len(source.factors))]
         for target in groups:
             tg = target.as_finite_group
-            assert list(_isomorphisms(source, tg)) == list(isomorphisms_oracle(source, tg))
+            every = list(isomorphisms_oracle(source, tg))
+            assert list(_isomorphisms(source, tg)) == every
+            if not every:
+                continue
+            for trial in range(4):
+                elements = rng.choices(range(order), k=rng.randint(1, 3))
+                phi = rng.choice(every)
+                if trial == 0:
+                    forced = []
+                elif trial == 3:
+                    forced = [rng.randrange(order) for _ in elements]
+                else:
+                    forced = [phi[e] for e in elements][:rng.randint(1, len(elements))]
+                expected = sorted(
+                    (p for p in every if all(p[e] == f for e, f in zip(elements, forced))),
+                    key=lambda p: ([p[e] for e in elements], [p[g] for g in gens]),
+                )
+                assert list(_isomorphisms(source, tg, elements, forced)) == expected, (
+                    source, target, elements, forced
+                )

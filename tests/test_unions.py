@@ -424,6 +424,132 @@ def test_canonical_form_on_blocks_outside_the_small_census():
                 assert yb.canonical_form(scrambled) == cf, types
 
 
+def test_canonical_form_tells_equal_columns_of_other_block_types_apart():
+    # canonical_form keeps the least image of each column per block type;
+    # blocks of one order but of other types get equal columns here, whose
+    # least images differ (3 is least in Z9, not in Z3xZ3)
+    cells = [((9,), (3, 3)), ((9,), (3, 3), (9,)), ((8,), (2, 4)), ((4,), (2, 2))]
+    rng = random.Random(257)
+    for types in cells:
+        groups = tuple(yb.abelian_group(list(t)) for t in types)
+        k = len(groups)
+        for entry in rng.sample(range(1, groups[0].n), 3):
+            col = [rng.randrange(groups[0].n) for _ in range(k)]
+            for c, d in [
+                ([[entry] * k] * k, [[entry] * k] * k),
+                ([[x] * k for x in col], [[entry] * k] * k),
+            ]:
+                u = AbelianUnion(groups=groups, c=tuple(map(tuple, c)), d=tuple(map(tuple, d)))
+                cf = yb.canonical_form(u)
+                assert (sum(cf.c, ()), sum(cf.d, ())) == _oracle_canonical(u), (types, c, d)
+
+
+def _oracle_witness(u1, u2):
+    """The witness by a scan of the automorphism lists: block bijections in
+    lexicographic order and, per column j, the first automorphism in sorted
+    order that sends column j of u1 to column pi(j) of u2."""
+    k = u1.k
+    if u2.k != k:
+        return None
+    for pi in itertools.permutations(range(k)):
+        if any(u2.groups[pi[i]].factors != u1.groups[i].factors for i in range(k)):
+            continue
+        psis = []
+        for j, g in enumerate(u1.groups):
+            psi = next(
+                (
+                    psi for psi in g.automorphisms
+                    if all(
+                        psi[u1.c[i][j]] == u2.c[pi[i]][pi[j]]
+                        and psi[u1.d[i][j]] == u2.d[pi[i]][pi[j]]
+                        for i in range(k)
+                    )
+                ),
+                None,
+            )
+            if psi is None:
+                break
+            psis.append(psi)
+        else:
+            return yb.UnionIsomorphism(pi=pi, psis=tuple(psis))
+    return None
+
+
+def test_unions_isomorphic_returns_the_scan_witness():
+    # the witness of unions_isomorphic is the scan's, on columns that
+    # generate their blocks, columns that do not (C = D = 0, every entry
+    # equal), repeated Z2^3, Z3xZ3 and Z8 blocks, scrambled copies and
+    # twins that differ from a copy in one entry
+    cells = [
+        ((2, 2, 2), (2, 2, 2)), ((3, 3), (3, 3)), ((8,), (8,), (8,)), ((2, 2, 2),),
+        ((2, 4), (2,), (2, 4)), ((4,), (2, 2)), ((3,), (3,), ()), ((6,),),
+        ((2, 2), (2, 2), (2, 2)), ((3, 3), (9,)),
+    ]
+    rng = random.Random(65537)
+    verdicts = {True: 0, False: 0}
+    generating = {True: 0, False: 0}
+    for types in cells:
+        groups = tuple(yb.abelian_group(list(t)) for t in types)
+        k = len(groups)
+        zero = [[0] * k for _ in range(k)]
+        entry = rng.randrange(min(g.n for g in groups))
+        flat = [[entry] * k for _ in range(k)]
+        randoms = [
+            [[rng.randrange(g.n) for g in groups] for _ in range(k)] for _ in range(4)
+        ]
+        for c, d in [
+            (randoms[0], randoms[1]), (randoms[2], randoms[3]), (zero, zero), (flat, flat),
+            (flat, randoms[0]),
+        ]:
+            u = AbelianUnion(groups=groups, c=tuple(map(tuple, c)), d=tuple(map(tuple, d)))
+            for j, g in enumerate(groups):
+                generating[g.generates([row[j] for row in c] + [row[j] for row in d])] += 1
+            for _ in range(3):
+                pi = rng.sample(range(k), k)
+                psis = [rng.choice(g.automorphisms) for g in groups]
+                nc, nd = _transform(k, c, d, pi, psis)
+                moved = [None] * k
+                for i in range(k):
+                    moved[pi[i]] = groups[i]
+                twin_c = list(nc)
+                at = rng.randrange(k * k)
+                twin_c[at] = (twin_c[at] + 1) % moved[at % k].n
+                for cflat in (nc, twin_c):
+                    v = AbelianUnion(
+                        groups=tuple(moved),
+                        c=tuple(tuple(cflat[i * k:(i + 1) * k]) for i in range(k)),
+                        d=tuple(tuple(nd[i * k:(i + 1) * k]) for i in range(k)),
+                    )
+                    witness = yb.unions_isomorphic(u, v)
+                    assert witness == _oracle_witness(u, v), (types, c, d)
+                    verdicts[witness is not None] += 1
+    assert min(verdicts.values()) > 20 and min(generating.values()) > 20, (verdicts, generating)
+
+
+def test_union_isomorphism_and_forms_list_no_automorphisms(monkeypatch):
+    # the benchmark's fixed request Z2^4 + Z3, on groups of its own: the
+    # pinned canonical form, found without the 20,160 automorphisms of Z2^4
+    blocks = (yb.AbelianGroup((2, 2, 2, 2)), yb.AbelianGroup((3,)))
+    u = AbelianUnion(groups=blocks, c=((8, 1), (4, 0)), d=((2, 2), (1, 0)))
+    cf = yb.canonical_form(u)
+    assert cf.c == ((1, 1), (2, 0)) and cf.d == ((4, 2), (8, 0))
+    assert yb.unions_isomorphic(u, cf) is not None
+    dec = yb.solution_to_union(yb.union_to_solution(u))
+    assert yb.unions_isomorphic(u, dec.union) is not None
+    assert all("automorphisms" not in vars(g) for g in blocks)
+    # the decomposition's blocks are the shared ones, which other callers
+    # may have listed; here no call may read a list
+    def listed(group):
+        raise AssertionError(f"automorphisms of {group.label()} read")
+
+    monkeypatch.setattr(yb.AbelianGroup, "automorphisms", property(listed))
+    s = yb.relabel(yb.union_to_solution(u), tuple(reversed(range(u.n))))
+    dec = yb.solution_to_union(s)
+    assert yb.canonical_form(dec.union) == cf
+    assert yb.unions_isomorphic(dec.union, u) is not None
+    assert yb.unions_isomorphic(dec.union, cf) is not None
+
+
 def test_union_predicates_match_solution_predicates(census):
     for n in (3, 4):
         for u in census[n]:
