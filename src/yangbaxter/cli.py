@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -35,23 +33,25 @@ ENUM_CAP_ENV = "YANGBAXTER_ENUM_CAP"
 @dataclass(frozen=True)
 class CensusRecord:
     """A census as unions.census_keys' cells: each cell's block types and
-    the (flattened C, flattened D) keys of its classes.  entries, the
-    unions themselves, is built on first use and kept."""
+    its C-runs, as unions.enumerate_cell returns them.  count and
+    by_orbit_type are read from the run lengths; entries, the unions
+    themselves, is built on first use and kept."""
 
     n: int
     cells: tuple[unions.CensusCell, ...]
 
     @property
     def count(self) -> int:
-        return sum(len(keys) for _, keys in self.cells)
+        return sum(len(run) // len(t) ** 2 for t, runs in self.cells for _, run in runs)
 
     @property
     def by_orbit_type(self) -> dict[str, int]:
         # a cell's types are sorted canonically, as orbit_type_label sorts
         return {
-            "+".join(unions.AbelianGroup(t).label() for t in types): len(keys)
-            for types, keys in self.cells
-            if keys
+            "+".join(unions.AbelianGroup(t).label() for t in types):
+            sum(len(run) for _, run in runs) // len(types) ** 2
+            for types, runs in self.cells
+            if runs
         }
 
     @functools.cached_property
@@ -73,22 +73,22 @@ def build_census(n: int, jobs: int = 1) -> CensusRecord:
 def write_census(record: CensusRecord, stream: TextIO) -> None:
     """JSON-lines: one canonical union per line, then one summary record.
 
-    Each line is a union's to_dict, compact.  A cell's keys come sorted, so
-    those that share a C are adjacent: each run fills the C half of the
-    cell's line template once, leaving a %d slot per entry of D for its
-    lines, and the run is written at once.  Runs hold at most 512 lines at
-    n = 6, so the text in flight stays small; a whole cell is up to 4 MB.
+    Each line is a union's to_dict, compact.  Per C-run, the C half of the
+    cell's line template is filled once, leaving a %d slot per entry of D;
+    repeated once per D of the run, it is filled from the run's bytes in
+    one format call and written at once.  Runs hold at most 512 lines at
+    n = 6 and 4,096 at n = 7, so the text in flight stays small.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
-    for types, keys in record.cells:
+    for types, runs in record.cells:
         k = len(types)
         row = "[" + ",".join(["%d"] * k) + "]"
         matrix = "[" + ",".join([row] * k) + "]"
         head = f'{{"groups":{encode([list(t) for t in types])},"C":'
         tail = f',"D":{matrix}}}\n'
-        for c, run in itertools.groupby(keys, key=operator.itemgetter(0)):
+        for c, run in runs:
             line = head + matrix % c + tail
-            stream.write("".join([line % d for _, d in run]))
+            stream.write((line * (len(run) // (k * k))) % tuple(run))
     stream.write(encode(record.summary_dict()) + "\n")
 
 

@@ -29,6 +29,9 @@ CENSUS_SHA256 = {
     5: "0ccb358d388cea42aba9b47f24c9d05e171ccee6c7003d214cf32e11c2ea314f",
     6: "713fba2cfcf6e2c6454fbf14217ffbeb5f88fe6af31826fd288b4d90e16aaf0e",
 }
+# enumerate 7 --out: 4,286,509 classes
+CENSUS_7_SHA256 = "8df0b53dc480cfd63181f069de3fdfc272b3f50f9d3b042dd1dc3795f5b6bc3e"
+CENSUS_7_BYTES = 484_100_215
 DECOMPOSITION_SHA256 = "bce80af7881ae1ab20db79f8f6a76b92912e76441dd681a35434b60ba2dea07c"
 WITNESS_SHA256 = "2303d50516f1258021e4ad600fd5e85f645dcff7a6c30d4ddf29e85ca81f006f"
 BRACE_REPORT_SHA256 = "1ddf1bb52cf9496875893282e17f1e1fde35f1452bb6490e276fae03546163e8"
@@ -50,6 +53,28 @@ def test_census_bytes(n):
     buf = io.StringIO()
     write_census(build_census(n, jobs=1), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CENSUS_SHA256[n]
+
+
+class _HashingSink:
+    """A text stream that keeps only the sha256 and the length of the
+    bytes written to it, so a census of any size can be checked."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def write(self, text):
+        data = text.encode()
+        self.sha256.update(data)
+        self.size += len(data)
+        return len(text)
+
+
+@pytest.mark.slow
+def test_census_bytes_at_7():
+    sink = _HashingSink()
+    write_census(build_census(7, jobs=1), sink)
+    assert (sink.sha256.hexdigest(), sink.size) == (CENSUS_7_SHA256, CENSUS_7_BYTES)
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from yangbaxter.solution import validate_tables
 from yangbaxter.unions import (
     AbelianUnion,
     _cell_gathers,
+    cell_keys,
     census_cells,
     census_keys,
     enumerate_cell,
@@ -266,7 +267,7 @@ def test_census_cells_partition_structure():
     assert ((), (), (), ()) in cells
     # cells sorted and unique
     assert len(set(cells)) == len(cells)
-    entries = enumerate_cell(((2,), ()))
+    entries = list(cell_keys(((2,), ()), enumerate_cell(((2,), ()))))
     assert len(entries) == 15
 
 
@@ -291,7 +292,7 @@ def test_enumerate_cell_agrees_with_canonical_form():
                 c = tuple(tuple(combo[j][i] for j in range(k)) for i in range(k))
                 d = tuple(tuple(combo[j][k + i] for j in range(k)) for i in range(k))
                 expected.add(_oracle_canonical(AbelianUnion(groups=groups, c=c, d=d)))
-            assert enumerate_cell(types) == sorted(expected), types
+            assert list(cell_keys(types, enumerate_cell(types))) == sorted(expected), types
 
 
 def _spread(m, auts):
@@ -335,7 +336,24 @@ def test_two_stage_cells_match_the_one_stage_test():
     # stabiliser; the one-stage test compares whole (C, D) images
     for n in range(1, 7):
         for types in census_cells(n):
-            assert enumerate_cell(types) == _one_stage_cell(types), types
+            keys = list(cell_keys(types, enumerate_cell(types)))
+            assert keys == _one_stage_cell(types), types
+
+
+def test_cell_runs_are_sorted_and_packed():
+    # enumerate_cell returns one run per kept C, C increasing; a run packs
+    # that C's D's, k^2 bytes each, increasing, and holds at least the
+    # least D of the C
+    for n in range(1, 7):
+        for types in census_cells(n):
+            runs = enumerate_cell(types)
+            width = len(types) ** 2
+            cs = [c for c, _ in runs]
+            assert all(a < b for a, b in zip(cs, cs[1:])), types
+            for c, run in runs:
+                assert len(c) == width and run and len(run) % width == 0, types
+                ds = [run[at:at + width] for at in range(0, len(run), width)]
+                assert all(a < b for a, b in zip(ds, ds[1:])), types
 
 
 def test_first_cell_gather_is_the_identity():
