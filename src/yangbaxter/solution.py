@@ -254,19 +254,30 @@ class TwoReductivity:
 
 
 def is_2reductive(s: FiniteSolution) -> TwoReductivity:
-    n, sig, ta = s.n, s.sigma, s.tau
-    red = [True] * 4
-    for x in range(n):
-        for y in range(n):
-            if red[0] and sig[sig[x][y]] != sig[y]:
-                red[0] = False
-            if red[1] and ta[ta[x][y]] != ta[y]:
-                red[1] = False
-            if red[2] and sig[ta[x][y]] != sig[y]:
-                red[2] = False
-            if red[3] and ta[sig[x][y]] != ta[y]:
-                red[3] = False
-    return TwoReductivity(*red)
+    """The four identities, each as n comparisons of composed rows.
+
+    Give each distinct sigma-row the first index that has it, sid[y], and
+    each tau-row likewise, tid[y].  Then sigma_{sigma_x(y)} = sigma_y for
+    every y says sid o sigma_x = sid, and the other three alike: each
+    identity composes sid or tid with every sigma_x or tau_x.
+    """
+    n = s.n
+    ids = [_first_index(s.sigma), _first_index(s.tau)]
+    rows, maps, then = _row_kernel([*ids, *s.sigma, *s.tau])
+    sid, tid, sigma_rows, tau_rows = rows[0], rows[1], rows[2:n + 2], rows[n + 2:]
+    sid_map, tid_map = maps[0], maps[1]
+    return TwoReductivity(
+        red1=all(then(row, sid_map) == sid for row in sigma_rows),
+        red2=all(then(row, tid_map) == tid for row in tau_rows),
+        red3=all(then(row, sid_map) == sid for row in tau_rows),
+        red4=all(then(row, tid_map) == tid for row in sigma_rows),
+    )
+
+
+def _first_index(table: Sequence[Sequence[int]]) -> list[int]:
+    """For each row of a table, the first index whose row equals it."""
+    first: dict = {}
+    return [first.setdefault(tuple(row), x) for x, row in enumerate(table)]
 
 
 def is_left_distributive(s: FiniteSolution) -> bool:

@@ -216,6 +216,58 @@ def test_write_census_streams_one_run_at_a_time():
     assert max(text.count("\n") for text in body) < biggest
 
 
+def _template_writer(record, stream):
+    """write_census as a %-template filled per C-run: the C half of the
+    cell's line once, then one format call over the run's bytes."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    for types, runs in record.cells:
+        k = len(types)
+        row = "[" + ",".join(["%d"] * k) + "]"
+        matrix = "[" + ",".join([row] * k) + "]"
+        head = f'{{"groups":{encode([list(t) for t in types])},"C":'
+        tail = f',"D":{matrix}}}\n'
+        for c, run in runs:
+            line = head + matrix % c + tail
+            stream.write((line * (len(run) // (k * k))) % tuple(run))
+    stream.write(encode(record.summary_dict()) + "\n")
+
+
+def test_write_census_matches_the_template_writer():
+    # the digit scatter writes the same bytes as formatting every entry
+    for n in range(1, 7):
+        record = cli.build_census(n)
+        expected, got = io.StringIO(), io.StringIO()
+        _template_writer(record, expected)
+        cli.write_census(record, got)
+        assert got.getvalue() == expected.getvalue(), n
+
+
+def test_write_census_refuses_blocks_above_order_10():
+    # an entry of Z11 may be 10, two digits; nothing is written, not even
+    # the cell before it
+    record = cli.CensusRecord(n=12, cells=(
+        (((2,),), [((1,), b"\x01")]),
+        (((11,), ()), [((0, 0, 1, 0), b"\x0a\x00\x00\x00")]),
+    ))
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=r"cell Z11\+Z1: "):
+        cli.write_census(record, buf)
+    assert buf.getvalue() == ""
+
+
+def test_enumerate_out_refuses_more_than_10_points(tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the census was built before n was refused")
+
+    monkeypatch.setattr(cli, "build_census", no_build)
+    monkeypatch.setenv("YANGBAXTER_ENUM_CAP", "12")
+    out_path = tmp_path / "census11.jsonl"
+    assert main(["enumerate", "11", "--out", str(out_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "at most 10" in lines[0], lines
+    assert not out_path.exists()
+
+
 def test_census_holds_its_keys_packed():
     # build_census keeps each C-run's D's as k^2 bytes apiece in one bytes
     # object: ~2.3 MB traced at n = 6, against ~17 MB as (C, D) tuple pairs
@@ -466,6 +518,20 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 4
+
+
+def test_package_runs_as_a_module():
+    # python -m yangbaxter from a checkout, with the sources on PYTHONPATH
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "yangbaxter", "enumerate", "4"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 207
 
 
 def test_library_imports_only_the_standard_library():

@@ -26,6 +26,7 @@ from yangbaxter.groups import (
 )
 from yangbaxter.solution import (
     FiniteSolution,
+    TwoReductivity,
     Violation,
     _braid_mismatch,
     _braids,
@@ -113,6 +114,18 @@ def distributive_oracle(table):
         table[x][table[y][z]] == table[table[x][y]][table[x][z]]
         for x, y, z in itertools.product(range(n), repeat=3)
     )
+
+
+def two_reductive_oracle(s):
+    """is_2reductive as the loop over every pair (x, y), per identity."""
+    n, sig, ta = s.n, s.sigma, s.tau
+    red = [True] * 4
+    for x, y in itertools.product(range(n), repeat=2):
+        red[0] = red[0] and sig[sig[x][y]] == sig[y]
+        red[1] = red[1] and ta[ta[x][y]] == ta[y]
+        red[2] = red[2] and sig[ta[x][y]] == sig[y]
+        red[3] = red[3] and ta[sig[x][y]] == ta[y]
+    return TwoReductivity(*red)
 
 
 def isomorphisms_oracle(source, target):
@@ -286,6 +299,28 @@ def test_brace_law_witnesses_match_the_triple_loop(brace_catalog):
         assert _brace_law_failure(b.circle, b.dot) == swapped
         assert yb.is_biskew(b) == (swapped is None)
     assert failures and passes
+
+
+def test_is_2reductive_matches_the_pair_loop(census_solutions, brace_catalog):
+    # census solutions pass all four identities; catalog solutions fail some;
+    # above 256 points the rows compose as tuples, on a union and on shifts
+    # sigma_x(y) = y + x, whose sigma-rows are all distinct
+    z131 = yb.abelian_group([131])
+    union = yb.union_to_solution(
+        yb.abelian_union([z131, z131], [[1, 2], [3, 0]], [[0, 5], [7, 1]])
+    )
+    n = 300
+    shifts = FiniteSolution(
+        n=n,
+        sigma=tuple(tuple((y + x) % n for y in range(n)) for x in range(n)),
+        tau=tuple(tuple(range(n)) for _ in range(n)),
+    )
+    catalog = [yb.associated_solution(b) for _, b in brace_catalog]
+    census = [s for n in census_solutions for s in census_solutions[n]]
+    for s in census + catalog + [union, shifts]:
+        assert yb.is_2reductive(s) == two_reductive_oracle(s), s.n
+    assert any(not yb.is_2reductive(s).holds for s in catalog)
+    assert yb.is_2reductive(shifts) == TwoReductivity(False, True, True, True)
 
 
 def test_row_kernel_composes_like_compose():
