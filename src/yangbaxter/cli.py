@@ -73,8 +73,8 @@ def _cell_label(types: tuple[tuple[int, ...], ...]) -> str:
     return "+".join(unions.AbelianGroup(t).label() for t in types)
 
 
-def build_census(n: int, jobs: int = 1) -> CensusRecord:
-    return CensusRecord(n=n, cells=tuple(unions.census_keys(n, jobs=jobs)))
+def build_census(n: int) -> CensusRecord:
+    return CensusRecord(n=n, cells=tuple(unions.census_keys(n)))
 
 
 # the ASCII digit of each byte value below 10, for the census writer
@@ -285,8 +285,6 @@ def cmd_enumerate(args) -> int:
         raise _Exit(
             EXIT_USAGE, f"error: n must be between 1 and {cap} (override with {ENUM_CAP_ENV})"
         )
-    if args.jobs < 1:
-        raise _Exit(EXIT_USAGE, f"error: --jobs must be at least 1, got {args.jobs}")
     if args.out and args.n > CENSUS_OUT_MAX_N:
         raise _Exit(
             EXIT_USAGE,
@@ -295,7 +293,7 @@ def cmd_enumerate(args) -> int:
         )
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(_create(args.out)) if args.out else None
-        record = build_census(args.n, jobs=args.jobs)
+        record = build_census(args.n)
         if out is not None:
             write_census(record, out)
     print(json.dumps(record.summary_dict()))
@@ -369,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", help="Census of 2-reductive solutions of a given size."
     )
     p_enum.add_argument("n", type=int)
-    p_enum.add_argument("--jobs", type=int, default=1)
     p_enum.add_argument("--out", help="Write JSON-lines census to this path.")
     p_enum.set_defaults(func=cmd_enumerate)
 

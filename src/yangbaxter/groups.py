@@ -503,7 +503,7 @@ class PermGroup:
     """Permutation group on {0..degree-1}, given by generators.
 
     The closure is computed lazily and cached; the object is immutable
-    afterward and safe to share across workers.
+    afterward.
     """
 
     degree: int

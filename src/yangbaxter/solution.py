@@ -8,7 +8,6 @@ tau[y][x]).
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -338,20 +337,6 @@ def relabel(s: FiniteSolution, phi: Sequence[int]) -> FiniteSolution:
         sigma=tuple(map(tuple, sig)),
         tau=tuple(map(tuple, ta)),
     )
-
-
-def canonical_key(s: FiniteSolution) -> tuple:
-    """Minimum of (sigma, tau) over all relabelings; equal iff isomorphic.
-
-    Brute force over all n! bijections; intended for small n only.
-    """
-    best = None
-    for phi in itertools.permutations(range(s.n)):
-        t = relabel(s, phi)
-        key = (t.sigma, t.tau)
-        if best is None or key < best:
-            best = key
-    return best
 
 
 def solutions_isomorphic(

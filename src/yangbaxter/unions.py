@@ -353,14 +353,6 @@ def _getter(pos: tuple[int, ...]) -> operator.itemgetter:
     return operator.itemgetter(*pos)
 
 
-def _cell_gathers(
-    types: tuple[tuple[int, ...], ...]
-) -> tuple[list[AbelianGroup], list[tuple[Perm, ...]], Iterator[operator.itemgetter]]:
-    """_cell_positions with each gather as an itemgetter on a spread tuple."""
-    groups, auts, positions = _cell_positions(types)
-    return groups, auts, map(_getter, positions)
-
-
 def canonical_form(u: AbelianUnion) -> AbelianUnion:
     """Least representative of the isomorphism class: blocks sorted by type,
     matrices minimized over block permutations and group automorphisms.
@@ -445,25 +437,6 @@ def census_cells(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(cells, key=lambda ts: (len(ts), [_type_key(t) for t in ts]))
 
 
-def _valid_columns(
-    group: AbelianGroup, k: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (C-column, D-column) pairs whose entries generate the block, in
-    product order, so the pairs that share a C-column are adjacent."""
-    m = group.n
-    out = []
-    cache: dict[frozenset, bool] = {}
-    for col in itertools.product(range(m), repeat=2 * k):
-        key = frozenset(col)
-        ok = cache.get(key)
-        if ok is None:
-            ok = group.generates(key)
-            cache[key] = ok
-        if ok:
-            out.append((col[:k], col[k:]))
-    return out
-
-
 CRun = tuple[tuple[int, ...], bytes]  # flattened C, and its D's packed
 
 
@@ -495,20 +468,30 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
     ident, *others = positions
     k = len(groups)
     width = k * sum(map(len, auts))
-    # per block: spread C-column -> the spread D-columns that complete it,
-    # the C-columns as tuples for the gathers and the D-columns as bytes
+    # per block: spread C-column -> the spread D-columns whose entries
+    # generate the block with its own, the C-columns as tuples for the
+    # gathers and the D-columns as bytes; generation depends only on the
+    # set of entries, so it is decided once per set
     completions = []
     for g, a in zip(groups, auts):
         spread = {
             col: bytes(psi[x] for psi in a for x in col)
             for col in itertools.product(range(g.n), repeat=k)
         }
-        completions.append({
-            tuple(spread[cc]): [spread[dc] for _, dc in pairs]
-            for cc, pairs in itertools.groupby(
-                _valid_columns(g, k), key=operator.itemgetter(0)
-            )
-        })
+        generating: dict[frozenset, bool] = {}
+        table = {}
+        for cc, sc in spread.items():
+            ds = []
+            for dc, sd in spread.items():
+                key = frozenset(cc + dc)
+                ok = generating.get(key)
+                if ok is None:
+                    ok = generating[key] = g.generates(key)
+                if ok:
+                    ds.append(sd)
+            if ds:
+                table[tuple(sc)] = ds
+        completions.append(table)
     own = _getter(ident)
     gathers = [(_getter(pos), pos) for pos in others]
     kept = []
@@ -576,21 +559,13 @@ def cell_keys(types: tuple[tuple[int, ...], ...], runs: Iterable[CRun]) -> Itera
 CensusCell = tuple[tuple[tuple[int, ...], ...], list[CRun]]
 
 
-def census_keys(n: int, jobs: int = 1) -> list[CensusCell]:
+def census_keys(n: int) -> list[CensusCell]:
     """(block types, enumerate_cell runs) for every cell of size n, in
-    census_cells order; the cells run in parallel when jobs > 1."""
+    census_cells order."""
     if n <= 0:
         raise ValueError(f"carrier size must be positive, got {n}")
-    cells = census_cells(n)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_cell = list(pool.map(enumerate_cell, cells))
-    else:
-        with _gc_paused():
-            per_cell = [enumerate_cell(cell) for cell in cells]
-    return list(zip(cells, per_cell))
+    with _gc_paused():
+        return [(cell, enumerate_cell(cell)) for cell in census_cells(n)]
 
 
 @contextlib.contextmanager
@@ -631,7 +606,7 @@ def unions_of_cells(cells: Sequence[CensusCell]) -> tuple[AbelianUnion, ...]:
         return tuple(out)
 
 
-def enumerate_2reductive(n: int, jobs: int = 1) -> tuple[AbelianUnion, ...]:
+def enumerate_2reductive(n: int) -> tuple[AbelianUnion, ...]:
     """All 2-reductive solutions of size n, one canonical union per class.
 
     Iterates partitions of n, abelian blocks per part, and all constant
@@ -640,7 +615,7 @@ def enumerate_2reductive(n: int, jobs: int = 1) -> tuple[AbelianUnion, ...]:
     type keys, C, D): census_cells lists the cells in that order and each
     cell comes back sorted, so the merge only concatenates.
     """
-    return unions_of_cells(census_keys(n, jobs))
+    return unions_of_cells(census_keys(n))
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,14 @@ def test_enumerate_rejects_non_integer_cap(capsys, monkeypatch):
     assert len(lines) == 1 and "YANGBAXTER_ENUM_CAP" in lines[0]
 
 
-def test_enumerate_rejects_jobs_below_1(capsys):
-    assert main(["enumerate", "3", "--jobs", "0"]) == 2
+def test_enumerate_refuses_jobs(tmp_path, capsys):
+    # the census runs in one process; the parser knows no --jobs
+    out_path = tmp_path / "census4.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "4", "--jobs", "2", "--out", str(out_path)])
+    assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_enumerate_unwritable_out_fails_before_building(tmp_path, capsys, monkeypatch):
@@ -192,7 +197,6 @@ def test_census_lines_match_the_library_census(census):
         lines = buf.getvalue().splitlines()
         assert [yb.union_from_dict(json.loads(line)) for line in lines[:-1]] == list(census[n])
         assert json.loads(lines[-1]) == record.summary_dict()
-    assert yb.enumerate_2reductive(5, jobs=2) == census[5]
 
 
 def test_write_census_streams_one_run_at_a_time():
@@ -287,14 +291,6 @@ def test_enumerate_cap(tmp_path, capsys, monkeypatch):
     assert main(["enumerate", "4"]) == 0
     monkeypatch.setenv("YANGBAXTER_ENUM_CAP", "5")
     assert main(["enumerate", "5", "--out", str(tmp_path / "c5.jsonl")]) == 0
-
-
-def test_enumerate_deterministic_across_jobs(tmp_path, capsys):
-    p1 = str(tmp_path / "a.jsonl")
-    p2 = str(tmp_path / "b.jsonl")
-    assert main(["enumerate", "4", "--out", p1]) == 0
-    assert main(["enumerate", "4", "--jobs", "2", "--out", p2]) == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
 def test_enumerate_entries_reverify(tmp_path, capsys):

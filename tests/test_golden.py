@@ -51,7 +51,7 @@ def _sha256(records) -> str:
 @pytest.mark.parametrize("n", sorted(CENSUS_SHA256))
 def test_census_bytes(n):
     buf = io.StringIO()
-    write_census(build_census(n, jobs=1), buf)
+    write_census(build_census(n), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CENSUS_SHA256[n]
 
 
@@ -73,7 +73,7 @@ class _HashingSink:
 @pytest.mark.slow
 def test_census_bytes_at_7():
     sink = _HashingSink()
-    write_census(build_census(7, jobs=1), sink)
+    write_census(build_census(7), sink)
     assert (sink.sha256.hexdigest(), sink.size) == (CENSUS_7_SHA256, CENSUS_7_BYTES)
 
 
