@@ -8,6 +8,7 @@ properties tied to the 2-reductivity identities.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -19,7 +20,9 @@ from .groups import (
     _first_difference,
     _int_table,
     _row_kernel,
+    center,
     compose,
+    cyclic_group,
     direct_product_group,
     finite_group,
     identity_perm,
@@ -136,16 +139,12 @@ def brace_from_dict(data: dict) -> SkewBrace:
 
 def dump_brace_catalog(entries, stream) -> None:
     """JSON-lines, one {"name", "n", "dot", "circle"} record per brace."""
-    import json
-
     for name, b in entries:
         record = {"name": name, **b.to_dict()}
         stream.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def load_brace_catalog(stream) -> list[tuple[str, SkewBrace]]:
-    import json
-
     out = []
     for line in stream:
         if not line.strip():
@@ -206,9 +205,7 @@ def socle(b: SkewBrace) -> Ideal:
     suite checks both.
     """
     dt, ct = b.dot.table, b.circle.table
-    columns = tuple(zip(*dt))
-    elements = tuple(a for a in range(b.n) if ct[a] == dt[a] == columns[a])
-    return Ideal(brace=b, elements=elements)
+    return Ideal(brace=b, elements=tuple(a for a in center(b.dot) if ct[a] == dt[a]))
 
 
 def quotient_brace(b: SkewBrace, ideal: Sequence[int]) -> tuple[SkewBrace, tuple[int, ...]]:
@@ -393,22 +390,18 @@ def _twisted_table(n2: int) -> list[list[int]]:
     ]
 
 
-def _plus_table(n2: int) -> list[list[int]]:
-    return [[(x + y) % n2 for y in range(n2)] for x in range(n2)]
-
-
 def z2n_brace(n: int) -> SkewBrace:
     """On Z_2n (n odd): dot is x + (-1)^x y, circle is addition mod 2n."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive, got {n}")
-    return verify_brace(_twisted_table(2 * n), _plus_table(2 * n))
+    return verify_brace(_twisted_table(2 * n), cyclic_group(2 * n).table)
 
 
 def z2n_dual_brace(n: int) -> SkewBrace:
     """The dual: dot is addition mod 2n, circle is x + (-1)^x y."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and positive, got {n}")
-    return verify_brace(_plus_table(2 * n), _twisted_table(2 * n))
+    return verify_brace(cyclic_group(2 * n).table, _twisted_table(2 * n))
 
 
 def dihedral_example_brace() -> SkewBrace:

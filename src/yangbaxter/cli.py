@@ -27,7 +27,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-DEFAULT_ENUM_CAP = 8
+# n = 8 has 398,915,014 classes, more than the census can hold in memory
+DEFAULT_ENUM_CAP = 7
 ENUM_CAP_ENV = "YANGBAXTER_ENUM_CAP"
 # write_census writes an entry as one digit: blocks of order at most 10
 CENSUS_OUT_MAX_N = 10
@@ -36,28 +37,24 @@ CENSUS_OUT_MAX_N = 10
 @dataclass(frozen=True)
 class CensusRecord:
     """A census as unions.census_keys' cells: each cell's block types and
-    its C-runs, as unions.enumerate_cell returns them.  count and
-    by_orbit_type are read from the run lengths; entries, the unions
-    themselves, is built on first use and kept."""
+    its C-runs, as unions.enumerate_cell returns them.  by_orbit_type and
+    count are read from the run lengths; unions.unions_of_cells builds the
+    unions themselves."""
 
     n: int
     cells: tuple[unions.CensusCell, ...]
 
     @property
-    def count(self) -> int:
-        return sum(len(run) // len(t) ** 2 for t, runs in self.cells for _, run in runs)
-
-    @property
     def by_orbit_type(self) -> dict[str, int]:
         return {
-            _cell_label(types): sum(len(run) for _, run in runs) // len(types) ** 2
+            unions.cell_label(types): sum(len(run) for _, run in runs) // len(types) ** 2
             for types, runs in self.cells
             if runs
         }
 
-    @functools.cached_property
-    def entries(self) -> tuple[unions.AbelianUnion, ...]:
-        return unions.unions_of_cells(self.cells)
+    @property
+    def count(self) -> int:
+        return sum(self.by_orbit_type.values())
 
     def summary_dict(self) -> dict:
         return {
@@ -65,12 +62,6 @@ class CensusRecord:
             "count": self.count,
             "by_orbit_type": dict(sorted(self.by_orbit_type.items())),
         }
-
-
-def _cell_label(types: tuple[tuple[int, ...], ...]) -> str:
-    """A cell's orbit-type label: its types are sorted canonically, as
-    AbelianUnion.orbit_type_label sorts them."""
-    return "+".join(unions.AbelianGroup(t).label() for t in types)
 
 
 def build_census(n: int) -> CensusRecord:
@@ -99,7 +90,7 @@ def write_census(record: CensusRecord, stream: TextIO) -> None:
     for types, _ in record.cells:
         if any(prod(t) > 10 for t in types):
             raise ValueError(
-                f"cell {_cell_label(types)}: entries of a block of order above 10 "
+                f"cell {unions.cell_label(types)}: entries of a block of order above 10 "
                 "take more than one digit"
             )
     encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -127,18 +118,20 @@ def write_census(record: CensusRecord, stream: TextIO) -> None:
 # Input detection
 
 
-def load_payload(path: str, fmt: str = "auto"):
+def load_payload(path: str):
     """Returns ("solution" | "brace" | "union", object).
 
-    Malformed input raises ValueError("path: field: reason"); well-formed
-    tables that break an axiom raise VerificationError or BraceError.
+    A file whose first non-blank character is "{" is read as JSON, any
+    other as a solution in the text format.  Malformed input raises
+    ValueError("path: field: reason"); well-formed tables that break an
+    axiom raise VerificationError or BraceError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if fmt == "text" or (fmt == "auto" and not text.lstrip().startswith("{")):
+    if not text.lstrip().startswith("{"):
         kind, load, data = "solution", solutions.parse_solution_text, text
     else:
         try:
@@ -233,7 +226,7 @@ class _Exit(Exception):
     """Ends a command early; args are the exit code and one line for stderr."""
 
 
-def _load(path: str, kinds=("solution", "brace", "union"), violations=(), fmt="auto"):
+def _load(path: str, kinds=("solution", "brace", "union"), violations=()):
     """load_payload for a command that takes the given kinds of input.
 
     An axiom violation of a type in violations is the command's verdict and
@@ -241,7 +234,7 @@ def _load(path: str, kinds=("solution", "brace", "union"), violations=(), fmt="a
     names the path.
     """
     try:
-        kind, obj = load_payload(path, fmt)
+        kind, obj = load_payload(path)
     except violations as exc:
         raise _Exit(EXIT_VIOLATION, f"violation: {exc.violation}") from None
     except (VerificationError, braces.BraceError) as exc:
@@ -263,7 +256,7 @@ def _create(path: str) -> TextIO:
 
 def cmd_verify(args) -> int:
     violations = (VerificationError, braces.BraceError)
-    kind, obj = _load(args.file, violations=violations, fmt=args.format)
+    kind, obj = _load(args.file, violations=violations)
     if kind == "union":
         obj = unions.union_to_solution(obj)
         kind = "solution"
@@ -348,8 +341,16 @@ def cmd_brace(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' too, whose usage errors end the
+    command with exit code 2 and one line, as malformed files do."""
+
+    def error(self, message: str):
+        raise _Exit(EXIT_USAGE, f"error: {self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="yangbaxter",
         description=(
             "Verify, enumerate, and classify finite braid-relation solutions "
@@ -360,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="Verify a solution, brace, or union file.")
     p_verify.add_argument("file")
-    p_verify.add_argument("--format", choices=("auto", "json", "text"), default="auto")
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser(
@@ -392,8 +392,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _Exit as exc:
         code, message = exc.args

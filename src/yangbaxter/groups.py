@@ -78,19 +78,14 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def elements(self) -> range:
-        return range(self.n)
-
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.n) for b in range(self.n))
+        return len(center(self)) == self.n
 
     def opposite(self) -> "FiniteGroup":
-        """The group with reversed multiplication, a *op b = b * a."""
-        n = self.n
-        table = tuple(tuple(self.table[b][a] for b in range(n)) for a in range(n))
-        return FiniteGroup(n=n, table=table, id=self.id, inv=self.inv)
+        """The group with reversed multiplication, a *op b = b * a: the
+        transposed table."""
+        return FiniteGroup(n=self.n, table=tuple(zip(*self.table)), id=self.id, inv=self.inv)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "table": [list(row) for row in self.table]}
@@ -175,22 +170,28 @@ def element_order(g: FiniteGroup, x: int) -> int:
 
 def subgroup_generated(g: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
     """Closure of a subset under multiplication; always contains the identity."""
-    elems = {g.id}
-    frontier = [g.id]
     gens = list(gens)
     for x in gens:
         if not 0 <= x < g.n:
             raise ValueError(f"element {x} out of range")
+    return tuple(sorted(_closure(g.id, gens, g.mul)))
+
+
+def _closure(ident, gens: Sequence, mul: Callable) -> set:
+    """Every product ident * s1 * ... * sk of generators, found breadth
+    first: in a finite group, the subgroup the generators generate."""
+    elems = {ident}
+    frontier = [ident]
     while frontier:
         new = []
         for a in frontier:
             for s in gens:
-                b = g.mul(a, s)
+                b = mul(a, s)
                 if b not in elems:
                     elems.add(b)
                     new.append(b)
         frontier = new
-    return tuple(sorted(elems))
+    return elems
 
 
 def is_subgroup(g: FiniteGroup, s: Iterable[int]) -> bool:
@@ -214,10 +215,9 @@ def is_normal(g: FiniteGroup, s: Iterable[int]) -> bool:
 
 
 def center(g: FiniteGroup) -> tuple[int, ...]:
-    return tuple(
-        a for a in range(g.n)
-        if all(g.mul(a, b) == g.mul(b, a) for b in range(g.n))
-    )
+    """The elements whose table row equals their table column."""
+    columns = tuple(zip(*g.table))
+    return tuple(a for a in range(g.n) if g.table[a] == columns[a])
 
 
 def quotient(g: FiniteGroup, s: Iterable[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -248,23 +248,29 @@ def _coset_quotient(g: FiniteGroup, ss: set[int]) -> tuple[FiniteGroup, tuple[in
 # Abelian groups by invariant factors
 
 
+def _prime_factors(m: int) -> dict[int, int]:
+    """The factorisation of m >= 1 by trial division, {prime: exponent} with
+    the primes increasing."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = 1
+    return out
+
+
 def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     """Normalize a multiset of cyclic orders into invariant factors d1 | d2 | ..."""
     primary: dict[int, list[int]] = {}
     for m in orders:
         if m <= 0:
             raise ValueError(f"cyclic order must be positive, got {m}")
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                e = 0
-                while m % d == 0:
-                    m //= d
-                    e += 1
-                primary.setdefault(d, []).append(e)
-            d += 1
-        if m > 1:
-            primary.setdefault(m, []).append(1)
+        for p, e in _prime_factors(m).items():
+            primary.setdefault(p, []).append(e)
     if not primary:
         return ()
     for p in primary:
@@ -470,20 +476,7 @@ def abelian_groups_of_order(n: int) -> tuple[AbelianGroup, ...]:
     """One representative per isomorphism class, by invariant factors."""
     if n <= 0:
         raise ValueError(f"order must be positive, got {n}")
-    if n == 1:
-        return (_abelian_block(()),)
-    primes: dict[int, int] = {}
-    m, d = n, 2
-    while d * d <= m:
-        while m % d == 0:
-            primes[d] = primes.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        primes[m] = primes.get(m, 0) + 1
-    per_prime = []
-    for p, e in sorted(primes.items()):
-        per_prime.append([(p, part) for part in _partitions(e)])
+    per_prime = [[(p, part) for part in _partitions(e)] for p, e in _prime_factors(n).items()]
     groups = []
     for combo in itertools.product(*per_prime):
         orders = []
@@ -511,19 +504,7 @@ class PermGroup:
 
     @cached_property
     def elements(self) -> tuple[Perm, ...]:
-        ident = identity_perm(self.degree)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in self.generators:
-                    b = compose(g, a)
-                    if b not in seen:
-                        seen.add(b)
-                        new.append(b)
-            frontier = new
-        return tuple(sorted(seen))
+        return tuple(sorted(_closure(identity_perm(self.degree), self.generators, compose)))
 
     @property
     def order(self) -> int:
@@ -575,7 +556,13 @@ def orbits(g: PermGroup) -> tuple[tuple[int, ...], ...]:
     buckets: dict[int, list[int]] = {}
     for x in range(g.degree):
         buckets.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(sorted(v)) for v in buckets.values()))
+    return _sorted_blocks(buckets.values())
+
+
+def _sorted_blocks(blocks: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Disjoint blocks in canonical order: each sorted, the blocks by their
+    least element; empty blocks are dropped."""
+    return tuple(sorted(tuple(sorted(b)) for b in blocks if b))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import PermGroup, _row_kernel, perm_group_closure
+from .groups import PermGroup, _row_kernel, _sorted_blocks, perm_group_closure
 from .solution import FiniteSolution
 
 
@@ -40,24 +40,15 @@ class SolutionPartition:
         return [list(b) for b in self.blocks]
 
 
-def _sorted_blocks(groups: dict) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted((tuple(sorted(v)) for v in groups.values()), key=lambda b: b[0]))
-
-
 def relation(s: FiniteSolution, kind: str) -> SolutionPartition:
     """The partition induced by ~ (sim), the mirrored relation (cosim), or both."""
-    if kind not in ("sim", "cosim", "approx"):
+    keys = {"sim": s.sigma, "cosim": s.tau, "approx": zip(s.sigma, s.tau)}
+    if kind not in keys:
         raise ValueError(f"unknown relation kind {kind!r}")
     groups: dict[tuple, list[int]] = {}
-    for x in range(s.n):
-        if kind == "sim":
-            key = s.sigma[x]
-        elif kind == "cosim":
-            key = s.tau[x]
-        else:
-            key = (s.sigma[x], s.tau[x])
+    for x, key in enumerate(keys[kind]):
         groups.setdefault(key, []).append(x)
-    return SolutionPartition(n=s.n, blocks=_sorted_blocks(groups), kind=kind)
+    return SolutionPartition(n=s.n, blocks=_sorted_blocks(groups.values()), kind=kind)
 
 
 def partition_from_blocks(
@@ -71,8 +62,7 @@ def partition_from_blocks(
             seen.add(x)
     if len(seen) != s.n:
         raise ValueError("blocks do not cover the carrier")
-    canon = tuple(sorted((tuple(sorted(b)) for b in blocks if b), key=lambda b: b[0]))
-    return SolutionPartition(n=s.n, blocks=canon, kind=kind)
+    return SolutionPartition(n=s.n, blocks=_sorted_blocks(blocks), kind=kind)
 
 
 def is_congruence(s: FiniteSolution, p: SolutionPartition) -> bool:
@@ -107,10 +97,17 @@ class QuotientSolution:
 
 
 def quotient_solution(s: FiniteSolution, p: SolutionPartition) -> QuotientSolution:
-    """Solution induced on the blocks, re-indexed by their minima; not verified
-    again, as a quotient by a congruence is a solution (a test checks it)."""
+    """Solution induced on the blocks, re-indexed by their minima; raises
+    ValueError for a partition that is not a congruence."""
     if not is_congruence(s, p):
         raise ValueError(f"partition {p.blocks} is not a congruence")
+    return _quotient(s, p)
+
+
+def _quotient(s: FiniteSolution, p: SolutionPartition) -> QuotientSolution:
+    """quotient_solution for a partition known to be a congruence; not
+    verified again, as a quotient by a congruence is a solution (a test
+    checks it)."""
     blk = p.block_of
     reps = [block[0] for block in p.blocks]
     sig = tuple(tuple(blk[s.sigma[a][b]] for b in reps) for a in reps)
@@ -120,8 +117,9 @@ def quotient_solution(s: FiniteSolution, p: SolutionPartition) -> QuotientSoluti
 
 
 def retraction(s: FiniteSolution) -> QuotientSolution:
-    """Quotient by the approx relation (always a congruence)."""
-    return quotient_solution(s, relation(s, "approx"))
+    """Quotient by the approx relation, built without the congruence check:
+    it is always a congruence (a test checks it)."""
+    return _quotient(s, relation(s, "approx"))
 
 
 @dataclass(frozen=True)
@@ -134,10 +132,6 @@ class MultipermutationResult:
 
     level: Optional[int]
     tower_sizes: tuple[int, ...]
-
-    @property
-    def irretractable_tower(self) -> bool:
-        return self.level is None
 
     @property
     def stabilized_size(self) -> Optional[int]:
@@ -153,6 +147,8 @@ class MultipermutationResult:
 
 
 def multipermutation_level(s: FiniteSolution) -> MultipermutationResult:
+    """Retract until one point is left or the approx relation is trivial;
+    each step is retraction(), without a congruence check."""
     sizes = [s.n]
     current = s
     for _ in range(s.n + 1):
@@ -161,7 +157,7 @@ def multipermutation_level(s: FiniteSolution) -> MultipermutationResult:
         p = relation(current, "approx")
         if p.is_trivial():
             return MultipermutationResult(level=None, tower_sizes=tuple(sizes))
-        current = quotient_solution(current, p).solution
+        current = _quotient(current, p).solution
         sizes.append(current.n)
     raise AssertionError("retraction tower failed to shrink or stabilize")
 

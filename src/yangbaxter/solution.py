@@ -297,28 +297,6 @@ def satisfies_condition_star(s: FiniteSolution) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
-    """The two necessary conditions for injectivity of a 2-reductive solution.
-
-    Failing either proves the solution is not injective; passing both proves
-    nothing (they are necessary conditions only).
-    """
-
-    diagonal_ok: bool
-    order_ok: bool
-
-    @property
-    def possibly_injective(self) -> bool:
-        return self.diagonal_ok and self.order_ok
-
-
-def injectivity_necessary_checks(s: FiniteSolution) -> InjectivityReport:
-    from .unions import injectivity_checks, solution_to_union
-
-    return injectivity_checks(solution_to_union(s).union)
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism
 

@@ -31,8 +31,7 @@ from .groups import (
     orbits,
     perm_group_closure,
 )
-from .retraction import permutation_groups
-from .solution import FiniteSolution, InjectivityReport, is_2reductive
+from .solution import FiniteSolution, is_2reductive
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -64,9 +63,7 @@ class AbelianUnion:
         return tuple(sorted((g.factors for g in self.groups), key=_type_key))
 
     def orbit_type_label(self) -> str:
-        return "+".join(
-            AbelianGroup(f).label() for f in self.orbit_type()
-        )
+        return cell_label(self.orbit_type())
 
     def to_dict(self) -> dict:
         return {
@@ -78,6 +75,12 @@ class AbelianUnion:
 
 def _type_key(factors: tuple[int, ...]) -> tuple:
     return (-prod(factors), factors)
+
+
+def cell_label(types: Iterable[tuple[int, ...]]) -> str:
+    """The orbit-type label of block types in canonical order, as
+    "Z4+Z2xZ2+Z1"."""
+    return "+".join(AbelianGroup(t).label() for t in types)
 
 
 def abelian_union(
@@ -190,7 +193,7 @@ def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
     """Decompose a 2-reductive solution into its disjoint union of blocks."""
     if not is_2reductive(s).holds:
         raise ValueError("solution is not 2-reductive")
-    pg = permutation_groups(s).full
+    pg = perm_group_closure(s.sigma + s.tau, s.n)
     orbs = orbits(pg)
 
     groups: list[AbelianGroup] = []
@@ -656,6 +659,26 @@ def opposite_union(u: AbelianUnion) -> AbelianUnion:
         tuple(u.groups[j].neg(u.c[i][j]) for j in range(k)) for i in range(k)
     )
     return AbelianUnion(groups=u.groups, c=c, d=d)
+
+
+@dataclass(frozen=True)
+class InjectivityReport:
+    """The two necessary conditions for injectivity of a 2-reductive solution.
+
+    Failing either proves the solution is not injective; passing both proves
+    nothing (they are necessary conditions only).
+    """
+
+    diagonal_ok: bool
+    order_ok: bool
+
+    @property
+    def possibly_injective(self) -> bool:
+        return self.diagonal_ok and self.order_ok
+
+
+def injectivity_necessary_checks(s: FiniteSolution) -> InjectivityReport:
+    return injectivity_checks(solution_to_union(s).union)
 
 
 def injectivity_checks(u: AbelianUnion) -> InjectivityReport:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
@@ -37,9 +38,11 @@ def test_verify_solution_json(tmp_path, capsys):
 
 
 def test_verify_solution_text_format(tmp_path, capsys):
+    # a file that does not start with "{" is read as the text format
     path = write(tmp_path, "sol.txt", solution_to_text(yb.projection_solution(2)))
-    assert main(["verify", path, "--format", "text"]) == 0
-    assert main(["verify", path]) == 0  # sniffed
+    assert main(["verify", path]) == 0
+    out = capsys.readouterr().out
+    assert "kind: solution" in out and "n: 2" in out and "projection: True" in out
 
 
 def test_verify_text_separator_line_may_hold_whitespace(tmp_path, capsys):
@@ -149,11 +152,37 @@ def test_enumerate_rejects_non_integer_cap(capsys, monkeypatch):
 def test_enumerate_refuses_jobs(tmp_path, capsys):
     # the census runs in one process; the parser knows no --jobs
     out_path = tmp_path / "census4.jsonl"
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "4", "--jobs", "2", "--out", str(out_path)])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert main(["enumerate", "4", "--jobs", "2", "--out", str(out_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--jobs" in lines[0], lines
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "abc"],
+        ["frobnicate", "FILE"],
+        ["classify", "FILE"],
+        ["verify", "FILE", "--format", "json"],
+        [],
+    ],
+    ids=["bad-int", "unknown-command", "missing-file", "verify-format", "no-command"],
+)
+def test_malformed_command_lines_exit_2_with_one_line(tmp_path, capsys, argv):
+    path = write(tmp_path, "sol.json", yb.projection_solution(2).to_dict())
+    assert main([path if arg == "FILE" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: yangbaxter verify")
 
 
 def test_enumerate_unwritable_out_fails_before_building(tmp_path, capsys, monkeypatch):
@@ -183,7 +212,8 @@ def test_enumerate_summary_and_file(tmp_path, capsys):
 def test_census_record_counts_agree():
     for n in range(1, 6):
         record = cli.build_census(n)
-        assert sum(record.by_orbit_type.values()) == record.count == len(record.entries)
+        assert sum(record.by_orbit_type.values()) == record.count
+        assert record.count == len(unions.unions_of_cells(record.cells))
 
 
 def test_census_lines_match_the_library_census(census):
@@ -191,7 +221,7 @@ def test_census_lines_match_the_library_census(census):
     # enumerate_2reductive builds the unions from the same keys
     for n in range(1, 5):
         record = cli.build_census(n)
-        assert record.entries == census[n]
+        assert unions.unions_of_cells(record.cells) == census[n]
         buf = io.StringIO()
         cli.write_census(record, buf)
         lines = buf.getvalue().splitlines()
@@ -282,6 +312,18 @@ def test_census_holds_its_keys_packed():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_enumerate_8_is_refused_by_default(capsys, monkeypatch):
+    # n = 8 has 398,915,014 classes: the default cap refuses it before any work
+    def no_build(*args, **kwargs):
+        raise AssertionError("the census was built")
+
+    monkeypatch.delenv("YANGBAXTER_ENUM_CAP", raising=False)
+    monkeypatch.setattr(cli, "build_census", no_build)
+    assert main(["enumerate", "8"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: n must be between 1 and 7"), lines
 
 
 def test_enumerate_cap(tmp_path, capsys, monkeypatch):
@@ -427,18 +469,30 @@ def _count_calls(monkeypatch, functions):
     return calls
 
 
-def test_reports_do_not_validate_what_they_derive(monkeypatch, brace_catalog, small_solutions):
+def test_reports_do_not_validate_what_they_derive(
+    tmp_path, capsys, monkeypatch, brace_catalog, small_solutions
+):
     # input is validated once, when it is loaded; quotients, opposites and
-    # inverses built from it are not checked again
+    # inverses built from it are not checked again, nor is the approx
+    # relation of each retraction step, which is always a congruence
+    paths = [write(tmp_path, f"s{i}.json", s.to_dict()) for i, s in enumerate(small_solutions)]
     calls = _count_calls(
         monkeypatch,
-        {"verify_brace": yb.verify_brace, "finite_group": finite_group, "verify": yb.verify},
+        {
+            "verify_brace": yb.verify_brace, "finite_group": finite_group, "verify": yb.verify,
+            "is_congruence": yb.is_congruence,
+        },
     )
     for _, b in brace_catalog:
         cli.brace_report(b, full=True, out=io.StringIO())
     for s in small_solutions:
         yb.multipermutation_level(s)
-    assert calls == {"verify_brace": 0, "finite_group": 0, "verify": 0}
+    assert calls == {"verify_brace": 0, "finite_group": 0, "verify": 0, "is_congruence": 0}
+    for path in paths:
+        assert main(["verify", path]) == 0
+    assert calls == {
+        "verify_brace": 0, "finite_group": 0, "verify": len(paths), "is_congruence": 0,
+    }
 
 
 def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brace_catalog):
@@ -548,3 +602,34 @@ def test_library_imports_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "yangbaxter" in loaded
     assert loaded - {"yangbaxter"} <= sys.stdlib_module_names, loaded
+
+
+# the package's modules from the bottom up: each imports only from modules
+# on a lower layer
+LAYERS = {
+    "groups": 0, "solution": 1, "retraction": 2, "unions": 3, "brace": 3, "cli": 4,
+    "__init__": 5, "__main__": 5,
+}
+
+
+def test_modules_import_at_the_top_and_only_downward():
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    modules = sorted(name[:-3] for name in os.listdir(package) if name.endswith(".py"))
+    assert modules == sorted(LAYERS)
+    for module in modules:
+        with open(os.path.join(package, module + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [
+                    node.lineno for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+                assert not nested, f"{module}.{func.name} imports at lines {nested}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module.split(".")[0]] if node.module else [
+                    alias.name for alias in node.names
+                ]
+                for target in targets:
+                    assert LAYERS[target] < LAYERS[module], f"{module} imports {target}"

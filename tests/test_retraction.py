@@ -226,6 +226,31 @@ def test_retraction_tower_quotients_are_solutions(small_solutions, census_soluti
         assert tuple(sizes) == yb.multipermutation_level(s).tower_sizes
 
 
+def test_towers_quotient_by_congruences(small_solutions, census_solutions, brace_catalog):
+    # retraction and multipermutation_level quotient by the approx relation
+    # without checking that it is a congruence; here every step is checked,
+    # and the tower is rebuilt through quotient_solution, the checked path
+    corpus = [
+        *small_solutions,
+        *(s for n in range(1, 5) for s in census_solutions[n]),
+        *(yb.associated_solution(b) for _, b in brace_catalog),
+    ]
+    for s in corpus:
+        sizes, current = [s.n], s
+        while current.n > 1:
+            p = relation(current, "approx")
+            assert yb.is_congruence(current, p)
+            if p.is_trivial():
+                break
+            q = yb.quotient_solution(current, p)
+            assert q == yb.retraction(current)
+            current = q.solution
+            sizes.append(current.n)
+        result = yb.multipermutation_level(s)
+        assert result.tower_sizes == tuple(sizes)
+        assert result.level == (len(sizes) - 1 if current.n == 1 else None)
+
+
 def test_permutation_groups_examples():
     proj = yb.projection_solution(3)
     groups = yb.permutation_groups(proj)
