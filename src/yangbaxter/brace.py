@@ -90,8 +90,8 @@ def _brace_law_failure(dot: FiniteGroup, circ: FiniteGroup) -> Optional[tuple[in
     # per pair, the maps c -> a o (b . c) and c -> (a o b) . a^-1 . (a o c)
     # are circ_a o dot_b and dot_{(a o b) . a^-1} o circ_a, on table rows
     dt, ct = dot.table, circ.table
-    dot_rows, dot_maps, then = _row_kernel(dt)
-    circ_rows, circ_maps, _ = _row_kernel(ct)
+    dot_rows, dot_maps, then, *_ = _row_kernel(dt)
+    circ_rows, circ_maps, *_ = _row_kernel(ct)
     for a, ai in enumerate(dot.inv):
         row_a, circ_a, map_a = ct[a], circ_rows[a], circ_maps[a]
         for b in range(dot.n):
@@ -339,7 +339,7 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
 
     def dot_hom(fam) -> tuple[bool, bool]:
         """Whether fam_{x.y} = fam_x fam_y, and whether fam_{x.y} = fam_y fam_x."""
-        rows, maps, then = _row_kernel(fam)
+        rows, maps, then, *_ = _row_kernel(fam)
         return (
             all(rows[dt[x][y]] == then(rows[y], maps[x]) for x, y in pairs),
             all(rows[dt[x][y]] == then(rows[x], maps[y]) for x, y in pairs),

@@ -26,24 +26,35 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     return tuple([p[i] for i in q])
 
 
-def _row_kernel(table: Sequence[Sequence[int]]) -> tuple[Sequence, Sequence, Callable]:
+def _row_kernel(
+    table: Sequence[Sequence[int]],
+) -> tuple[list, list, Callable, Callable, Callable]:
     """The rows of a table of maps of {0..n-1} to itself, encoded once for
-    composition: returns (rows, maps, then) where then(rows[j], maps[i]) is
-    the encoded row of compose(table[i], table[j]).  Encoded rows compare
-    with == as the tuples do, so every check that compares two composed
-    maps is written once.
+    composition: returns (rows, maps, then, join, invert).
 
-    Up to n = 256 a row is bytes and its map the row padded to a 256-byte
-    translate table, so then is bytes.translate and composes in C; above
-    that rows and maps are the tuples and then is a list comprehension.
+    - then(rows[j], maps[i]) is the encoded row of compose(table[i], table[j]);
+    - join(encoded rows) is the rows end to end, so then(join(rows), maps[i])
+      composes table[i] with every row in one call;
+    - invert(rows[i]) is the encoded inverse of a permutation row.
+
+    Encoded rows compare with == as the tuples do, so every check that
+    compares two composed maps is written once.  Up to n = 256 a row is
+    bytes and its map the row padded to a 256-byte translate table, so then
+    is bytes.translate and composes in C, join is b"".join and invert
+    scatters with bytes.maketrans; above that rows and maps are the tuples,
+    then gathers with operator.itemgetter (which returns a tuple, as every
+    row has more than one entry), join chains the tuples and invert is
+    invert_perm.
     """
     n = len(table[0]) if table else 0
     if n > 256:
         rows = [tuple(row) for row in table]
-        return rows, rows, lambda q, p: compose(p, q)
-    pad = bytes(256 - n)
+        return (rows, rows, lambda q, p: operator.itemgetter(*q)(p),
+                lambda seq: tuple(itertools.chain.from_iterable(seq)), invert_perm)
+    pad, ident = bytes(256 - n), bytes(range(n))
     rows = [bytes(row) for row in table]
-    return rows, [row + pad for row in rows], bytes.translate
+    return (rows, [row + pad for row in rows], bytes.translate, b"".join,
+            lambda row: bytes.maketrans(row, ident)[:n])
 
 
 def _first_difference(u: Sequence[int], v: Sequence[int]) -> int:
@@ -112,7 +123,7 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     if ident is None:
         raise ValueError("table has no identity element")
     # row_{ab} = row_a o row_b: the left translations form a homomorphism
-    enc, maps, then = _row_kernel(rows)
+    enc, maps, then, *_ = _row_kernel(rows)
     for a in range(n):
         row_a, map_a = rows[a], maps[a]
         for b in range(n):
@@ -145,9 +156,9 @@ def _int_table(value, field: str, n: Optional[int] = None) -> tuple[tuple[int, .
             raise ValueError(f"{field}: row {i} is not a list")
         if len(row) != size:
             raise ValueError(f"{field}: row {i} has {len(row)} entries, expected {size}")
-        for j, v in enumerate(row):
-            if type(v) is not int:
-                raise ValueError(f"{field}: entry [{i}][{j}] = {v!r} is not an integer")
+        if not set(map(type, row)) <= {int}:
+            j, v = next((j, v) for j, v in enumerate(row) if type(v) is not int)
+            raise ValueError(f"{field}: entry [{i}][{j}] = {v!r} is not an integer")
     return tuple(tuple(row) for row in value)
 
 
@@ -524,7 +535,10 @@ def perm_group_closure(
     generators: Iterable[Sequence[int]],
     degree: Optional[int] = None,
 ) -> PermGroup:
-    gens = [tuple(g) for g in generators]
+    """The group generated by permutations of {0..degree-1}; each distinct
+    generator is validated once, in input order, so an error names the first
+    bad one."""
+    gens = list(dict.fromkeys(map(tuple, generators)))
     if degree is None:
         if not gens:
             raise ValueError("degree is required when no generators are given")
@@ -534,8 +548,8 @@ def perm_group_closure(
             raise ValueError(f"generator degree {len(g)} does not match {degree}")
         if not is_perm(g, degree):
             raise ValueError(f"generator {g} is not a permutation")
-    uniq = sorted(set(g for g in gens if g != identity_perm(degree)))
-    return PermGroup(degree=degree, generators=tuple(uniq))
+    ident = identity_perm(degree)
+    return PermGroup(degree=degree, generators=tuple(sorted(g for g in gens if g != ident)))
 
 
 def orbits(g: PermGroup) -> tuple[tuple[int, ...], ...]:

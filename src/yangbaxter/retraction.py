@@ -77,7 +77,7 @@ def is_congruence(s: FiniteSolution, p: SolutionPartition) -> bool:
     blk = p.block_of
     first = [p.blocks[b][0] for b in blk]
     tables = (s.sigma, s.sigma_inv, s.tau, s.tau_inv)
-    rows, maps, then = _row_kernel([blk, first, *itertools.chain(*tables)])
+    rows, maps, then, *_ = _row_kernel([blk, first, *itertools.chain(*tables)])
     to_block, to_first = maps[0], rows[1]
     for t in range(len(tables)):
         at = 2 + t * n

@@ -105,6 +105,7 @@ PERM2 = [[0, 1], [0, 1]]
 MALFORMED = {
     "float-entries": ({"sigma": [[0.0, 1.0], [0.0, 1.0]], "tau": PERM2}, "sigma"),
     "bool-entries": ({"sigma": [[False, True], [False, True]], "tau": PERM2}, "sigma"),
+    "late-bool-entry": ({"sigma": [[0, 1], [0, True]], "tau": PERM2}, "sigma"),
     "flat-table": ({"sigma": [0, 1], "tau": PERM2}, "sigma"),
     "string-table": ({"sigma": "ab", "tau": PERM2}, "sigma"),
     "ragged-table": ({"sigma": PERM2, "tau": [[0, 1], [0]]}, "tau"),
@@ -129,6 +130,17 @@ def test_verify_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
         assert main(argv) == 2, argv
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {field}: "), lines
+
+
+def test_malformed_entry_message_names_its_index(tmp_path, capsys):
+    # the bad entry is found past [0][0], so its index is the one reported
+    payload, _ = MALFORMED["late-bool-entry"]
+    path = write(tmp_path, "bad.json", payload)
+    for argv in (["verify", path], ["classify", path, path], ["brace", path]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: sigma: entry [1][1] = True is not an integer"
+        ], argv
 
 
 def test_axiom_violation_is_a_verdict_only_for_verify(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Row-composition kernels: every O(n^3) check against a scalar triple loop.
 
-The library compares composed table rows, per pair, and decides the braid
-relation by the derived-rack criterion; these tests hold each check to a
-test-local loop over all triples, verdict and witness, on random corrupted
-tables, and the pruned automorphism search to the plain product filter.
+The library compares composed table rows, one row per table row where it
+can, and decides bijectivity and the braid relation from the derived rows;
+these tests hold each check to a test-local loop over all pairs or triples,
+verdict and witness, on random corrupted tables, and the pruned
+automorphism search to the plain product filter.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from math import prod
 import pytest
 
 import yangbaxter as yb
+import yangbaxter.solution as solution_module
 from yangbaxter.brace import BraceViolation, _brace_law_failure
 from yangbaxter.groups import (
     _isomorphisms,
@@ -22,6 +24,7 @@ from yangbaxter.groups import (
     compose,
     element_order,
     finite_group,
+    invert_perm,
     is_perm,
 )
 from yangbaxter.solution import (
@@ -30,6 +33,8 @@ from yangbaxter.solution import (
     Violation,
     _braid_mismatch,
     _braids,
+    _derived_rows,
+    _pair_collision,
     validate_tables,
 )
 
@@ -199,6 +204,12 @@ def swap_in_row(rows, rng):
     return tuple(map(tuple, out))
 
 
+def with_fixed_point(table):
+    """The table on one more point: a new 0, fixed by every row, whose own
+    row is the identity."""
+    return (tuple(range(len(table) + 1)), *((0, *(v + 1 for v in row)) for row in table))
+
+
 def small_solutions_by_order(brace_catalog):
     out = {n: [] for n in SIZES}
     for _, b in brace_catalog:
@@ -216,18 +227,37 @@ def small_solutions_by_order(brace_catalog):
 
 
 def test_derived_rack_criterion_agrees_with_braid_mismatch_on_all_small_tables():
-    # every pair of tables with permutation rows, bijective or not
+    # every pair of tables with permutation rows, bijective or not: the
+    # braid verdict agrees with the triple scan, and every derived row is a
+    # permutation exactly when the pair-image scan finds no collision
     for n in (1, 2, 3):
         perms = list(itertools.permutations(range(n)))
         for sigma in itertools.product(perms, repeat=n):
             for tau in itertools.product(perms, repeat=n):
-                assert _braids(sigma, tau, n) == (_braid_mismatch(sigma, tau, n) is None), (
-                    sigma, tau)
+                derived = _derived_rows(sigma, tau)
+                assert _braids(sigma, tau, derived) == (
+                    _braid_mismatch(sigma, tau, n) is None), (sigma, tau)
+                assert all(len(set(row)) == n for row in derived) == (
+                    _pair_collision(sigma, tau, n) is None), (sigma, tau)
 
 
 def test_validate_tables_and_distributivity_match_the_triple_loop(brace_catalog):
     rng = random.Random(90210)
-    seen = set()
+    seen, off_row_0 = set(), set()
+
+    def check(sigma, tau, right=True):
+        v = validate_tables(sigma, tau)
+        assert v == validate_oracle(sigma, tau), (sigma, tau)
+        t = FiniteSolution(n=len(sigma), sigma=sigma, tau=tau)
+        assert yb.is_left_distributive(t) == distributive_oracle(sigma)
+        if right:
+            assert yb.is_right_distributive(t) == distributive_oracle(tau)
+        kind = None if v is None else v.check.split(":")[0]
+        seen.add(kind)
+        # the witness's first pair (or triple) lies past row x = 0
+        if kind == "bijectivity" and v.witness[0][0] or kind == "birack" and v.witness[0]:
+            off_row_0.add(kind)
+
     for n, solutions in small_solutions_by_order(brace_catalog).items():
         assert solutions, n
         for trial in range(40):
@@ -238,14 +268,48 @@ def test_validate_tables_and_distributivity_match_the_triple_loop(brace_catalog)
                     sigma = swap_in_row(sigma, rng)
                 else:
                     tau = swap_in_row(tau, rng)
-            v = validate_tables(sigma, tau)
-            assert v == validate_oracle(sigma, tau), (sigma, tau)
-            seen.add(None if v is None else v.check.split(":")[0])
-            t = FiniteSolution(n=n, sigma=sigma, tau=tau)
-            assert yb.is_left_distributive(t) == distributive_oracle(sigma)
-            assert yb.is_right_distributive(t) == distributive_oracle(tau)
-    # the corruptions reach both the bijectivity check and the braid relation
+            check(sigma, tau)
+    # n = 1 and 2: every pair of tables with permutation rows
+    for n in (1, 2):
+        perms = list(itertools.permutations(range(n)))
+        for sigma in itertools.product(perms, repeat=n):
+            for tau in itertools.product(perms, repeat=n):
+                check(sigma, tau)
+    # identity (i) alone broken, at every x but 0: two 3-point table pairs
+    # whose only broken identity is (i), with a point prepended that every
+    # row fixes and whose rows are the identity
+    for sigma, tau in [
+        (((0, 2, 1), (0, 2, 1), (1, 2, 0)), ((0, 2, 1), (2, 0, 1), (0, 2, 1))),
+        (((1, 0, 2), (1, 2, 0), (1, 0, 2)), ((2, 0, 1), (1, 0, 2), (1, 0, 2))),
+    ]:
+        check(with_fixed_point(sigma), with_fixed_point(tau))
+    # 300 points compose tuple rows; a swap in a sigma-row is found early
+    # by both routes, and right distributivity of the untouched tau would
+    # take the triple loop n^3 steps, so it is left out there
+    z150 = yb.abelian_group([150])
+    big = yb.union_to_solution(
+        yb.abelian_union([z150, z150], [[1, 2], [3, 0]], [[0, 5], [7, 1]])
+    )
+    big_rng = random.Random(5)
+    for _ in range(3):
+        check(swap_in_row(big.sigma, big_rng), big.tau, right=False)
+    # the corruptions reach both the bijectivity check and the braid
+    # relation, each with a first failure past row 0
     assert seen == {None, "bijectivity", "birack"}, seen
+    assert off_row_0 == {"bijectivity", "birack"}, off_row_0
+
+
+def test_valid_tables_never_reach_a_witness_scan(census_solutions, brace_catalog, monkeypatch):
+    # the pair and triple scans only name the witness of a failed verdict
+    def scan(*args):
+        raise AssertionError("witness scan on valid tables")
+
+    monkeypatch.setattr(solution_module, "_pair_collision", scan)
+    monkeypatch.setattr(solution_module, "_braid_mismatch", scan)
+    census = [s for n in range(1, 5) for s in census_solutions[n]]
+    catalog = [yb.associated_solution(b) for _, b in brace_catalog]
+    for s in census + catalog:
+        assert validate_tables(s.sigma, s.tau) is None, s
 
 
 def test_finite_group_messages_match_the_triple_loop():
@@ -327,12 +391,18 @@ def test_row_kernel_composes_like_compose():
     rng = random.Random(3)
     for n in (1, 5, 256, 257, 300):
         table = [tuple(rng.sample(range(n), n)) for _ in range(6)]
-        rows, maps, then = _row_kernel(table)
+        rows, maps, then, join, invert = _row_kernel(table)
         assert isinstance(rows[0], bytes if n <= 256 else tuple)
         for i, j in itertools.product(range(6), repeat=2):
             composed = then(rows[j], maps[i])
             assert tuple(composed) == compose(table[i], table[j])
             assert (composed == rows[0]) == (compose(table[i], table[j]) == table[0])
+        # one call composes a map with every row joined; inverses encode alike
+        every = join(rows)
+        for i in range(6):
+            expected = itertools.chain.from_iterable(compose(table[i], row) for row in table)
+            assert tuple(then(every, maps[i])) == tuple(expected)
+            assert invert(rows[i]) == type(rows[i])(invert_perm(table[i]))
 
 
 @pytest.mark.parametrize("order", [8, 9, 12, 16])
