@@ -69,10 +69,6 @@ def invert_perm(p: Sequence[int]) -> Perm:
     return tuple(out)
 
 
-def is_perm(row: Sequence[int], n: int) -> bool:
-    return len(row) == n and sorted(row) == list(range(n))
-
-
 # ---------------------------------------------------------------------------
 # Cayley-table groups
 
@@ -103,23 +99,29 @@ class FiniteGroup:
 
 
 def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Validate a Cayley table (associativity, identity, inverses)."""
+    """Validate a Cayley table on {0..n-1} as a group.
+
+    The checks, in order, each raising ValueError at the first failure:
+    every row, then every column, is a permutation of 0..n-1; some e has
+    row and column both the identity map, and the first such e is the
+    identity; left translation is a homomorphism, row_ab = row_a o row_b,
+    which is associativity.  Inverses are not searched for: a finite monoid
+    whose left translations are bijections is a group, so a's inverse is
+    where row a holds the identity.
+    """
     n = len(table)
     if n == 0:
         raise ValueError("group carrier must be non-empty")
     rows = tuple(tuple(row) for row in table)
+    perm = list(range(n))
     for i, row in enumerate(rows):
-        if not is_perm(row, n):
+        if sorted(row) != perm:
             raise ValueError(f"table row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        col = [rows[i][j] for i in range(n)]
-        if not is_perm(col, n):
+    cols = tuple(zip(*rows))
+    for j, col in enumerate(cols):
+        if sorted(col) != perm:
             raise ValueError(f"table column {j} is not a permutation of 0..{n - 1}")
-    ident = None
-    for e in range(n):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-            ident = e
-            break
+    ident = next((e for e in range(n) if list(rows[e]) == perm == list(cols[e])), None)
     if ident is None:
         raise ValueError("table has no identity element")
     # row_{ab} = row_a o row_b: the left translations form a homomorphism
@@ -131,13 +133,8 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
             if lhs != rhs:
                 c = _first_difference(lhs, rhs)
                 raise ValueError(f"associativity fails at triple ({a}, {b}, {c})")
-    inv = [0] * n
-    for a in range(n):
-        found = [b for b in range(n) if rows[a][b] == ident]
-        if len(found) != 1 or rows[found[0]][a] != ident:
-            raise ValueError(f"element {a} has no two-sided inverse")
-        inv[a] = found[0]
-    return FiniteGroup(n=n, table=rows, id=ident, inv=tuple(inv))
+    inv = tuple(row.index(ident) for row in rows)
+    return FiniteGroup(n=n, table=rows, id=ident, inv=inv)
 
 
 def _int_table(value, field: str, n: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
@@ -543,10 +540,11 @@ def perm_group_closure(
         if not gens:
             raise ValueError("degree is required when no generators are given")
         degree = len(gens[0])
+    perm = list(range(degree))
     for g in gens:
         if len(g) != degree:
             raise ValueError(f"generator degree {len(g)} does not match {degree}")
-        if not is_perm(g, degree):
+        if sorted(g) != perm:
             raise ValueError(f"generator {g} is not a permutation")
     ident = identity_perm(degree)
     return PermGroup(degree=degree, generators=tuple(sorted(g for g in gens if g != ident)))

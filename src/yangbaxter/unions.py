@@ -87,13 +87,10 @@ def abelian_union(
     groups: Sequence[AbelianGroup],
     c: Sequence[Sequence[int]],
     d: Sequence[Sequence[int]],
-    require_generating: bool = True,
 ) -> AbelianUnion:
-    """Validate and build a union; column j entries must lie in A_j.
-
-    With require_generating the entries of column j (from both matrices)
-    must generate A_j, so that blocks coincide with the orbits of the
-    built solution's permutation group.
+    """Validate and build a union: the entries of column j lie in A_j, and
+    those of both matrices together generate A_j, so that the blocks are
+    the orbits of the built solution's permutation group.
     """
     k = len(groups)
     if k == 0:
@@ -109,11 +106,10 @@ def abelian_union(
                     raise ValueError(
                         f"{name}: entry [{i}][{j}] = {m[i][j]} is not an element of block {j}"
                     )
-    if require_generating:
-        for j in range(k):
-            col = [cm[i][j] for i in range(k)] + [dm[i][j] for i in range(k)]
-            if not groups[j].generates(col):
-                raise ValueError(f"C, D: column {j} entries do not generate block {j}")
+    for j in range(k):
+        col = [cm[i][j] for i in range(k)] + [dm[i][j] for i in range(k)]
+        if not groups[j].generates(col):
+            raise ValueError(f"C, D: column {j} entries do not generate block {j}")
     return AbelianUnion(groups=tuple(groups), c=cm, d=dm)
 
 
@@ -249,11 +245,9 @@ def _block_bijections(
     types1: Sequence[tuple[int, ...]], types2: Sequence[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
     """Block bijections pi with types2[pi[i]] == types1[i], lazily and in
-    lexicographic order."""
+    lexicographic order.  The two type lists must be equal as multisets;
+    then every partial choice extends to a bijection."""
     k = len(types1)
-    if sorted(types1) != sorted(types2):
-        return
-    # with equal type multisets every partial choice extends to a bijection
     options = [[j for j in range(k) if types2[j] == t] for t in types1]
     pi: list[int] = []
     used = [False] * k
@@ -285,10 +279,10 @@ def unions_isomorphic(
     of A_j in index order.  When the column generates A_j, as it does in
     every validated union, that psi_j is the only one.
     """
-    if u1.k != u2.k:
-        return None
     types1 = [g.factors for g in u1.groups]
     types2 = [g.factors for g in u2.groups]
+    if sorted(types1) != sorted(types2):
+        return None
     # the columns of each matrix
     c1, d1, c2, d2 = (list(zip(*m)) for m in (u1.c, u1.d, u2.c, u2.d))
     for pi in _block_bijections(types1, types2):

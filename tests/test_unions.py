@@ -103,7 +103,7 @@ def test_union_validation_errors():
         yb.abelian_union([Z3], [[3]], [[0]])  # constant out of range
     with pytest.raises(ValueError):
         yb.abelian_union([Z3], [[0]], [[0]])  # generation fails
-    u = yb.abelian_union([Z3], [[0]], [[0]], require_generating=False)
+    u = AbelianUnion(groups=(Z3,), c=((0,),), d=((0,),))  # a non-generating union
     s = yb.union_to_solution(u)
     assert yb.is_projection(s)
     # honest re-decomposition splits the non-generating block into orbits
