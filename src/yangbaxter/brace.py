@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .groups import (
@@ -18,6 +19,7 @@ from .groups import (
     Perm,
     _coset_quotient,
     _first_difference,
+    _generators,
     _int_table,
     _row_kernel,
     center,
@@ -29,7 +31,7 @@ from .groups import (
     is_normal,
 )
 from .retraction import MultipermutationResult, multipermutation_level
-from .solution import FiniteSolution, TwoReductivity, is_2reductive
+from .solution import FiniteSolution, TwoReductivity, _first_index, is_2reductive
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,34 @@ class SkewBrace:
         }
 
 
+def _brace_law_holds(dot: FiniteGroup, circ: FiniteGroup) -> bool:
+    """Whether a o (b . c) = (a o b) . a^-1 . (a o c) for all a, b, c.
+
+    With lambda_a(b) = a^-1 . (a o b), the two sides are a . lambda_a(b . c)
+    and a . lambda_a(b) . lambda_a(c), so the law at (a, b, c) says
+    lambda_a(b . c) = lambda_a(b) . lambda_a(c).  A map of a group to itself
+    satisfies that for all b, c once it does for all c and each b in a
+    generating set (groups._generators), by induction on words; so per
+    generator g, the rows of lambda_a o dot_g joined over a against those
+    of dot_{lambda_a(g)} o lambda_a.
+    """
+    dot_rows, dot_maps, then, join, _ = _row_kernel(dot.table)
+    circ_rows = _row_kernel(circ.table)[0]
+    lams = map(then, circ_rows, [dot_maps[ai] for ai in dot.inv])
+    lam_rows, lam_maps, *_ = _row_kernel(list(lams))
+    return all(
+        join(map(then, repeat(dot_rows[g]), lam_maps))
+        == join(map(then, lam_rows, [dot_maps[lam[g]] for lam in lam_rows]))
+        for g in _generators(dot.table, dot.id)
+    )
+
+
 def _brace_law_failure(dot: FiniteGroup, circ: FiniteGroup) -> Optional[tuple[int, int, int]]:
     """First triple (a, b, c), in lex order, where a o (b . c) differs from
-    (a o b) . a^-1 . (a o c); None when the brace law holds."""
+    (a o b) . a^-1 . (a o c); None when the brace law holds, and only a
+    failed _brace_law_holds scans the pairs."""
+    if _brace_law_holds(dot, circ):
+        return None
     # per pair, the maps c -> a o (b . c) and c -> (a o b) . a^-1 . (a o c)
     # are circ_a o dot_b and dot_{(a o b) . a^-1} o circ_a, on table rows
     dt, ct = dot.table, circ.table
@@ -177,7 +204,7 @@ def is_biskew(b: SkewBrace) -> bool:
     Equivalently lambda is a dot anti-homomorphism, or the associated
     solution is left distributive; the test suite checks both.
     """
-    return _brace_law_failure(b.circle, b.dot) is None
+    return _brace_law_holds(b.circle, b.dot)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +222,7 @@ def is_ideal(b: SkewBrace, elements: Sequence[int]) -> bool:
     elems = set(elements)
     if not is_normal(b.dot, elems) or not is_normal(b.circle, elems):
         return False
-    return all(b.lambdas[a][x] in elems for a in range(b.n) for x in elems)
+    return all(elems.issuperset([lam[x] for x in elems]) for lam in b.lambdas)
 
 
 def socle(b: SkewBrace) -> Ideal:
@@ -334,22 +361,32 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     opposite class <= 2) are theorems the test suite checks.
     """
     s = associated_solution(b)
-    dt, ct = b.dot.table, b.circle.table
-    pairs = [(x, y) for x in range(b.n) for y in range(b.n)]
+    n, dt, ct = b.n, b.dot.table, b.circle.table
+    dt_cols = tuple(zip(*dt))
+    # x . y, y . x and x o y over all pairs (x, y) in lex order
+    pair_rows, _, _, join, _ = _row_kernel([*dt, *dt_cols, *ct])
+    products = [join(pair_rows[i:i + n]) for i in range(0, 3 * n, n)]
 
-    def dot_hom(fam) -> tuple[bool, bool]:
-        """Whether fam_{x.y} = fam_x fam_y, and whether fam_{x.y} = fam_y fam_x."""
-        rows, maps, then, *_ = _row_kernel(fam)
+    def flags(fam) -> tuple[bool, bool, bool]:
+        """Whether fam_{x.y} = fam_x fam_y, whether fam_{x.y} = fam_y fam_x,
+        and whether fam_{x.y} = fam_{y.x} = fam_{x o y}, for all x, y.
+
+        Per x, fam_{x.y} joined over y against fam_x composed with every
+        row; per y, the same over x with fam_y.  With ids[z] the first
+        index whose row equals fam_z, the last is three compositions of
+        ids with the products above.
+        """
+        rows, maps, then, join, _ = _row_kernel([*fam, _first_index(fam)])
+        every, ids = join(rows[:n]), maps[n]
+        xy, yx, circ_xy = (then(p, ids) for p in products)
         return (
-            all(rows[dt[x][y]] == then(rows[y], maps[x]) for x, y in pairs),
-            all(rows[dt[x][y]] == then(rows[x], maps[y]) for x, y in pairs),
+            all(join([rows[z] for z in dt[x]]) == then(every, maps[x]) for x in range(n)),
+            all(join([rows[z] for z in dt_cols[y]]) == then(every, maps[y]) for y in range(n)),
+            xy == yx == circ_xy,
         )
 
-    def two_sided(fam) -> bool:
-        return all(fam[dt[x][y]] == fam[dt[y][x]] == fam[ct[x][y]] for x, y in pairs)
-
-    lambda_hom, lambda_antihom = dot_hom(b.lambdas)
-    rho_hom, rho_antihom = dot_hom(b.rhos)
+    lambda_hom, lambda_antihom, lambda_two_sided = flags(b.lambdas)
+    rho_hom, rho_antihom, rho_two_sided = flags(b.rhos)
     return ReductivityProfile(
         solution=s,
         reductivity=is_2reductive(s),
@@ -360,7 +397,7 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
         lambda_dot_antihom=lambda_antihom,
         rho_dot_hom=rho_hom,
         rho_dot_antihom=rho_antihom,
-        two_sided=two_sided(b.lambdas) and two_sided(b.rhos),
+        two_sided=lambda_two_sided and rho_two_sided,
     )
 
 

@@ -26,6 +26,9 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     return tuple([p[i] for i in q])
 
 
+_BYTE_VALUES = bytes(range(256))
+
+
 def _row_kernel(
     table: Sequence[Sequence[int]],
 ) -> tuple[list, list, Callable, Callable, Callable]:
@@ -51,8 +54,8 @@ def _row_kernel(
         rows = [tuple(row) for row in table]
         return (rows, rows, lambda q, p: operator.itemgetter(*q)(p),
                 lambda seq: tuple(itertools.chain.from_iterable(seq)), invert_perm)
-    pad, ident = bytes(256 - n), bytes(range(n))
-    rows = [bytes(row) for row in table]
+    pad, ident = bytes(256 - n), _BYTE_VALUES[:n]
+    rows = list(map(bytes, table))
     return (rows, [row + pad for row in rows], bytes.translate, b"".join,
             lambda row: bytes.maketrans(row, ident)[:n])
 
@@ -104,10 +107,11 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     The checks, in order, each raising ValueError at the first failure:
     every row, then every column, is a permutation of 0..n-1; some e has
     row and column both the identity map, and the first such e is the
-    identity; left translation is a homomorphism, row_ab = row_a o row_b,
-    which is associativity.  Inverses are not searched for: a finite monoid
-    whose left translations are bijections is a group, so a's inverse is
-    where row a holds the identity.
+    identity; (ab)c = a(bc), checked for b in a generating set (Light's
+    test) and, when that fails, scanned for the first triple in lex order.
+    Inverses are not searched for: a finite monoid whose left translations
+    are bijections is a group, so a's inverse is where row a holds the
+    identity.
     """
     n = len(table)
     if n == 0:
@@ -124,17 +128,42 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     ident = next((e for e in range(n) if list(rows[e]) == perm == list(cols[e])), None)
     if ident is None:
         raise ValueError("table has no identity element")
-    # row_{ab} = row_a o row_b: the left translations form a homomorphism
-    enc, maps, then, *_ = _row_kernel(rows)
-    for a in range(n):
-        row_a, map_a = rows[a], maps[a]
-        for b in range(n):
-            lhs, rhs = enc[row_a[b]], then(enc[b], map_a)
+    # (ag)c = a(gc) for all a, c and each generator g (_generators) is
+    # associativity, by induction on words in the generators; per g, the
+    # rows row_{ag} joined over a against row_a o row_g
+    enc, maps, then, join, _ = _row_kernel(rows)
+    if not all(
+        join([enc[ag] for ag in cols[g]]) == join(map(then, itertools.repeat(enc[g]), maps))
+        for g in _generators(rows, ident)
+    ):
+        # the first triple: per a, row_{ab} joined over b against row_a
+        # composed with every row, so the first difference is at b * n + c
+        every = join(enc)
+        for a, (row_a, map_a) in enumerate(zip(rows, maps)):
+            lhs, rhs = join([enc[ab] for ab in row_a]), then(every, map_a)
             if lhs != rhs:
-                c = _first_difference(lhs, rhs)
+                b, c = divmod(_first_difference(lhs, rhs), n)
                 raise ValueError(f"associativity fails at triple ({a}, {b}, {c})")
     inv = tuple(row.index(ident) for row in rows)
     return FiniteGroup(n=n, table=rows, id=ident, inv=inv)
+
+
+def _generators(table: Sequence[Sequence[int]], ident: int) -> Iterator[int]:
+    """Each x in 0..n-1, in increasing order, that is not a product
+    ident * s1 * ... * sk of the elements yielded before it; so every
+    element is such a product of the elements yielded.  table is a finite
+    operation table; the caller may stop early."""
+    span, gens = {ident}, []
+    for x in range(len(table)):
+        if x in span:
+            continue
+        yield x
+        gens.append(x)
+        # what is new ends in x, or is something new times a generator
+        frontier = {table[a][x] for a in span} - span
+        while frontier:
+            span |= frontier
+            frontier = {table[a][s] for a in frontier for s in gens} - span
 
 
 def _int_table(value, field: str, n: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
@@ -206,19 +235,28 @@ def is_subgroup(g: FiniteGroup, s: Iterable[int]) -> bool:
     ss = set(s)
     if not ss or any(not 0 <= x < g.n for x in ss):
         return False
-    return g.id in ss and all(g.mul(a, b) in ss for a in ss for b in ss)
+    rows = g.table
+    return g.id in ss and all(ss.issuperset([rows[a][b] for b in ss]) for a in ss)
 
 
 def is_normal(g: FiniteGroup, s: Iterable[int]) -> bool:
-    """True iff s is a subgroup stable under conjugation by every element."""
+    """True iff s is a subgroup with aS = Sa for every element a.
+
+    One a per left coset is checked, as sets of |S| products: if aS = Sa,
+    then for s in S, (as)S = aS and S(as) = (Sa)s = (aS)s = aS, so every
+    element of aS passes with a.
+    """
     ss = set(s)
     if not is_subgroup(g, ss):
         return False
+    rows, seen = g.table, set()
     for a in range(g.n):
-        ai = g.inv[a]
-        for x in ss:
-            if g.mul(g.mul(ai, x), a) not in ss:
+        if a not in seen:
+            row_a = rows[a]
+            left = {row_a[x] for x in ss}
+            if left != {rows[x][a] for x in ss}:
                 return False
+            seen |= left
     return True
 
 
@@ -243,11 +281,12 @@ def quotient(g: FiniteGroup, s: Iterable[int]) -> tuple[FiniteGroup, tuple[int, 
 def _coset_quotient(g: FiniteGroup, ss: set[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
     """quotient() for a subset the caller has checked to be normal; the table
     is not validated again, as the cosets form a group (a test checks it)."""
-    coset_min = [min(g.mul(a, x) for x in ss) for a in range(g.n)]
+    rows = g.table
+    coset_min = [min([row[x] for x in ss]) for row in rows]
     reps = sorted(set(coset_min))
     index = {r: i for i, r in enumerate(reps)}
-    proj = tuple(index[r] for r in coset_min)
-    table = tuple(tuple(proj[g.mul(a, b)] for b in reps) for a in reps)
+    proj = tuple([index[r] for r in coset_min])
+    table = tuple(tuple([proj[row[b]] for b in reps]) for row in map(rows.__getitem__, reps))
     inv = tuple(proj[g.inv[a]] for a in reps)
     return FiniteGroup(n=len(reps), table=table, id=proj[g.id], inv=inv), proj
 

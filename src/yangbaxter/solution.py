@@ -109,7 +109,12 @@ def _self_distributive(table: Sequence[Sequence[int]]) -> bool:
     """Whether the rows p_x = table[x] satisfy p_x p_y = p_{p_x(y)} p_x: for
     each x, p_x composed with every row at once against the rows p_x
     composed with each p_{p_x(y)}, n comparisons of n^2-entry rows."""
-    rows, maps, then, join, _ = _row_kernel(table)
+    return _distributes(_row_kernel(table))
+
+
+def _distributes(kernel) -> bool:
+    """_self_distributive of a table, given its row kernel."""
+    rows, maps, then, join, _ = kernel
     every = join(rows)
     return all(
         then(every, maps[x]) == join(map(then, repeat(row), map(maps.__getitem__, row)))
@@ -117,9 +122,10 @@ def _self_distributive(table: Sequence[Sequence[int]]) -> bool:
     )
 
 
-def _derived_rows(sigma, tau) -> list:
+def _derived_rows(s_kernel, tau_cols) -> list:
     """The derived rows R_u(x) = sigma_u(tau_{sigma_x^-1(u)}(x)) of tables with
-    permutation sigma-rows, encoded by the row kernel, in 3n kernel calls.
+    permutation sigma-rows, encoded by the row kernel, in 3n kernel calls;
+    s_kernel is the row kernel of sigma and tau_cols the columns of tau.
 
     With the column c_x(y) = tau_y(x), M_x = c_x o sigma_x^-1 has
     M_x(u) = tau_{sigma_x^-1(u)}(x); its transpose is T_u(x) = M_x(u), read
@@ -127,18 +133,20 @@ def _derived_rows(sigma, tau) -> list:
     r(x, sigma_x^-1(u)) = (u, T_u(x)), r is bijective iff every T_u, so
     every R_u, is a permutation.
     """
-    n = len(sigma)
-    s_rows, s_maps, then, join, invert = _row_kernel(sigma)
-    c_maps = _row_kernel(list(zip(*tau)))[1]
+    s_rows, s_maps, then, join, invert = s_kernel
+    n = len(s_rows)
+    c_maps = _row_kernel(tau_cols)[1]
     m = join(map(then, map(invert, s_rows), c_maps))
     return [then(m[u::n], s_maps[u]) for u in range(n)]
 
 
-def _braids(sigma, tau, derived: list) -> bool:
+def _braids(s_kernel, tau_cols, r_kernel) -> bool:
     """Whether tables with permutation rows satisfy the braid relation, by
     the derived-rack criterion for left non-degenerate maps (Lebed and
-    Vendramin, Adv. Math. 304, 2017).  With derived = _derived_rows(sigma, tau),
-    R_y(x) = sigma_y(tau_{sigma_x^-1(y)}(x)), r is a solution iff
+    Vendramin, Adv. Math. 304, 2017).  s_kernel and r_kernel are the row
+    kernels of sigma and of the derived rows (_derived_rows)
+    R_y(x) = sigma_y(tau_{sigma_x^-1(y)}(x)), and tau_cols the columns of
+    tau; r is a solution iff
       (i)   sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)},
       (ii)  R_z R_y = R_{R_z(y)} R_z,
       (iii) sigma_x R_z = R_{sigma_x(z)} sigma_x.
@@ -146,16 +154,16 @@ def _braids(sigma, tau, derived: list) -> bool:
     side composes one map with every row joined, the right side joins n
     compositions.  The test suite checks that it agrees with _braid_mismatch.
     """
-    s_rows, s_maps, then, join, _ = _row_kernel(sigma)
-    r_rows, r_maps, *_ = _row_kernel(derived)
+    s_rows, s_maps, then, join, _ = s_kernel
+    r_rows, r_maps, *_ = r_kernel
     s_every, r_every = join(s_rows), join(r_rows)
     s_row, s_map, r_map = s_rows.__getitem__, s_maps.__getitem__, r_maps.__getitem__
     return (
         all(then(s_every, s_maps[x]) == join(map(then, map(s_row, col), map(s_map, sig_x)))
-            for x, (sig_x, col) in enumerate(zip(sigma, zip(*tau))))
-        and _self_distributive(derived)
-        and all(then(r_every, s_maps[x]) == join(map(then, repeat(s_rows[x]), map(r_map, sig_x)))
-                for x, sig_x in enumerate(sigma))
+            for x, (sig_x, col) in enumerate(zip(s_rows, tau_cols)))
+        and _distributes(r_kernel)
+        and all(then(r_every, s_maps[x]) == join(map(then, repeat(sig_x), map(r_map, sig_x)))
+                for x, sig_x in enumerate(s_rows))
     )
 
 
@@ -188,10 +196,11 @@ def validate_tables(
     for i, row in enumerate(ta):
         if sorted(row) != perm:
             return Violation("tau-row", (i,))
-    derived = _derived_rows(sig, ta)
+    s_kernel, tau_cols = _row_kernel(sig), list(zip(*ta))
+    derived = _derived_rows(s_kernel, tau_cols)
     if not all(len(set(row)) == n for row in derived):
         return _pair_collision(sig, ta, n)
-    if not _braids(sig, ta, derived):
+    if not _braids(s_kernel, tau_cols, _row_kernel(derived)):
         coord, triple = _braid_mismatch(sig, ta, n)
         return Violation(f"birack:{coord}", triple)
     return None
@@ -241,8 +250,17 @@ def inverse_solution(s: FiniteSolution) -> FiniteSolution:
 
 
 def is_involutive(s: FiniteSolution) -> bool:
+    """r^2 = id iff sigma_{sigma_x(y)}(tau_y(x)) = x for all x, y.
+
+    That is the first coordinate of r(r(x, y)) being x; the second then
+    follows: with r^2(x, y) = (x, w), r(x, w) = r^2(r(x, y)) has first
+    coordinate sigma_x(y), so w = y.  One list per x, along sigma_x and
+    column x of tau, stopping at the first x that fails.
+    """
+    sigma, n = s.sigma, s.n
     return all(
-        s.r(*s.r(x, y)) == (x, y) for x in range(s.n) for y in range(s.n)
+        [sigma[u][v] for u, v in zip(sigma[x], col)] == [x] * n
+        for x, col in enumerate(zip(*s.tau))
     )
 
 
@@ -317,13 +335,9 @@ def is_right_distributive(s: FiniteSolution) -> bool:
 
 
 def satisfies_condition_star(s: FiniteSolution) -> bool:
-    """Both fixed-point conditions: every x is fixed by some sigma_y and some tau_y."""
-    for x in range(s.n):
-        if not any(s.sigma[y][x] == x for y in range(s.n)):
-            return False
-        if not any(s.tau[y][x] == x for y in range(s.n)):
-            return False
-    return True
+    """Both fixed-point conditions: every x is fixed by some sigma_y and some
+    tau_y, that is, x is in column x of sigma and of tau."""
+    return all(x in col for table in (s.sigma, s.tau) for x, col in enumerate(zip(*table)))
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,22 @@ def test_reports_do_not_validate_what_they_derive(
     }
 
 
+def test_brace_report_makes_no_call_per_pair(monkeypatch):
+    # the report of an order-48 brace composes whole table rows: it calls
+    # FiniteGroup.mul and FiniteSolution.r at most n times each, where a
+    # loop over pairs calls them thousands of times
+    b = yb.product_brace(yb.z2n_brace(3), yb.trivial_brace(yb.quaternion_group()))
+    calls = {"mul": 0, "r": 0}
+    for cls, name in ((yb.FiniteGroup, "mul"), (yb.FiniteSolution, "r")):
+        def counted(*args, _name=name, _orig=getattr(cls, name)):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    cli.brace_report(b, full=True, out=io.StringIO())
+    assert calls["mul"] <= b.n and calls["r"] <= b.n, calls
+
+
 def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brace_catalog):
     # the profile holds the socle series of b and of its opposite and the
     # associated solution's identities and level; the report renders those,

@@ -1,10 +1,12 @@
-"""Row-composition kernels: every O(n^3) check against a scalar triple loop.
+"""Row-composition kernels: every O(n^3) check against a scalar triple loop,
+and every pair condition against a loop over pairs.
 
 The library compares composed table rows, one row per table row where it
-can, and decides bijectivity and the braid relation from the derived rows;
-these tests hold each check to a test-local loop over all pairs or triples,
-verdict and witness, on random corrupted tables, and the pruned
-automorphism search to the plain product filter.
+can, decides associativity and the brace law on a generating set, and
+bijectivity and the braid relation from the derived rows; these tests hold
+each check to a test-local loop over all pairs or triples, verdict and
+witness, on random corrupted tables and on every small table of a kind, and
+the pruned automorphism search to the plain product filter.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ import yangbaxter as yb
 import yangbaxter.solution as solution_module
 from yangbaxter.brace import BraceViolation, _brace_law_failure
 from yangbaxter.groups import (
+    _coset_quotient,
     _isomorphisms,
     _row_kernel,
     compose,
     element_order,
     finite_group,
     invert_perm,
+    is_subgroup,
 )
 from yangbaxter.solution import (
     FiniteSolution,
@@ -118,6 +122,82 @@ def brace_law_oracle(dot, circ):
     return None
 
 
+def subgroup_oracle(table, s):
+    """is_subgroup as a loop over pairs: non-empty, in range, holds the
+    identity and is closed."""
+    n = len(table)
+    ident = next(e for e in range(n) if table[e][e] == e)
+    return (bool(s) and all(0 <= x < n for x in s) and ident in s
+            and all(table[a][b] in s for a in s for b in s))
+
+
+def normal_oracle(table, s):
+    """is_normal as conjugation of every element of s by every element."""
+    n = len(table)
+    ident = next(e for e in range(n) if table[e][e] == e)
+    inv = [next(b for b in range(n) if table[a][b] == ident) for a in range(n)]
+    return subgroup_oracle(table, s) and all(
+        table[table[inv[a]][x]][a] in s for a in range(n) for x in s
+    )
+
+
+def ideal_oracle(dot, circ, s):
+    """is_ideal: normal in both groups and lambda_a(x) = a^-1 . (a o x) in s
+    for every a and every x in s."""
+    n = len(dot)
+    ident = next(e for e in range(n) if dot[e][e] == e)
+    inv = [next(b for b in range(n) if dot[a][b] == ident) for a in range(n)]
+    return normal_oracle(dot, s) and normal_oracle(circ, s) and all(
+        dot[inv[a]][circ[a][x]] in s for a in range(n) for x in s
+    )
+
+
+def family_flags_oracle(dot, circ, fam):
+    """(fam_{x.y} = fam_x fam_y, fam_{x.y} = fam_y fam_x,
+    fam_{x.y} = fam_{y.x} = fam_{x o y}), each for every pair (x, y)."""
+    n = len(dot)
+
+    def after(p, q):
+        return tuple(p[q[z]] for z in range(n))
+
+    pairs = list(itertools.product(range(n), repeat=2))
+    return (
+        all(fam[dot[x][y]] == after(fam[x], fam[y]) for x, y in pairs),
+        all(fam[dot[x][y]] == after(fam[y], fam[x]) for x, y in pairs),
+        all(fam[dot[x][y]] == fam[dot[y][x]] == fam[circ[x][y]] for x, y in pairs),
+    )
+
+
+def involutive_oracle(sigma, tau):
+    n = len(sigma)
+
+    def r(x, y):
+        return sigma[x][y], tau[y][x]
+
+    return all(r(*r(x, y)) == (x, y) for x, y in itertools.product(range(n), repeat=2))
+
+
+def condition_star_oracle(sigma, tau):
+    n = len(sigma)
+    return all(
+        any(sigma[y][x] == x for y in range(n)) and any(tau[y][x] == x for y in range(n))
+        for x in range(n)
+    )
+
+
+def coset_quotient_oracle(table, s):
+    """The quotient by a normal subgroup s: cosets indexed by their sorted
+    minima, (quotient table, identity, inverses, projection)."""
+    n = len(table)
+    coset_min = [min(table[a][x] for x in s) for a in range(n)]
+    reps = sorted(set(coset_min))
+    proj = tuple(reps.index(m) for m in coset_min)
+    ident = next(e for e in range(n) if table[e][e] == e)
+    quotient = tuple(tuple(proj[table[a][b]] for b in reps) for a in reps)
+    inv = tuple(proj[next(b for b in range(n) if table[a][b] == ident)] for a in reps)
+    return quotient, proj[ident], inv, proj
+
+
 def distributive_oracle(table):
     n = len(table)
     return all(
@@ -185,6 +265,41 @@ def groups_by_order():
     return out
 
 
+def normalized_latin_squares(n):
+    """Every n x n Latin square whose row 0 and column 0 are the identity:
+    every loop on 0..n-1 with identity 0."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    in_row = [set(row) - {None} for row in rows]
+    in_col = [{0, *range(1, n)} if j == 0 else {j} for j in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    out = []
+
+    def fill(k):
+        if k == len(cells):
+            out.append(tuple(map(tuple, rows)))
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v not in in_row[i] and v not in in_col[j]:
+                rows[i][j] = v
+                in_row[i].add(v)
+                in_col[j].add(v)
+                fill(k + 1)
+                in_row[i].discard(v)
+                in_col[j].discard(v)
+
+    fill(0)
+    return out
+
+
+def with_families(b, lambdas, rhos):
+    """A copy of brace b whose lambda and rho families are the given ones,
+    set where cached_property keeps them."""
+    out = yb.SkewBrace(dot=b.dot, circle=b.circle)
+    out.__dict__.update(lambdas=tuple(lambdas), rhos=tuple(rhos))
+    return out
+
+
 def cycle_switch(rows, rng):
     """Swap two non-identity rows of a Latin square along one cycle of
     columns: rows and columns stay permutations, associativity usually fails."""
@@ -239,8 +354,9 @@ def test_derived_rack_criterion_agrees_with_braid_mismatch_on_all_small_tables()
         perms = list(itertools.permutations(range(n)))
         for sigma in itertools.product(perms, repeat=n):
             for tau in itertools.product(perms, repeat=n):
-                derived = _derived_rows(sigma, tau)
-                assert _braids(sigma, tau, derived) == (
+                s_kernel, tau_cols = _row_kernel(sigma), list(zip(*tau))
+                derived = _derived_rows(s_kernel, tau_cols)
+                assert _braids(s_kernel, tau_cols, _row_kernel(derived)) == (
                     _braid_mismatch(sigma, tau, n) is None), (sigma, tau)
                 assert all(len(set(row)) == n for row in derived) == (
                     _pair_collision(sigma, tau, n) is None), (sigma, tau)
@@ -466,3 +582,154 @@ def test_pruned_isomorphisms_yield_the_product_order_filter(order):
                 assert list(_isomorphisms(source, tg, elements, forced)) == expected, (
                     source, target, elements, forced
                 )
+
+
+def test_finite_group_on_every_loop_up_to_order_6():
+    # associativity is checked for a generating set first; on every loop
+    # with identity 0 (4 + 56 + 9,408 tables) the message is the loop's
+    groups = 0
+    for n in (4, 5, 6):
+        for rows in normalized_latin_squares(n):
+            expected = group_oracle(rows)
+            try:
+                g = finite_group(rows)
+            except ValueError as exc:
+                assert str(exc) == expected, rows
+                continue
+            assert expected is None and g.table == rows
+            groups += 1
+    # the labellings fixing 0 of Z2^2 and Z4, of Z5, and of Z6 and S3
+    assert groups == 4 + 6 + (60 + 20)
+
+
+def test_brace_law_on_every_relabelled_pair_of_groups_up_to_order_6():
+    # the generating-set verdict and the witness scan vs the triple loop,
+    # on every pair (G, phi(H)) of groups of one order <= 6, phi fixing 0
+    tables = groups_by_order()
+    braces = laws = 0
+    for n in (2, 3, 4, 5, 6):
+        for dot_table in tables[n]:
+            dot = finite_group(dot_table)
+            for circ_table in tables[n]:
+                for rest in itertools.permutations(range(1, n)):
+                    circ = finite_group(relabel_table(circ_table, (0, *rest)))
+                    expected = brace_law_oracle(dot.table, circ.table)
+                    assert _brace_law_failure(dot, circ) == expected, (dot.table, circ.table)
+                    braces += expected is None
+                    laws += 1
+    assert 0 < braces < laws
+
+
+def test_subgroup_normal_and_ideal_match_the_element_loops(brace_catalog):
+    # every subset of every group of order <= 8, and of every catalog brace
+    # of order <= 8
+    seen = {"subgroup": 0, "normal": 0, "ideal": 0}
+    for _, g in yb.small_groups(8):
+        for mask in range(1 << g.n):
+            s = {x for x in range(g.n) if mask >> x & 1}
+            sub = subgroup_oracle(g.table, s)
+            assert is_subgroup(g, s) == sub, (g.table, s)
+            assert yb.is_normal(g, s) == normal_oracle(g.table, s), (g.table, s)
+            seen["subgroup"] += sub and not normal_oracle(g.table, s)
+    for name, b in brace_catalog:
+        if b.n > 8:
+            continue
+        for mask in range(1 << b.n):
+            s = {x for x in range(b.n) if mask >> x & 1}
+            ideal = ideal_oracle(b.dot.table, b.circle.table, s)
+            assert yb.is_ideal(b, s) == ideal, (name, s)
+            seen["normal"] += normal_oracle(b.dot.table, s) and not ideal
+            seen["ideal"] += ideal and len(s) not in (1, b.n)
+    # non-normal subgroups, normal sets that are no ideal, proper ideals
+    assert all(seen.values()), seen
+    assert not is_subgroup(yb.cyclic_group(4), {0, 4})
+
+
+def test_coset_quotient_matches_the_coset_loop():
+    for _, g in yb.small_groups(8):
+        for mask in range(1 << g.n):
+            s = {x for x in range(g.n) if mask >> x & 1}
+            if not normal_oracle(g.table, s):
+                continue
+            q, proj = _coset_quotient(g, s)
+            assert (q.table, q.id, q.inv, proj) == coset_quotient_oracle(g.table, s), (g.table, s)
+
+
+def test_family_flags_match_the_pair_loop(brace_catalog):
+    # on the catalog braces, and on lambda and rho families whose indices
+    # are permuted, so that each flag is seen to fail
+    rng = random.Random(4242)
+    seen = set()
+
+    def check(b):
+        prof = yb.reductivity_profile(b)
+        dot, circ = b.dot.table, b.circle.table
+        lam = family_flags_oracle(dot, circ, b.lambdas)
+        rho = family_flags_oracle(dot, circ, b.rhos)
+        assert (prof.lambda_dot_hom, prof.lambda_dot_antihom) == lam[:2]
+        assert (prof.rho_dot_hom, prof.rho_dot_antihom) == rho[:2]
+        assert prof.two_sided == (lam[2] and rho[2])
+        seen.update((i, flag) for i, flag in enumerate(lam + rho + (prof.two_sided,)))
+
+    for _, b in brace_catalog:
+        check(b)
+        if b.n < 3:
+            continue
+        for _ in range(3):
+            pi = rng.sample(range(b.n), b.n)
+            lams = [b.lambdas[p] for p in pi]
+            rhos = [b.rhos[p] for p in pi] if rng.random() < 0.5 else b.rhos
+            check(with_families(b, lams, rhos))
+    assert seen == {(i, flag) for i in range(7) for flag in (True, False)}, seen
+
+
+def test_involutive_and_condition_star_match_the_pair_loop():
+    # every pair of tables with permutation rows, n <= 3, solutions or not,
+    # and a 300-point union (tuple rows) with its r^-1-twisted partner
+    verdicts = set()
+    for n in (1, 2, 3):
+        perms = list(itertools.permutations(range(n)))
+        for sigma in itertools.product(perms, repeat=n):
+            for tau in itertools.product(perms, repeat=n):
+                s = FiniteSolution(n=n, sigma=sigma, tau=tau)
+                inv, star = involutive_oracle(sigma, tau), condition_star_oracle(sigma, tau)
+                assert yb.is_involutive(s) == inv, (sigma, tau)
+                assert yb.satisfies_condition_star(s) == star, (sigma, tau)
+                verdicts.add((inv, star))
+    assert len(verdicts) == 4
+    z150 = yb.abelian_group([150])
+    for c, d in (([[1, 2], [3, 0]], [[0, 5], [7, 1]]), ([[1, 0], [0, 1]], [[149, 0], [0, 149]])):
+        s = yb.union_to_solution(yb.abelian_union([z150, z150], c, d))
+        assert yb.is_involutive(s) == involutive_oracle(s.sigma, s.tau)
+        assert yb.satisfies_condition_star(s) == condition_star_oracle(s.sigma, s.tau)
+
+
+def test_generating_set_verdicts_above_256_points():
+    # tuple rows: Z258 passes both verdicts; a cycle-switched Z258 and a
+    # relabelled pair fail at triples that fail, with none before them
+    rng = random.Random(258)
+    z = yb.cyclic_group(258)
+    n = z.n
+    assert finite_group(z.table).table == z.table
+    assert _brace_law_failure(z, z) is None
+    rows = cycle_switch(z.table, rng)
+    with pytest.raises(ValueError, match="associativity") as exc:
+        finite_group(rows)
+    a, b, c = map(int, exc.value.args[0].split("(")[1].rstrip(")").split(","))
+
+    def assoc(a, b, c):
+        return rows[rows[a][b]][c] == rows[a][rows[b][c]]
+
+    assert not assoc(a, b, c)
+    assert all(assoc(*t) for t in itertools.islice(itertools.product(range(n), repeat=3),
+                                                    (a * n + b) * n + c))
+    circ = finite_group(relabel_table(z.table, fixing_zero(rng, n)))
+    dot, ct = z.table, circ.table
+    a, b, c = _brace_law_failure(z, circ)
+
+    def law(a, b, c):
+        return ct[a][dot[b][c]] == dot[dot[ct[a][b]][z.inv[a]]][ct[a][c]]
+
+    assert not law(a, b, c)
+    assert all(law(*t) for t in itertools.islice(itertools.product(range(n), repeat=3),
+                                                  (a * n + b) * n + c))
