@@ -2,8 +2,8 @@
 the brace law a o (b . c) = (a o b) . a^-1 . (a o c).
 
 The lambda and rho translation families, the associated solution, opposite
-and bi-skew braces, ideals, socle series, and the four homomorphism
-properties tied to the 2-reductivity identities.
+and bi-skew braces, ideals, socle series, and the reductivity profile that
+brace reports are read from.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .groups import (
     is_normal,
 )
 from .retraction import MultipermutationResult, multipermutation_level
-from .solution import FiniteSolution, TwoReductivity, _first_index, is_2reductive
+from .solution import FiniteSolution, TwoReductivity, is_2reductive
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,10 @@ def is_biskew(b: SkewBrace) -> bool:
     brace law with the roles of the two groups swapped (both groups are
     already valid).
 
-    Equivalently lambda is a dot anti-homomorphism, or the associated
-    solution is left distributive; the test suite checks both.
+    Equivalently lambda is a dot anti-homomorphism (Childs, New York J.
+    Math. 25, 2019), which holds iff the associated solution satisfies red3,
+    or the associated solution is left distributive; the test suite checks
+    all three.  Brace reports read bi-skewness off red3 and do not call this.
     """
     return _brace_law_holds(b.circle, b.dot)
 
@@ -327,16 +329,16 @@ def _le2(level: Optional[int]) -> bool:
 
 @dataclass(frozen=True)
 class ReductivityProfile:
+    """The results a brace report is read from.  The paper's equivalences
+    give the rest: red1, red2, red3 and red4 hold iff lambda, rho, lambda
+    and rho respectively are dot homomorphisms, homomorphisms,
+    anti-homomorphisms and anti-homomorphisms; all four hold iff the class
+    and the level are at most 2; and red3 holds iff b is bi-skew."""
+
     solution: FiniteSolution             # the associated solution
     reductivity: TwoReductivity          # its four identities
     multipermutation: MultipermutationResult
     series: SocleSeries                  # of the brace
-    opposite_series: SocleSeries         # of its opposite
-    lambda_dot_hom: bool
-    lambda_dot_antihom: bool
-    rho_dot_hom: bool
-    rho_dot_antihom: bool
-    two_sided: bool                      # lambda_{a.b} = lambda_{b.a} = lambda_{a o b}, rho alike
 
     red1 = property(lambda self: self.reductivity.red1)
     red2 = property(lambda self: self.reductivity.red2)
@@ -346,58 +348,23 @@ class ReductivityProfile:
 
     multipermutation_le2 = property(lambda self: _le2(self.multipermutation.level))
     nilpotent_le2 = property(lambda self: _le2(self.series.nilpotency_class))
-    opposite_nilpotent_le2 = property(lambda self: _le2(self.opposite_series.nilpotency_class))
 
 
 def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
-    """The four 2-reductivity identities on the associated solution and the
-    matching homomorphism properties of lambda and rho, with the results the
-    rest is read from: the solution, its multipermutation level, and the
-    socle series of b and of its opposite.
+    """The associated solution, its four 2-reductivity identities and its
+    multipermutation level, and the socle series of b.
 
-    Every field is computed on its own.  Equivalences between them (red1 with
-    lambda-hom, red2 with rho-hom, red3 with lambda-antihom, red4 with
-    rho-antihom, and all-four with two-sided, mp <= 2, class <= 2 and
-    opposite class <= 2) are theorems the test suite checks.
+    Each is computed once and on its own.  What they are equivalent to (the
+    homomorphism properties of lambda and rho, bi-skewness, the class of the
+    opposite brace) is not computed again; the test suite checks those
+    equivalences against their definitions.
     """
     s = associated_solution(b)
-    n, dt, ct = b.n, b.dot.table, b.circle.table
-    dt_cols = tuple(zip(*dt))
-    # x . y, y . x and x o y over all pairs (x, y) in lex order
-    pair_rows, _, _, join, _ = _row_kernel([*dt, *dt_cols, *ct])
-    products = [join(pair_rows[i:i + n]) for i in range(0, 3 * n, n)]
-
-    def flags(fam) -> tuple[bool, bool, bool]:
-        """Whether fam_{x.y} = fam_x fam_y, whether fam_{x.y} = fam_y fam_x,
-        and whether fam_{x.y} = fam_{y.x} = fam_{x o y}, for all x, y.
-
-        Per x, fam_{x.y} joined over y against fam_x composed with every
-        row; per y, the same over x with fam_y.  With ids[z] the first
-        index whose row equals fam_z, the last is three compositions of
-        ids with the products above.
-        """
-        rows, maps, then, join, _ = _row_kernel([*fam, _first_index(fam)])
-        every, ids = join(rows[:n]), maps[n]
-        xy, yx, circ_xy = (then(p, ids) for p in products)
-        return (
-            all(join([rows[z] for z in dt[x]]) == then(every, maps[x]) for x in range(n)),
-            all(join([rows[z] for z in dt_cols[y]]) == then(every, maps[y]) for y in range(n)),
-            xy == yx == circ_xy,
-        )
-
-    lambda_hom, lambda_antihom, lambda_two_sided = flags(b.lambdas)
-    rho_hom, rho_antihom, rho_two_sided = flags(b.rhos)
     return ReductivityProfile(
         solution=s,
         reductivity=is_2reductive(s),
         multipermutation=multipermutation_level(s),
         series=socle_series(b),
-        opposite_series=socle_series(opposite_brace(b)),
-        lambda_dot_hom=lambda_hom,
-        lambda_dot_antihom=lambda_antihom,
-        rho_dot_hom=rho_hom,
-        rho_dot_antihom=rho_antihom,
-        two_sided=lambda_two_sided and rho_two_sided,
     )
 
 

@@ -192,9 +192,14 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.Reducti
     """Writes the report of b; returns the profile it is rendered from."""
     profile = braces.reductivity_profile(b)
     series = profile.series
+    # The lambda_hom and bi_skew lines are read off the identities, by theorems:
+    # lambda is a dot homomorphism iff red1 (from lambda_{x o y} =
+    # lambda_x lambda_y and x o y = x . lambda_x(y)), rho one iff red2, lambda
+    # an anti-homomorphism iff red3, rho one iff red4; and b is bi-skew iff
+    # lambda is an anti-homomorphism (Childs, New York J. Math. 25, 2019).
     out.write(f"n: {b.n}\n")
     out.write(f"dot_abelian: {b.dot.is_abelian}\n")
-    out.write(f"bi_skew: {braces.is_biskew(b)}\n")
+    out.write(f"bi_skew: {profile.red3}\n")
     out.write(f"socle: {list(series.socles[0].elements)}\n")
     out.write(f"socle_series_sizes: {[q.n for q in series.quotients]}\n")
     out.write(f"nilpotency: {series.describe()}\n")
@@ -208,8 +213,8 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.Reducti
     )
     out.write(
         "lambda_hom: "
-        f"hom={profile.lambda_dot_hom} antihom={profile.lambda_dot_antihom} "
-        f"rho_hom={profile.rho_dot_hom} rho_antihom={profile.rho_dot_antihom}\n"
+        f"hom={profile.red1} antihom={profile.red3} "
+        f"rho_hom={profile.red2} rho_antihom={profile.red4}\n"
     )
     out.write(f"two_reductive: {profile.all_four}\n")
     if full:
@@ -314,10 +319,15 @@ def cmd_classify(args) -> int:
             return EXIT_VIOLATION
         print(f"isomorphic: pi={list(witness.pi)} psis={[list(p) for p in witness.psis]}")
         return EXIT_OK
-    # not 2-reductive: brute force is feasible only for small carriers
     s1 = obj1 if kind1 == "solution" else unions.union_to_solution(obj1)
     s2 = obj2 if kind2 == "solution" else unions.union_to_solution(obj2)
-    if max(s1.n, s2.n) > 6:
+    # 2-reductivity and the carrier's size are isomorphism invariants, and
+    # here at most one input is 2-reductive
+    if u1 is not None or u2 is not None or s1.n != s2.n:
+        print("not isomorphic")
+        return EXIT_VIOLATION
+    # neither is 2-reductive: brute force is feasible only for small carriers
+    if s1.n > 6:
         raise _Exit(
             EXIT_USAGE,
             "error: inputs are not 2-reductive and too large for brute-force "

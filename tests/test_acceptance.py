@@ -430,9 +430,10 @@ def test_criterion_6_brace_catalog(brace_catalog):
         fields = (prof.red1, prof.red2, prof.red3, prof.red4)
         if red != homs or red != fields:
             violations.append(f"{name}: (f) identities {red} vs homs {homs}")
+        opposite_class = yb.socle_series(yb.opposite_brace(b)).nilpotency_class
         if not (
-            all(red) == two_sided == prof.multipermutation_le2
-            == prof.nilpotent_le2 == prof.opposite_nilpotent_le2
+            all(red) == prof.all_four == two_sided == prof.multipermutation_le2
+            == prof.nilpotent_le2 == (opposite_class is not None and opposite_class <= 2)
         ):
             violations.append(f"{name}: (f) five-way equivalence")
         ret = yb.retraction(s).solution

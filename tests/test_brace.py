@@ -205,28 +205,6 @@ def test_reductivity_profiles():
     assert not prof.nilpotent_le2
 
 
-def test_reductivity_profile_runs_on_catalog(brace_catalog):
-    # each identity matches one homomorphism property, and all four together
-    # match the two-sided condition, level <= 2 and class <= 2 (of the brace
-    # and of its opposite); the profile computes every field on its own
-    for name, b in brace_catalog:
-        prof = yb.reductivity_profile(b)
-        assert prof.all_four == (
-            prof.red1 and prof.red2 and prof.red3 and prof.red4
-        ), name
-        assert prof.red1 == prof.lambda_dot_hom, name
-        assert prof.red2 == prof.rho_dot_hom, name
-        assert prof.red3 == prof.lambda_dot_antihom, name
-        assert prof.red4 == prof.rho_dot_antihom, name
-        assert (
-            prof.all_four
-            == prof.two_sided
-            == prof.multipermutation_le2
-            == prof.nilpotent_le2
-            == prof.opposite_nilpotent_le2
-        ), name
-
-
 def test_brace_theorems_on_catalog(brace_catalog):
     # theorems the library relies on without checking them at run time
     for name, b in brace_catalog:

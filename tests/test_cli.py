@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,8 @@ import tracemalloc
 import pytest
 
 import yangbaxter as yb
-from yangbaxter import cli, unions
+from yangbaxter import brace as brace_module
+from yangbaxter import cli, groups, unions
 from yangbaxter.cli import main
 from yangbaxter.groups import finite_group
 from yangbaxter.solution import solution_to_text
@@ -415,6 +417,26 @@ def test_classify_large_non_2reductive_exits_2(tmp_path, capsys):
     assert "brute-force" in capsys.readouterr().err
 
 
+def test_classify_tells_invariants_apart_at_once(tmp_path, capsys):
+    # one input 2-reductive and one not, or carriers of two sizes: not
+    # isomorphic, exit 1, however large the carriers
+    s3 = yb.symmetric_group(3)
+    big = yb.associated_solution(
+        yb.product_brace(yb.trivial_brace(s3), yb.trivial_brace(yb.cyclic_group(2)))
+    )
+    assert not yb.is_2reductive(big).holds and big.n == 12
+    small = yb.associated_solution(yb.trivial_brace(s3))
+    p_big = write(tmp_path, "big.json", big.to_dict())
+    p_proj = write(tmp_path, "proj.json", yb.projection_solution(12).to_dict())
+    p_small = write(tmp_path, "small.json", small.to_dict())
+    p_union = write(tmp_path, "u.json", yb.enumerate_2reductive(3)[5].to_dict())
+    pairs = (p_proj, p_big), (p_big, p_proj), (p_small, p_big), (p_big, p_small), (p_union, p_big)
+    for p1, p2 in pairs:
+        assert main(["classify", p1, p2]) == 1, (p1, p2)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("not isomorphic\n", ""), (p1, p2)
+
+
 def test_classify_projection_solutions_with_many_equal_blocks(tmp_path, capsys):
     # twelve trivial blocks: 12! block bijections, of which the first fits
     s = yb.projection_solution(12)
@@ -524,14 +546,16 @@ def test_brace_report_makes_no_call_per_pair(monkeypatch):
 
 
 def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brace_catalog):
-    # the profile holds the socle series of b and of its opposite and the
-    # associated solution's identities and level; the report renders those,
-    # its socle line too: the socle of b is the series' first step
+    # the profile holds the socle series of b and the associated solution's
+    # identities and level; the report renders those, its socle line too:
+    # the socle of b is the series' first step.  The hom flags and bi-skew
+    # are read off the identities, so no brace law is checked again
     functions = {
         "socle_series": yb.socle_series,
         "socle": yb.socle,
         "multipermutation_level": yb.multipermutation_level,
         "is_2reductive": yb.is_2reductive,
+        "_brace_law_holds": brace_module._brace_law_holds,
     }
     calls = _count_calls(monkeypatch, functions)
     for full in (True, False):
@@ -539,17 +563,30 @@ def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brac
             before = dict(calls)
             profile = cli.brace_report(b, full=full, out=io.StringIO())
             ran = {key: calls[key] - before[key] for key in calls}
-            # one socle per quotient of each series
-            socles = len(profile.series.quotients) + len(profile.opposite_series.quotients)
+            # one socle per quotient of the series
             assert ran == {
-                "socle_series": 2, "socle": socles, "multipermutation_level": 1, "is_2reductive": 1,
+                "socle_series": 1, "socle": len(profile.series.quotients),
+                "multipermutation_level": 1, "is_2reductive": 1, "_brace_law_holds": 0,
             }, (name, full)
     path = write(tmp_path, "sol.json", yb.projection_solution(3).to_dict())
     before = dict(calls)
     assert main(["verify", path]) == 0
     assert {key: calls[key] - before[key] for key in calls} == {
         "socle_series": 0, "socle": 0, "multipermutation_level": 1, "is_2reductive": 1,
+        "_brace_law_holds": 0,
     }
+
+
+def test_brace_report_encodes_only_the_solution(monkeypatch, brace_catalog):
+    # the identities are one row-kernel build (is_2reductive) and the full
+    # report's distributivity two more; the hom flags and bi-skew are read
+    # off the identities, so the brace's tables are not encoded again
+    calls = _count_calls(monkeypatch, {"_row_kernel": groups._row_kernel})
+    for full in (True, False):
+        for name, b in brace_catalog:
+            before = calls["_row_kernel"]
+            cli.brace_report(b, full=full, out=io.StringIO())
+            assert calls["_row_kernel"] - before == (3 if full else 1), (name, full)
 
 
 def test_classify_checks_2_reductivity_once_per_file(tmp_path, capsys, monkeypatch):
@@ -661,3 +698,29 @@ def test_modules_import_at_the_top_and_only_downward():
                 ]
                 for target in targets:
                     assert LAYERS[target] < LAYERS[module], f"{module} imports {target}"
+
+
+def test_readme_names_only_tests_that_exist():
+    # README names its oracles as `tests/f.py::name`, `bench/f.py::name` or a
+    # bare `test_name`; each must be a top-level definition of that file, or,
+    # when bare, of some test or bench file
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    defined = {}
+    for folder in ("tests", "bench"):
+        for name in os.listdir(os.path.join(root, folder)):
+            if name.endswith(".py"):
+                with open(os.path.join(root, folder, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                defined[f"{folder}/{name}"] = {
+                    node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                }
+    qualified = re.findall(r"`((?:tests|bench)/[\w/]+\.py)::(\w+)`", text)
+    bare = re.findall(r"`(test_\w+)`", text)
+    assert qualified and bare
+    everywhere = set().union(*defined.values())
+    missing = [f"{path}::{name}" for path, name in qualified if name not in defined.get(path, ())]
+    missing += [name for name in bare if name not in everywhere]
+    assert not missing, missing

@@ -11,6 +11,7 @@ the pruned automorphism search to the plain product filter.
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 from math import prod
@@ -19,6 +20,7 @@ import pytest
 
 import yangbaxter as yb
 import yangbaxter.solution as solution_module
+from yangbaxter import cli
 from yangbaxter.brace import BraceViolation, _brace_law_failure
 from yangbaxter.groups import (
     _coset_quotient,
@@ -289,14 +291,6 @@ def normalized_latin_squares(n):
                 in_col[j].discard(v)
 
     fill(0)
-    return out
-
-
-def with_families(b, lambdas, rhos):
-    """A copy of brace b whose lambda and rho families are the given ones,
-    set where cached_property keeps them."""
-    out = yb.SkewBrace(dot=b.dot, circle=b.circle)
-    out.__dict__.update(lambdas=tuple(lambdas), rhos=tuple(rhos))
     return out
 
 
@@ -655,32 +649,128 @@ def test_coset_quotient_matches_the_coset_loop():
             assert (q.table, q.id, q.inv, proj) == coset_quotient_oracle(g.table, s), (g.table, s)
 
 
+def report_sections(b):
+    """brace_report(b, full=True) as two {key: value} dicts: the brace's
+    lines and those of its associated solution."""
+    out = io.StringIO()
+    cli.brace_report(b, full=True, out=out)
+    return tuple(
+        dict(line.split(": ", 1) for line in part.strip().splitlines())
+        for part in out.getvalue().split("associated_solution:\n")
+    )
+
+
+def at_most_2(described):
+    """Whether a described class or level ("nilpotent of class 2", "1",
+    "not nilpotent (series stabilizes at size 3)") is a number <= 2."""
+    last = described.split()[-1]
+    return last.isdigit() and int(last) <= 2
+
+
+def group_automorphisms(table):
+    """Every permutation fixing 0 that respects table, by a loop over pairs."""
+    n = len(table)
+    perms = ((0, *rest) for rest in itertools.permutations(range(1, n)))
+    return [phi for phi in perms
+            if all(phi[table[a][b]] == table[phi[a]][phi[b]] for a in range(n) for b in range(n))]
+
+
+def skew_braces_by_definition(n):
+    """Every skew brace of order n up to isomorphism, by definitions only:
+    {dot group name: [circle tables]}.  Per dot group G of small_groups, each
+    relabelling fixing 0 of each group H of order n that passes the brace
+    law with G, one per orbit of Aut(G): braces (G, o) and (G, o') are
+    isomorphic iff an automorphism of G carries o to o'."""
+    groups = [(name, g.table) for name, g in yb.small_groups(8) if g.n == n]
+    out = {}
+    for name, dot in groups:
+        auts = group_automorphisms(dot)
+        seen, reps = set(), []
+        for _, h in groups:
+            for rest in itertools.permutations(range(1, n)):
+                circ = relabel_table(h, (0, *rest))
+                if circ in seen or brace_law_oracle(dot, circ) is not None:
+                    continue
+                seen.update(relabel_table(circ, phi) for phi in auts)
+                reps.append(circ)
+        out[name] = reps
+    return out
+
+
+def check_report_by_definitions(dot, circ):
+    """brace_report's derived lines vs definitions on the tables: the hom
+    and antihom flags of lambda and rho, built here, vs the loop over pairs;
+    bi_skew vs the swapped brace law; and two_reductive, the two-sided
+    identity, level <= 2, class <= 2 and the class of the opposite brace
+    (dot table transposed) <= 2, all equal.  Returns (red1, ..., red4)."""
+    n = len(dot)
+    b = yb.verify_brace(dot, circ)
+    ident = next(e for e in range(n) if dot[e][e] == e)
+    dinv = [dot[a].index(ident) for a in range(n)]
+    cinv = [circ[a].index(ident) for a in range(n)]
+    lams = [tuple(dot[dinv[a]][circ[a][x]] for x in range(n)) for a in range(n)]
+    rhos = [tuple(circ[circ[cinv[lams[x][y]]][x]][y] for x in range(n)) for y in range(n)]
+    lam = family_flags_oracle(dot, circ, lams)
+    rho = family_flags_oracle(dot, circ, rhos)
+    report, solution = report_sections(b)
+    assert report["lambda_hom"] == (
+        f"hom={lam[0]} antihom={lam[1]} rho_hom={rho[0]} rho_antihom={rho[1]}"
+    ), (dot, circ)
+    assert report["bi_skew"] == str(brace_law_oracle(circ, dot) is None), (dot, circ)
+    opposite = yb.verify_brace(tuple(zip(*dot)), circ)
+    five = {
+        report["two_reductive"] == "True",
+        lam[2] and rho[2],
+        at_most_2(solution["mp_level"]),
+        at_most_2(report["nilpotency"]),
+        at_most_2(yb.socle_series(opposite).describe()),
+    }
+    assert len(five) == 1, (dot, circ)
+    return tuple(kv.split("=")[1] == "True" for kv in report["reductivity"].split())
+
+
 def test_family_flags_match_the_pair_loop(brace_catalog):
-    # on the catalog braces, and on lambda and rho families whose indices
-    # are permuted, so that each flag is seen to fail
-    rng = random.Random(4242)
-    seen = set()
-
-    def check(b):
-        prof = yb.reductivity_profile(b)
-        dot, circ = b.dot.table, b.circle.table
-        lam = family_flags_oracle(dot, circ, b.lambdas)
-        rho = family_flags_oracle(dot, circ, b.rhos)
-        assert (prof.lambda_dot_hom, prof.lambda_dot_antihom) == lam[:2]
-        assert (prof.rho_dot_hom, prof.rho_dot_antihom) == rho[:2]
-        assert prof.two_sided == (lam[2] and rho[2])
-        seen.update((i, flag) for i, flag in enumerate(lam + rho + (prof.two_sided,)))
-
     for _, b in brace_catalog:
-        check(b)
-        if b.n < 3:
-            continue
-        for _ in range(3):
-            pi = rng.sample(range(b.n), b.n)
-            lams = [b.lambdas[p] for p in pi]
-            rhos = [b.rhos[p] for p in pi] if rng.random() < 0.5 else b.rhos
-            check(with_families(b, lams, rhos))
-    assert seen == {(i, flag) for i in range(7) for flag in (True, False)}, seen
+        check_report_by_definitions(b.dot.table, b.circle.table)
+
+
+# every skew brace of orders 1..8 by its dot group (Guarnieri and Vendramin,
+# Math. Comp. 86, 2017, count 1, 1, 1, 4, 1, 6, 1, 47)
+BRACES_BY_DOT_GROUP = {
+    1: {"Z1": 1},
+    2: {"Z2": 1},
+    3: {"Z3": 1},
+    4: {"Z4": 2, "Z2xZ2": 2},
+    5: {"Z5": 1},
+    6: {"Z6": 2, "S3": 4},
+    7: {"Z7": 1},
+    8: {"Z8": 5, "Z2xZ4": 14, "Z2xZ2xZ2": 8, "D4": 12, "Q8": 8},
+}
+
+
+def check_every_skew_brace(n):
+    """Pins the braces of order n per dot group and checks the report of
+    each by definitions; returns the set of (red1, ..., red4) seen."""
+    found = skew_braces_by_definition(n)
+    assert {name: len(reps) for name, reps in found.items()} == BRACES_BY_DOT_GROUP[n], n
+    dots = dict(yb.small_groups(8))
+    return {
+        check_report_by_definitions(dots[name].table, circ)
+        for name, reps in found.items() for circ in reps
+    }
+
+
+def test_every_skew_brace_up_to_order_7():
+    reds = {n: check_every_skew_brace(n) for n in range(1, 8)}
+    # at order 6 each of red1-red4 holds on some brace and fails on another
+    assert {(i, red[i]) for red in reds[6] for i in range(4)} == {
+        (i, flag) for i in range(4) for flag in (True, False)
+    }
+
+
+@pytest.mark.slow
+def test_every_skew_brace_of_order_8():
+    check_every_skew_brace(8)
 
 
 def test_involutive_and_condition_star_match_the_pair_loop():
