@@ -161,6 +161,9 @@ def brace_from_dict(data: dict) -> SkewBrace:
     dot = _int_table(dot, "dot")
     if not dot:
         raise ValueError("dot: empty table, a brace needs at least one element")
+    n = data.get("n", len(dot))
+    if type(n) is not int or n != len(dot):
+        raise ValueError(f"n: declared {n!r} but dot has {len(dot)} rows")
     return verify_brace(dot, _int_table(circle, "circle", len(dot)))
 
 

@@ -121,16 +121,19 @@ def write_census(record: CensusRecord, stream: TextIO) -> None:
 def load_payload(path: str):
     """Returns ("solution" | "brace" | "union", object).
 
-    A file whose first non-blank character is "{" is read as JSON, any
-    other as a solution in the text format.  Malformed input raises
+    The file is read as UTF-8, a leading byte-order mark dropped.  A file
+    whose first non-blank character is "{" is read as JSON, any other as a
+    solution in the text format.  Malformed input raises
     ValueError("path: field: reason"); well-formed tables that break an
     axiom raise VerificationError or BraceError.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     if not text.lstrip().startswith("{"):
         kind, load, data = "solution", solutions.parse_solution_text, text
     else:

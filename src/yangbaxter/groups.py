@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -58,6 +58,16 @@ def _row_kernel(
     rows = list(map(bytes, table))
     return (rows, [row + pad for row in rows], bytes.translate, b"".join,
             lambda row: bytes.maketrans(row, ident)[:n])
+
+
+def _product_table(
+    t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The operation table of the direct product of two tables, with the
+    pair (a, b) packed as a * |t2| + b: row (a1, a2) is row a1 of t1 and
+    row a2 of t2 paired entry by entry."""
+    m = len(t2)
+    return tuple(tuple(p * m + q for p in row1 for q in row2) for row1 in t1 for row2 in t2)
 
 
 def _first_difference(u: Sequence[int], v: Sequence[int]) -> int:
@@ -374,13 +384,9 @@ class AbelianGroup:
     def as_finite_group(self) -> FiniteGroup:
         # one factor at a time, the new factor's coordinate the least
         # significant digit: (x, c) + (y, e) = (x + y, c + e mod d)
-        table: list[list[int]] = [[0]]
-        inv = [0]
-        for d in self.factors:
-            cyclic = [[(c + e) % d for e in range(d)] for c in range(d)]
-            table = [[p * d + q for p in row for q in crow] for row in table for crow in cyclic]
-            inv = [p * d + (-c) % d for p in inv for c in range(d)]
-        return FiniteGroup(n=self.n, table=tuple(map(tuple, table)), id=0, inv=tuple(inv))
+        cyclics = ([[(c + e) % d for e in range(d)] for c in range(d)] for d in self.factors)
+        table = reduce(_product_table, cyclics, ((0,),))
+        return FiniteGroup(n=self.n, table=table, id=0, inv=tuple(row.index(0) for row in table))
 
     def label(self) -> str:
         if not self.factors:
@@ -678,17 +684,7 @@ def quaternion_group() -> FiniteGroup:
 
 def direct_product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product with pairs (a, b) packed as a * |g2| + b."""
-    n1, n2 = g1.n, g2.n
-    n = n1 * n2
-    rows = []
-    for a1 in range(n1):
-        for a2 in range(n2):
-            row = [0] * n
-            for b1 in range(n1):
-                for b2 in range(n2):
-                    row[b1 * n2 + b2] = g1.mul(a1, b1) * n2 + g2.mul(a2, b2)
-            rows.append(tuple(row))
-    return finite_group(tuple(rows))
+    return finite_group(_product_table(g1.table, g2.table))
 
 
 def small_groups(max_order: int = 8) -> list[tuple[str, FiniteGroup]]:

@@ -71,12 +71,14 @@ def is_congruence(s: FiniteSolution, p: SolutionPartition) -> bool:
     Each row is mapped through the block map once, as a whole: the mapped
     rows of a block's points must equal its first point's, and each mapped
     row must not change when its argument moves to its block's first point,
-    that is, it must be constant on every block.
+    that is, it must be constant on every block.  The inverses need no
+    check: a bijection of a finite carrier mapping blocks into blocks
+    permutes them, so its inverse maps blocks by the inverse block map.
     """
     n = s.n
     blk = p.block_of
     first = [p.blocks[b][0] for b in blk]
-    tables = (s.sigma, s.sigma_inv, s.tau, s.tau_inv)
+    tables = (s.sigma, s.tau)
     rows, maps, then, *_ = _row_kernel([blk, first, *itertools.chain(*tables)])
     to_block, to_first = maps[0], rows[1]
     for t in range(len(tables)):

@@ -345,19 +345,14 @@ def satisfies_condition_star(s: FiniteSolution) -> bool:
 
 
 def relabel(s: FiniteSolution, phi: Sequence[int]) -> FiniteSolution:
-    """Transport the solution along a bijection of the carrier."""
-    n = s.n
-    sig = [[0] * n for _ in range(n)]
-    ta = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            sig[phi[x]][phi[y]] = phi[s.sigma[x][y]]
-            ta[phi[x]][phi[y]] = phi[s.tau[x][y]]
-    return FiniteSolution(
-        n=n,
-        sigma=tuple(map(tuple, sig)),
-        tau=tuple(map(tuple, ta)),
-    )
+    """Transport the solution along a bijection of the carrier: the row of
+    phi(x) is phi o row_x o phi^-1."""
+    inv = invert_perm(phi)
+
+    def moved(table):
+        return tuple(compose(phi, compose(table[x], inv)) for x in inv)
+
+    return FiniteSolution(n=s.n, sigma=moved(s.sigma), tau=moved(s.tau))
 
 
 def solutions_isomorphic(

@@ -26,10 +26,9 @@ from .groups import (
     _isomorphisms,
     _partitions,
     abelian_groups_of_order,
+    compose,
     element_order,
     invert_perm,
-    orbits,
-    perm_group_closure,
 )
 from .solution import FiniteSolution, is_2reductive
 
@@ -135,22 +134,20 @@ def union_from_dict(data: dict) -> AbelianUnion:
 
 
 def union_to_solution(u: AbelianUnion) -> FiniteSolution:
-    n = u.n
-    off = u.offsets
-    block_of = []
-    local = []
+    """The solution of a union.  sigma_x and tau_x depend only on x's block
+    i, so one sigma-row and one tau-row are built per block and shared by
+    its points: over each block j, row c[i][j] (or d[i][j]) of A_j's table,
+    y -> y + c[i][j], shifted by block j's offset."""
+    tables = [g.as_finite_group.table for g in u.groups]
+
+    def block_row(m: Matrix, i: int) -> tuple[int, ...]:
+        return tuple(at + y for at, t, e in zip(u.offsets, tables, m[i]) for y in t[e])
+
+    sig, ta = [], []
     for i, g in enumerate(u.groups):
-        block_of.extend([i] * g.n)
-        local.extend(range(g.n))
-    sig = [[0] * n for _ in range(n)]
-    ta = [[0] * n for _ in range(n)]
-    for x in range(n):
-        i = block_of[x]
-        for y in range(n):
-            j = block_of[y]
-            sig[x][y] = off[j] + u.groups[j].add(local[y], u.c[i][j])
-            ta[x][y] = off[j] + u.groups[j].add(local[y], u.d[i][j])
-    return FiniteSolution(n=n, sigma=tuple(map(tuple, sig)), tau=tuple(map(tuple, ta)))
+        sig += [block_row(u.c, i)] * g.n
+        ta += [block_row(u.d, i)] * g.n
+    return FiniteSolution(n=u.n, sigma=tuple(sig), tau=tuple(ta))
 
 
 @dataclass(frozen=True)
@@ -186,49 +183,49 @@ def _torsor_isomorphism(
 
 
 def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
-    """Decompose a 2-reductive solution into its disjoint union of blocks."""
+    """Decompose a 2-reductive solution into its disjoint union of blocks.
+
+    The blocks are the orbits of the permutation group, which acts on each
+    regularly, as an abelian group.  Each orbit is walked once from its
+    least point e over the distinct sigma- and tau-rows: a point z first
+    reached as g(z') gets t_z = g o t_z', the one element taking e to z, and
+    row z of the orbit's translation table is t_z read on the orbit.
+    """
     if not is_2reductive(s).holds:
         raise ValueError("solution is not 2-reductive")
-    pg = perm_group_closure(s.sigma + s.tau, s.n)
-    orbs = orbits(pg)
-
-    groups: list[AbelianGroup] = []
-    to_canon: list[tuple[int, ...]] = []
-    pos: list[dict[int, int]] = []
-    for orb in orbs:
+    rows = list(dict.fromkeys(s.sigma + s.tau))
+    reached: dict[int, tuple[int, int]] = {}    # z -> (g, z'): z = rows[g](z')
+    orbs, groups, at = [], [], 0
+    # each point's element of its block, and its point of the rebuilt carrier
+    local, carrier_map = [0] * s.n, [0] * s.n
+    for e in range(s.n):
+        if e in reached:
+            continue
+        walk, reached[e] = [e], (0, e)          # e's entry is never read
+        for z in walk:
+            for g, row in enumerate(rows):
+                if row[z] not in reached:
+                    reached[row[z]] = (g, z)
+                    walk.append(row[z])
+        orb = tuple(sorted(walk))
         index_of = {x: i for i, x in enumerate(orb)}
-        # the group acts regularly on each orbit: row i of the translation
-        # table is its one element taking orb[0] to orb[i]
-        local = perm_group_closure(
-            [[index_of[g[y]] for y in orb] for g in pg.generators], len(orb)
-        )
-        table = sorted(local.elements, key=lambda g: g[0])
-        grp, mapping = _torsor_isomorphism(table)
+        # t_z and the rows on the orbit, as maps of local indices
+        on_orb = [[index_of[row[x]] for x in orb] for row in rows]
+        t = {e: tuple(range(len(orb)))}
+        for z in walk[1:]:
+            g, prev = reached[z]
+            t[z] = compose(on_orb[g], t[prev])
+        grp, to_canon = _torsor_isomorphism([t[z] for z in orb])
+        for x, i in index_of.items():
+            local[x], carrier_map[x] = to_canon[i], at + to_canon[i]
+        orbs.append(orb)
         groups.append(grp)
-        to_canon.append(mapping)
-        pos.append(index_of)
-
-    k = len(orbs)
-    c = [[0] * k for _ in range(k)]
-    d = [[0] * k for _ in range(k)]
-    for i in range(k):
-        e_i = orbs[i][0]
-        for j in range(k):
-            e_j = orbs[j][0]
-            c[i][j] = to_canon[j][pos[j][s.sigma[e_i][e_j]]]
-            d[i][j] = to_canon[j][pos[j][s.tau[e_i][e_j]]]
+        at += len(orb)
     # each column generates its block: the group acts regularly on the orbit
-    union = AbelianUnion(
-        groups=tuple(groups), c=tuple(map(tuple, c)), d=tuple(map(tuple, d))
-    )
-    off = union.offsets
-    carrier_map = [0] * s.n
-    for j, orb in enumerate(orbs):
-        for x in orb:
-            carrier_map[x] = off[j] + to_canon[j][pos[j][x]]
-    return UnionDecomposition(
-        union=union, blocks=orbs, carrier_map=tuple(carrier_map)
-    )
+    firsts = [orb[0] for orb in orbs]
+    c, d = (tuple(tuple(local[m[a][b]] for b in firsts) for a in firsts) for m in (s.sigma, s.tau))
+    union = AbelianUnion(groups=tuple(groups), c=c, d=d)
+    return UnionDecomposition(union=union, blocks=tuple(orbs), carrier_map=tuple(carrier_map))
 
 
 # ---------------------------------------------------------------------------

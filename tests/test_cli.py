@@ -120,6 +120,7 @@ MALFORMED = {
     "empty-carrier": ({"sigma": [], "tau": []}, "sigma"),
     "empty-brace": ({"dot": [], "circle": []}, "dot"),
     "short-circle": ({"dot": [[0]], "circle": []}, "circle"),
+    "brace-wrong-n": ({"n": 5, "dot": [[0]], "circle": [[0]]}, "n"),
 }
 
 
@@ -132,6 +133,25 @@ def test_verify_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
         assert main(argv) == 2, argv
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {field}: "), lines
+
+
+def test_files_that_are_not_utf8_exit_2_and_a_bom_is_dropped(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    for argv in (["verify", str(bad)], ["classify", str(bad), str(bad)], ["brace", str(bad)]):
+        assert main(argv) == 2, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: not UTF-8 text"), lines
+    # a UTF-8 file with a byte-order mark reads as the same file without one
+    bom = b"\xef\xbb\xbf"
+    sol, text, brace = tmp_path / "sol.json", tmp_path / "sol.txt", tmp_path / "brace.json"
+    sol.write_bytes(bom + json.dumps(yb.projection_solution(2).to_dict()).encode())
+    text.write_bytes(bom + solution_to_text(yb.projection_solution(2)).encode())
+    brace.write_bytes(bom + json.dumps(yb.z2n_brace(3).to_dict()).encode())
+    for argv in (["verify", str(sol)], ["verify", str(text)], ["verify", str(brace)],
+                 ["classify", str(sol), str(text)], ["brace", str(brace)]):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def test_malformed_entry_message_names_its_index(tmp_path, capsys):
@@ -698,6 +718,25 @@ def test_modules_import_at_the_top_and_only_downward():
                 ]
                 for target in targets:
                     assert LAYERS[target] < LAYERS[module], f"{module} imports {target}"
+
+
+def test_readme_library_example_holds():
+    # every expression of the README's Library example that ends in a
+    # "# value" comment has that value as its repr; the rest is run in order
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, checked = code.splitlines(), {}, 0
+    for stmt in ast.parse(code).body:
+        tail = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        if isinstance(stmt, ast.Expr) and tail.startswith("# "):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert repr(value) == tail[2:], ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked == 6
 
 
 def test_readme_names_only_tests_that_exist():

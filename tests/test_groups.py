@@ -349,3 +349,17 @@ def test_abelian_block_tables_are_coordinatewise_addition():
             for b, cb in enumerate(coords):
                 total = index[tuple((x + y) % d for x, y, d in zip(ca, cb, g.factors))]
                 assert fg.table[a][b] == g.add(a, b) == total, g.factors
+
+
+def test_direct_product_tables_follow_the_pair_formula():
+    # (a1, a2)(b1, b2) = (a1 b1, a2 b2), the pair (a, b) packed as a * |g2| + b
+    catalog = yb.small_groups(6)
+    for (_, g1), (_, g2) in itertools.product(catalog, repeat=2):
+        p, m = yb.direct_product_group(g1, g2), g2.n
+        assert p.n == g1.n * m and p.id == g1.id * m + g2.id
+        for a1, a2 in itertools.product(range(g1.n), range(m)):
+            assert p.inv[a1 * m + a2] == g1.inv[a1] * m + g2.inv[a2]
+            assert p.table[a1 * m + a2] == tuple(
+                g1.table[a1][b1] * m + g2.table[a2][b2]
+                for b1, b2 in itertools.product(range(g1.n), range(m))
+            )

@@ -116,6 +116,26 @@ def test_congruence_agrees_with_the_element_test(small_solutions, census_solutio
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
+def test_congruence_reads_sigma_and_tau_only(monkeypatch, small_solutions, census_solutions):
+    # a row mapping blocks into blocks permutes them, so its inverse is not
+    # read: the verdicts stay the element test's with both inverses gone
+    rng = random.Random(4417)
+    cases = [
+        (s, p)
+        for s in small_solutions + census_solutions[4][::5]
+        for p in _random_partitions(s, rng, 3)
+    ]
+    expected = [_congruence_by_elements(s, p) for s, p in cases]
+
+    def unread(s):
+        raise AssertionError("an inverse table was read")
+
+    monkeypatch.setattr(yb.FiniteSolution, "sigma_inv", property(unread))
+    monkeypatch.setattr(yb.FiniteSolution, "tau_inv", property(unread))
+    assert [yb.is_congruence(s, p) for s, p in cases] == expected
+    assert True in expected and False in expected
+
+
 def test_congruence_above_256_points():
     # past 256 points rows are tuples and composed in Python.  In each Z130
     # block the row of x adds an entry of C or D whose parity depends only

@@ -12,6 +12,9 @@ import pytest
 
 import yangbaxter as yb
 from solution_oracles import canonical_key
+from yangbaxter import groups as groups_module
+from yangbaxter import unions as unions_module
+from yangbaxter.groups import invert_perm
 from yangbaxter.solution import validate_tables
 from yangbaxter.unions import (
     AbelianUnion,
@@ -132,6 +135,99 @@ def test_round_trip_with_carrier_map(census, small_solutions):
     ]:
         u = yb.solution_to_union(s).union
         assert yb.abelian_union(u.groups, u.c, u.d) == u
+
+
+def _mixed_radix_add(factors, a, b):
+    """a + b in Z_d1 x ... x Z_dk, digit by digit, the first factor the
+    most significant."""
+    total, weight = 0, 1
+    for d in reversed(factors):
+        total += (a // weight + b // weight) % d * weight
+        weight *= d
+    return total
+
+
+def _entry_formula(u):
+    """The tables of a union entry by entry: sigma_x(y) = y + c[i][j] and
+    tau_x(y) = y + d[i][j] for x in block i and y in block j."""
+    block_of = [j for j, g in enumerate(u.groups) for _ in range(g.n)]
+    off = u.offsets
+
+    def table(m):
+        return tuple(
+            tuple(
+                off[j] + _mixed_radix_add(u.groups[j].factors, y - off[j], m[block_of[x]][j])
+                for y, j in enumerate(block_of)
+            )
+            for x in range(u.n)
+        )
+
+    return table(u.c), table(u.d)
+
+
+def _wide_unions():
+    """Unions with blocks outside the small census, up to 260 points."""
+    z2x4, z3x3, z2_4 = yb.abelian_group([2, 4]), yb.abelian_group([3, 3]), yb.abelian_group([2] * 4)
+    z130 = yb.abelian_group([130])
+    return [
+        yb.abelian_union([z2_4, Z3], [[8, 1], [4, 0]], [[2, 2], [1, 0]]),
+        yb.abelian_union([z3x3, z2x4, Z1], [[1, 5, 0], [3, 2, 0], [0, 0, 0]],
+                         [[4, 1, 0], [0, 7, 0], [2, 3, 0]]),
+        yb.abelian_union([z2x4, z2x4, Z2], [[1, 0, 1], [0, 3, 0], [6, 2, 1]],
+                         [[2, 0, 0], [0, 4, 0], [0, 1, 1]]),
+        yb.abelian_union([z130, Z3, z130], [[1, 2, 0], [0, 0, 7], [5, 1, 1]],
+                         [[0, 0, 3], [4, 1, 0], [0, 0, 0]]),
+        yb.abelian_union([z130, z130], [[1, 0], [0, 1]], [[0, 3], [5, 0]]),
+    ]
+
+
+def test_union_to_solution_matches_the_entry_formula(census):
+    # one sigma-row and one tau-row per block, shared by the block's points
+    for u in [v for n in range(1, 6) for v in census[n]] + _wide_unions():
+        s = yb.union_to_solution(u)
+        assert (s.n, (s.sigma, s.tau)) == (u.n, _entry_formula(u)), u
+        assert len({id(row) for row in s.sigma}) == len({id(row) for row in s.tau}) == u.k
+
+
+def test_decomposition_of_interleaved_orbits(census):
+    # relabelled so that the blocks' points interleave; the blocks come back
+    # as the orbits, and the carrier map rebuilds the decomposed union
+    rng = random.Random(6203)
+    for u in [*census[4][::9], *census[5][::41], *_wide_unions()]:
+        n = u.n
+        # the i-th points of all blocks first, then the (i + 1)-th, a few
+        # of them swapped at random
+        local = [(y, j) for j, g in enumerate(u.groups) for y in range(g.n)]
+        phi = list(invert_perm(sorted(range(n), key=local.__getitem__)))
+        for _ in range(n // 10):
+            a, b = rng.randrange(n), rng.randrange(n)
+            phi[a], phi[b] = phi[b], phi[a]
+        s = yb.relabel(yb.union_to_solution(u), phi)
+        dec = yb.solution_to_union(s)
+        orbits = sorted(
+            tuple(sorted(phi[x] for x in range(off, off + g.n)))
+            for off, g in zip(u.offsets, u.groups)
+        )
+        assert dec.blocks == tuple(orbits)
+        assert yb.relabel(s, dec.carrier_map) == yb.union_to_solution(dec.union)
+        assert dec.union.orbit_type() == u.orbit_type()
+        if n <= 16:
+            assert yb.unions_isomorphic(dec.union, u) is not None
+
+
+def test_decomposition_closes_no_permutation_group(monkeypatch, census):
+    # each orbit is walked once over the distinct rows: no closure of the
+    # permutation group, of the whole carrier or of one orbit, is built
+    def closed(*args):
+        raise AssertionError("a permutation group was closed")
+
+    monkeypatch.setattr(groups_module, "perm_group_closure", closed)
+    monkeypatch.setattr(unions_module, "perm_group_closure", closed, raising=False)
+    monkeypatch.setattr(vars(groups_module.PermGroup)["elements"], "func", closed)
+    for u in [*census[4][::5], *_wide_unions()]:
+        s = yb.union_to_solution(u)
+        dec = yb.solution_to_union(s)
+        assert yb.relabel(s, dec.carrier_map) == yb.union_to_solution(dec.union)
 
 
 def test_unions_isomorphic_identity(census):
