@@ -281,7 +281,9 @@ def cmd_enumerate(args) -> int:
     try:
         cap = int(raw_cap)
     except ValueError:
-        raise _Exit(EXIT_USAGE, f"error: {ENUM_CAP_ENV}: {raw_cap!r} is not an integer") from None
+        cap = 0
+    if cap < 1:
+        raise _Exit(EXIT_USAGE, f"error: {ENUM_CAP_ENV}: {raw_cap!r} is not a positive integer")
     if not 1 <= args.n <= cap:
         raise _Exit(
             EXIT_USAGE, f"error: n must be between 1 and {cap} (override with {ENUM_CAP_ENV})"

@@ -13,6 +13,7 @@ import contextlib
 import gc
 import itertools
 import operator
+import struct
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
@@ -29,6 +30,7 @@ from .groups import (
     compose,
     element_order,
     invert_perm,
+    subgroup_generated,
 )
 from .solution import FiniteSolution, is_2reductive
 
@@ -302,27 +304,30 @@ def _cell_positions(
     types: tuple[tuple[int, ...], ...]
 ) -> tuple[list[AbelianGroup], list[tuple[Perm, ...]], Iterator[tuple[int, ...]]]:
     """The blocks of a sorted block-type cell, their automorphisms, and one
-    index gather per symmetry (pi, psis) of the cell, as a position tuple.
+    index gather per symmetry (pi, psis) of the cell that fixes every
+    trivial block, as a position tuple.
 
     The gathers read a spread matrix: column j spans starts[j] ..
     starts[j] + k|Aut(A_j)|, holding for each automorphism psi in turn psi
     of M[0..k-1][j].  The gather of (pi, psis) lists, for each entry of the
     flattened M' with M'[pi(i)][pi(j)] = psi_j(M[i][j]), the spread index
-    it is read from.  C and D are spread alike and one gather maps either,
-    so the least (gather of C, gather of D) is the least image of (C, D)
-    over the cell's symmetries.  They are yielded lazily.  The first gather
-    is the identity, pi = id and every psi = id (block bijections come in
-    lexicographic order and automorphisms sorted), so it reads a matrix's
-    own flattened entries, the layout enumerate_cell compares the other
-    gathers with.
+    it is read from.  C and D are spread alike and one gather maps either.
+    The trivial blocks sort last, and the cell's symmetries are these
+    gathers times the permutations of the trivial blocks, which only
+    permute the last rows (enumerate_cell sorts them).  The gathers are
+    yielded lazily.  The first is the identity, pi = id and every psi = id
+    (block bijections come in lexicographic order and automorphisms
+    sorted), so it reads a matrix's own flattened entries, the layout
+    enumerate_cell compares the other gathers with.
     """
     groups = [_abelian_block(t) for t in types]
     auts = [g.automorphisms for g in groups]
-    k = len(types)
+    k, r = len(types), len(types) - types.count(())
     starts = list(itertools.accumulate((k * len(a) for a in auts), initial=0))
 
     def positions() -> Iterator[tuple[int, ...]]:
-        for pi in _block_bijections(types, types):
+        for head in _block_bijections(types[:r], types[:r]):
+            pi = head + tuple(range(r, k))
             # ts[j] is the index of psi_j in auts[j]
             for ts in itertools.product(*(range(len(a)) for a in auts)):
                 pos = [0] * (k * k)
@@ -441,17 +446,22 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
     symmetries, as in canonical_form.  The generation is orderly (R. C.
     Read, "Every one a winner", 1978), in two stages.  The least member of
     a class has the least C of C's orbit, and only the symmetries that fix
-    that C, its stabiliser, can give it a smaller D.  So a C-matrix, one
-    C-column per block among those that some D-column completes, is kept
-    when no gather maps it below its own layout, the identity gather's
-    image, and its stabiliser is collected on the way.  Then each D whose
-    columns complete C's is kept when no gather of the stabiliser maps it
-    lower; with a trivial stabiliser, the common case, every D is kept.
-    Matrices are stored spread, each column under every automorphism of
-    its block, so a gather reads either half.  The C-stage compares the
-    gathers' tuple images one C at a time; the D-stage works on a whole
-    run: its D's are spread end to end in one bytes, and each gather lays
-    out all their images with one strided slice per position.
+    that C, its stabiliser, can give it a smaller D.  The trivial blocks'
+    columns are zero, so S_m on the m of them only permutes the last m
+    rows, and its least image lists their (C-row, D-row) pairs sorted.  So
+    a C-matrix, one C-column per block among those that some D-column
+    completes, is kept when its trivial rows are sorted and no gather maps
+    it, the image's trivial rows sorted, lower.  Its stabiliser is
+    collected on the way: the identity with two adjacent equal trivial rows
+    swapped, and each gather whose sorted image is C followed by each row
+    arrangement that sorts it.  Then each D whose columns complete C's is
+    kept when no gather of the stabiliser maps it lower; with a trivial
+    stabiliser, the common case, every D is kept.  Matrices are stored
+    spread, each column under every automorphism of its block, so a gather
+    reads either half.  The C-stage compares the gathers' tuple images one
+    C at a time; the D-stage works on a whole run: its D's are spread end
+    to end in one bytes, and each gather lays out all their images with one
+    strided slice per position.
 
     Returns, per kept C in increasing order, (flattened C, run): the run is
     C's kept D's, each flattened to k^2 bytes, sorted and joined.  An entry
@@ -462,43 +472,52 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
     ident, *others = positions
     k = len(groups)
     width = k * sum(map(len, auts))
+    # the trivial rows close the flattened matrix
+    head = k * (k - types.count(()))
+    tails = [slice(i, i + k) for i in range(head, k * k, k)]
     # per block: spread C-column -> the spread D-columns whose entries
     # generate the block with its own, the C-columns as tuples for the
-    # gathers and the D-columns as bytes; generation depends only on the
-    # set of entries, so it is decided once per set
+    # gathers and the D-columns as bytes; that is decided once per pair of
+    # the subgroups columns generate, and a subgroup's C-columns share it
     completions = []
     for g, a in zip(groups, auts):
-        spread = {
-            col: bytes(psi[x] for psi in a for x in col)
+        cols = [
+            (subgroup_generated(g.as_finite_group, col), tuple(psi[x] for psi in a for x in col))
             for col in itertools.product(range(g.n), repeat=k)
-        }
-        generating: dict[frozenset, bool] = {}
-        table = {}
-        for cc, sc in spread.items():
-            ds = []
-            for dc, sd in spread.items():
-                key = frozenset(cc + dc)
-                ok = generating.get(key)
-                if ok is None:
-                    ok = generating[key] = g.generates(key)
-                if ok:
-                    ds.append(sd)
-            if ds:
-                table[tuple(sc)] = ds
-        completions.append(table)
+        ]
+        packed = [bytes(sc) for _, sc in cols]
+        subgroups = dict.fromkeys(h for h, _ in cols)
+        ok = {(h, h2): g.generates(h + h2) for h in subgroups for h2 in subgroups}
+        ds = {h: [sd for (h2, _), sd in zip(cols, packed) if ok[h, h2]] for h in subgroups}
+        completions.append({sc: ds[h] for h, sc in cols if ds[h]})
+
+    def arranged(pos: tuple[int, ...], orders: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        # pos with its trivial rows read in each order
+        return [pos[:head] + sum((pos[tails[q]] for q in o), ()) for o in orders]
+
+    swaps = [(*range(i), i + 1, i, *range(i + 2, len(tails))) for i in range(len(tails) - 1)]
     own = _getter(ident)
     gathers = [(_getter(pos), pos) for pos in others]
     kept = []
     for c_combo in itertools.product(*completions):
         x = sum(c_combo, ())
         cflat = own(x)
-        stabiliser = []
+        rows = list(map(cflat.__getitem__, tails))
+        if rows != sorted(rows):
+            continue
+        stabiliser = arranged(ident, [o for i, o in enumerate(swaps) if rows[i] == rows[i + 1]])
         for g, pos in gathers:
             image = g(x)
+            # sorting the trivial rows only lowers an image, and only
+            # they can differ when the rest agrees with C
             if image < cflat:
                 break
-            if image == cflat:
-                stabiliser.append(pos)
+            if image[:head] == cflat[:head]:
+                moved = list(map(image.__getitem__, tails))
+                if sorted(moved) < rows:
+                    break
+                if sorted(moved) == rows:
+                    stabiliser += arranged(pos, _sorting_orders(moved))
         else:
             kept.append((cflat, c_combo, stabiliser))
     runs = []
@@ -509,6 +528,13 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
         # raised the peak RSS of enumerate 7 --out by ~1 MB
         runs.append((cflat, b"".join(_least_ds(columns, ident, stabiliser, width))))
     return runs
+
+
+def _sorting_orders(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every order of rows' indices that reads them sorted: the sorted
+    order with each run of equal rows permuted in every way."""
+    runs = itertools.groupby(sorted(range(len(rows)), key=rows.__getitem__), rows.__getitem__)
+    return [sum(p, ()) for p in itertools.product(*[itertools.permutations(r) for _, r in runs])]
 
 
 def _least_ds(
@@ -522,7 +548,7 @@ def _least_ds(
     list in columns.  Every D is spread end to end in one bytes, and each
     gather lays out the images of all of them at once (_gathered)."""
     spread = b"".join(map(b"".join, itertools.product(*columns)))
-    records = list(_gathered(spread, ident, width))
+    records = _gathered(spread, ident, width)
     keep = [True] * len(records)
     for pos in stabiliser:
         images = _gathered(spread, pos, width)
@@ -530,16 +556,16 @@ def _least_ds(
     return sorted(itertools.compress(records, keep))
 
 
-def _gathered(spread: bytes, pos: Sequence[int], width: int) -> Iterator[bytes]:
+def _gathered(spread: bytes, pos: Sequence[int], width: int) -> tuple[bytes, ...]:
     """The gather of pos applied to each width-byte record of spread, one
-    bytes per record, lazily: entry p of every image is the strided slice
-    of spread from pos[p], laid in with one strided assignment."""
+    bytes per record: entry p of every image is the strided slice of
+    spread from pos[p], laid in with one strided assignment; one unpack
+    cuts them apart (struct's cache keeps at most 100 formats)."""
     size = len(pos)
     out = bytearray(len(spread) // width * size)
     for p, q in enumerate(pos):
         out[p::size] = spread[q::width]
-    ends = range(size, len(out) + size, size)
-    return map(bytes(out).__getitem__, map(slice, range(0, len(out), size), ends))
+    return struct.unpack(f"{size}s" * (len(out) // size), out)
 
 
 def cell_keys(types: tuple[tuple[int, ...], ...], runs: Iterable[CRun]) -> Iterator[tuple]:

@@ -183,6 +183,15 @@ def test_enumerate_rejects_non_integer_cap(capsys, monkeypatch):
     assert len(lines) == 1 and "YANGBAXTER_ENUM_CAP" in lines[0]
 
 
+def test_enumerate_rejects_a_cap_below_1(capsys, monkeypatch):
+    # a cap below 1 admits no n; it once surfaced as "n must be between 1 and 0"
+    for raw in ("0", "-5"):
+        monkeypatch.setenv("YANGBAXTER_ENUM_CAP", raw)
+        assert main(["enumerate", "1"]) == 2, raw
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: YANGBAXTER_ENUM_CAP: '{raw}' is not a positive integer"], lines
+
+
 def test_enumerate_refuses_jobs(tmp_path, capsys):
     # the census runs in one process; the parser knows no --jobs
     out_path = tmp_path / "census4.jsonl"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import operator
 import random
 import tracemalloc
 from math import prod
@@ -399,12 +400,34 @@ def _spread(m, auts):
     return tuple(psi[m[i][j]] for j in range(k) for psi in auts[j] for i in range(k))
 
 
+def _every_gather(types):
+    """The blocks of a sorted cell, their automorphisms, and every symmetry
+    (pi, psis) of the cell, a type-preserving permutation of the blocks and
+    one automorphism per block, as a function of a _spread matrix that
+    returns the flattened M' with M'[pi(i)][pi(j)] = psi_j(M[i][j]).  The
+    first is the identity (the identity automorphism is the least tuple)."""
+    groups = [yb.abelian_group(list(t)) for t in types]
+    auts = [g.automorphisms for g in groups]
+    k = len(types)
+    starts = list(itertools.accumulate((k * len(a) for a in auts), initial=0))
+    gathers = []
+    for pi in itertools.permutations(range(k)):
+        if any(types[pi[i]] != types[i] for i in range(k)):
+            continue
+        for ts in itertools.product(*(range(len(a)) for a in auts)):
+            pos = [0] * (k * k)
+            for i, j in itertools.product(range(k), repeat=2):
+                pos[pi[i] * k + pi[j]] = starts[j] + k * ts[j] + i
+            get = operator.itemgetter(*pos)
+            gathers.append(get if k > 1 else lambda m, get=get: (get(m),))
+    return groups, auts, gathers
+
+
 def _one_stage_cell(types):
     """The cell's keys by a one-stage orderly test: a combo of columns that
-    generate their blocks is kept when no gather maps its whole (C, D)
-    below the identity gather's image."""
-    groups, auts, positions = _cell_positions(types)
-    ident, *others = map(_getter, positions)
+    generate their blocks is kept when no symmetry of the cell maps its
+    whole (C, D) below the identity's image."""
+    groups, auts, (ident, *others) = _every_gather(types)
     k = len(groups)
     # each generating column of block j, as its C half and D half spread
     columns = [
@@ -423,7 +446,8 @@ def _one_stage_cell(types):
         sc = sum((cc for cc, _ in combo), ())
         sd = sum((dc for _, dc in combo), ())
         own = (ident(sc), ident(sd))
-        if all((g(sc), g(sd)) >= own for g in others):
+        # (C', D') >= (C, D): C' > C, or C' = C and D' >= D
+        if all((cg := g(sc)) > own[0] or (cg == own[0] and g(sd) >= own[1]) for g in others):
             kept.append(own)
     return sorted(kept)
 
@@ -435,6 +459,45 @@ def test_two_stage_cells_match_the_one_stage_test():
         for types in census_cells(n):
             keys = list(cell_keys(types, enumerate_cell(types)))
             assert keys == _one_stage_cell(types), types
+
+
+def test_trivial_runs_match_the_one_stage_test():
+    # the n = 7 cells whose trivial blocks have 5! and 7! permutations,
+    # which enumerate_cell sorts rows for and the oracle walks
+    for types in [((2,),) + ((),) * 5, ((),) * 7]:
+        keys = list(cell_keys(types, enumerate_cell(types)))
+        assert keys == _one_stage_cell(types), types
+
+
+def _counting_getter(monkeypatch, limit=None):
+    """Count the gathers unions._getter compiles; raise past limit."""
+    calls = []
+
+    def getter(pos):
+        calls.append(pos)
+        if limit is not None and len(calls) > limit:
+            raise AssertionError(f"more than {limit} gathers")
+        return original(pos)
+
+    original = unions_module._getter
+    monkeypatch.setattr(unions_module, "_getter", getter)
+    return calls
+
+
+def test_all_trivial_cells_sort_rows_instead_of_walking_m_factorial(monkeypatch):
+    # Z1^k has one class, C = D = 0; walking S_k would compile 5,040 /
+    # 40,320 / 479,001,600 gathers, so the spy stops such a walk at once
+    _counting_getter(monkeypatch, limit=4)
+    for k in (7, 8, 12):
+        assert enumerate_cell(((),) * k) == [((0,) * (k * k), bytes(k * k))], k
+
+
+def test_census_at_6_compiles_44_gathers(monkeypatch):
+    # one gather per symmetry fixing every trivial block: 44 over the
+    # cells of n = 6, where the whole groups, S_m included, have 806
+    calls = _counting_getter(monkeypatch)
+    census_keys(6)
+    assert len(calls) == 44
 
 
 def test_cell_runs_are_sorted_and_packed():
@@ -494,8 +557,7 @@ def test_canonical_form_is_the_least_image_over_all_gathers():
     ]
     rng = random.Random(16381)
     for types in cells:
-        groups, auts, positions = _cell_positions(types)
-        gathers = list(map(_getter, positions))
+        groups, auts, gathers = _every_gather(types)
         k = len(groups)
         entry = rng.randrange(min(g.n for g in groups))
         randoms = [
