@@ -27,7 +27,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-# n = 8 has 398,915,014 classes, more than the census can hold in memory
+# n = 8 has 398,915,014 classes: the census holds them, but lists ~40 GB
 DEFAULT_ENUM_CAP = 7
 ENUM_CAP_ENV = "YANGBAXTER_ENUM_CAP"
 # write_census writes an entry as one digit: blocks of order at most 10

@@ -461,7 +461,10 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
     reads either half.  The C-stage compares the gathers' tuple images one
     C at a time; the D-stage works on a whole run: its D's are spread end
     to end in one bytes, and each gather lays out all their images with one
-    strided slice per position.
+    strided slice per position.  C enters the D-stage only through the
+    subgroups its columns generate, which fix the D-columns that complete
+    them, and through its stabiliser's gathers.  So the C's that agree on
+    those share one run, computed once and held once.
 
     Returns, per kept C in increasing order, (flattened C, run): the run is
     C's kept D's, each flattened to k^2 bytes, sorted and joined.  An entry
@@ -475,21 +478,21 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
     # the trivial rows close the flattened matrix
     head = k * (k - types.count(()))
     tails = [slice(i, i + k) for i in range(head, k * k, k)]
-    # per block: spread C-column -> the spread D-columns whose entries
-    # generate the block with its own, the C-columns as tuples for the
-    # gathers and the D-columns as bytes; that is decided once per pair of
-    # the subgroups columns generate, and a subgroup's C-columns share it
+    # per block: spread C-column -> (the subgroup its entries generate, the
+    # spread D-columns whose entries generate the block with its own), the
+    # C-columns as tuples for the gathers and the D-columns as bytes; that
+    # is decided once per pair of subgroups, and a subgroup's C-columns
+    # share it.  A subgroup is found once per set of entries.
     completions = []
     for g, a in zip(groups, auts):
-        cols = [
-            (subgroup_generated(g.as_finite_group, col), tuple(psi[x] for psi in a for x in col))
-            for col in itertools.product(range(g.n), repeat=k)
-        ]
+        plain = list(itertools.product(range(g.n), repeat=k))
+        spans = {e: subgroup_generated(g.as_finite_group, e) for e in set(map(frozenset, plain))}
+        cols = [(spans[frozenset(col)], tuple(psi[x] for psi in a for x in col)) for col in plain]
         packed = [bytes(sc) for _, sc in cols]
         subgroups = dict.fromkeys(h for h, _ in cols)
         ok = {(h, h2): g.generates(h + h2) for h in subgroups for h2 in subgroups}
         ds = {h: [sd for (h2, _), sd in zip(cols, packed) if ok[h, h2]] for h in subgroups}
-        completions.append({sc: ds[h] for h, sc in cols if ds[h]})
+        completions.append({sc: (h, ds[h]) for h, sc in cols if ds[h]})
 
     def arranged(pos: tuple[int, ...], orders: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
         # pos with its trivial rows read in each order
@@ -520,13 +523,14 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
                     stabiliser += arranged(pos, _sorting_orders(moved))
         else:
             kept.append((cflat, c_combo, stabiliser))
-    runs = []
+    # (C's subgroups, its stabiliser) -> the run of every C with them
+    runs, shared = [], {}
     for cflat, c_combo, stabiliser in sorted(kept, key=operator.itemgetter(0)):
-        columns = map(dict.__getitem__, completions, c_combo)
-        # joined after _least_ds has freed its buffers, so the long-lived
-        # run is not placed among them: joining while they were alive
-        # raised the peak RSS of enumerate 7 --out by ~1 MB
-        runs.append((cflat, b"".join(_least_ds(columns, ident, stabiliser, width))))
+        hs, columns = zip(*map(dict.__getitem__, completions, c_combo))
+        key = (hs, frozenset(stabiliser))
+        if key not in shared:
+            shared[key] = b"".join(_least_ds(columns, ident, stabiliser, width))
+        runs.append((cflat, shared[key]))
     return runs
 
 

@@ -347,7 +347,8 @@ def test_enumerate_out_refuses_more_than_10_points(tmp_path, capsys, monkeypatch
 
 def test_census_holds_its_keys_packed():
     # build_census keeps each C-run's D's as k^2 bytes apiece in one bytes
-    # object: ~2.3 MB traced at n = 6, against ~17 MB as (C, D) tuple pairs
+    # object, shared by the C's of one key: ~0.5 MB traced at n = 6 (~1.4 MB
+    # with a run per C), against ~17 MB as (C, D) tuple pairs
     tracemalloc.start()
     try:
         cli.build_census(6)
@@ -367,6 +368,51 @@ def test_enumerate_8_is_refused_by_default(capsys, monkeypatch):
     assert main(["enumerate", "8"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: n must be between 1 and 7"), lines
+
+
+# enumerate 8's summary; the Burnside count of ROADMAP item 2, a prototype
+# sharing no code with the orderly listing, gave the same total
+ENUM_8_BY_ORBIT_TYPE = {
+    "Z1+Z1+Z1+Z1+Z1+Z1+Z1+Z1": 1,
+    "Z2+Z1+Z1+Z1+Z1+Z1+Z1": 335,
+    "Z2+Z2+Z1+Z1+Z1+Z1": 496_496,
+    "Z2+Z2+Z2+Z1+Z1": 90_679_920,
+    "Z2+Z2+Z2+Z2": 176_439_600,
+    "Z2xZ2+Z1+Z1+Z1+Z1": 10_430,
+    "Z2xZ2+Z2+Z1+Z1": 1_399_893,
+    "Z2xZ2+Z2+Z2": 1_293_768,
+    "Z2xZ2+Z2xZ2": 630,
+    "Z2xZ2+Z3+Z1": 236_964,
+    "Z2xZ2+Z4": 4_200,
+    "Z2xZ4": 3,
+    "Z3+Z1+Z1+Z1+Z1+Z1": 5_798,
+    "Z3+Z2+Z1+Z1+Z1": 5_460_196,
+    "Z3+Z2+Z2+Z1": 106_687_920,
+    "Z3+Z3+Z1+Z1": 2_725_096,
+    "Z3+Z3+Z2": 4_176_354,
+    "Z4+Z1+Z1+Z1+Z1": 31_100,
+    "Z4+Z2+Z1+Z1": 4_228_128,
+    "Z4+Z2+Z2": 4_005_288,
+    "Z4+Z3+Z1": 733_824,
+    "Z4+Z4": 7_260,
+    "Z5+Z1+Z1+Z1": 18_284,
+    "Z5+Z2+Z1": 246_078,
+    "Z5+Z3": 6_240,
+    "Z6+Z1+Z1": 11_796,
+    "Z6+Z2": 9_000,
+    "Z7+Z1": 400,
+    "Z8": 12,
+}
+
+
+@pytest.mark.slow
+def test_enumerate_8_summary(capsys, monkeypatch):
+    # the census holds n = 8 (~6 s, ~110 MB); only its listing, ~40 GB of
+    # JSONL, is past the default cap
+    monkeypatch.setenv("YANGBAXTER_ENUM_CAP", "8")
+    assert main(["enumerate", "8"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary == {"n": 8, "count": 398_915_014, "by_orbit_type": ENUM_8_BY_ORBIT_TYPE}
 
 
 def test_enumerate_cap(tmp_path, capsys, monkeypatch):
