@@ -9,7 +9,7 @@ brace reports are read from.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 from typing import Optional, Sequence
@@ -34,8 +34,7 @@ from .retraction import MultipermutationResult, multipermutation_level
 from .solution import FiniteSolution, TwoReductivity, is_2reductive
 
 
-@dataclass(frozen=True)
-class BraceViolation:
+class BraceViolation(namedtuple("BraceViolation", "check witness")):
     check: str
     witness: tuple
 
@@ -49,8 +48,7 @@ class BraceError(ValueError):
         self.violation = violation
 
 
-@dataclass(frozen=True)
-class SkewBrace:
+class SkewBrace(namedtuple("SkewBrace", "dot circle")):
     dot: FiniteGroup
     circle: FiniteGroup
 
@@ -216,8 +214,7 @@ def is_biskew(b: SkewBrace) -> bool:
 # Ideals, socle, nilpotency
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(namedtuple("Ideal", "brace elements")):
     brace: SkewBrace
     elements: tuple[int, ...]
 
@@ -255,8 +252,7 @@ def quotient_brace(b: SkewBrace, ideal: Sequence[int]) -> tuple[SkewBrace, tuple
     return SkewBrace(dot=dot, circle=circ), proj
 
 
-@dataclass(frozen=True)
-class SocleSeries:
+class SocleSeries(namedtuple("SocleSeries", "quotients socles nilpotency_class")):
     quotients: tuple[SkewBrace, ...]       # B_0 = B, B_1, ...
     socles: tuple[Ideal, ...]              # socles[i] = Soc(B_i)
     nilpotency_class: Optional[int]
@@ -301,8 +297,9 @@ def socle_series(b: SkewBrace) -> SocleSeries:
     raise AssertionError("socle series failed to shrink or stabilize")
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(namedtuple(
+    "KernelReport", "ker_lambda ker_rho ker_lambda_is_ideal ker_rho_is_ideal"
+)):
     ker_lambda: tuple[int, ...]
     ker_rho: tuple[int, ...]
     ker_lambda_is_ideal: bool
@@ -330,8 +327,9 @@ def _le2(level: Optional[int]) -> bool:
     return level is not None and level <= 2
 
 
-@dataclass(frozen=True)
-class ReductivityProfile:
+class ReductivityProfile(namedtuple(
+    "ReductivityProfile", "solution reductivity multipermutation series"
+)):
     """The results a brace report is read from.  The paper's equivalences
     give the rest: red1, red2, red3 and red4 hold iff lambda, rho, lambda
     and rho respectively are dot homomorphisms, homomorphisms,

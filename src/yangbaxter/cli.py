@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 from typing import Optional, Sequence, TextIO
 
@@ -34,8 +34,7 @@ ENUM_CAP_ENV = "YANGBAXTER_ENUM_CAP"
 CENSUS_OUT_MAX_N = 10
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(namedtuple("CensusRecord", "n cells")):
     """A census as unions.census_keys' cells: each cell's block types and
     its C-runs, as unions.enumerate_cell returns them.  by_orbit_type and
     count are read from the run lengths; unions.unions_of_cells builds the
@@ -70,6 +69,8 @@ def build_census(n: int) -> CensusRecord:
 
 # the ASCII digit of each byte value below 10, for the census writer
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# stands for a line's C half in _d_lines' text; no census line holds it
+_PLACEHOLDER = b"@"
 
 
 def write_census(record: CensusRecord, stream: TextIO) -> None:
@@ -77,15 +78,14 @@ def write_census(record: CensusRecord, stream: TextIO) -> None:
 
     Each line is a union's to_dict, compact.  Every entry is below its
     block's order, so with blocks of order at most 10 each is one digit and
-    all lines of a C-run have one length.  Per C-run, the line is built
-    once, its D entries left as placeholders, and repeated once per D of
-    the run.  The run's bytes become ASCII digits in one translate, and
-    each D position is filled for every line at once by one strided slice
-    assignment: k^2 slice operations per run, not one conversion per
-    entry.  The text of one run is written at once; runs hold at most 512
-    lines at n = 6 and 4,096 at n = 7, so the text in flight stays small.
-    A cell with a block of order above 10 raises ValueError, before
-    anything is written.
+    all lines of a C-run have one length.  The C's that share a run
+    (unions.enumerate_cell) share their D halves too: per cell, each
+    distinct run is laid out once by _d_lines, every line's C half left as
+    one placeholder byte, and each C-run is written as that text with the
+    placeholder replaced by the C half.  The text of one run is written
+    at once; runs hold at most 512 lines at n = 6 and 4,096 at n = 7, so the
+    text in flight stays small.  A cell with a block of order above 10
+    raises ValueError, before anything is written.
     """
     for types, _ in record.cells:
         if any(prod(t) > 10 for t in types):
@@ -96,22 +96,33 @@ def write_census(record: CensusRecord, stream: TextIO) -> None:
     encode = json.JSONEncoder(separators=(",", ":")).encode
     for types, runs in record.cells:
         k = len(types)
-        width = k * k
         row = "[" + ",".join(["%d"] * k) + "]"
         matrix = "[" + ",".join([row] * k) + "]"
         head = f'{{"groups":{encode([list(t) for t in types])},"C":'
-        d_half = ',"D":' + matrix % ((0,) * width) + "}\n"
-        # where each D entry sits in the D half: the digits, in order
-        d_offsets = [at for at, ch in enumerate(d_half) if ch == "0"]
+        d_half = _PLACEHOLDER + b',"D":' + (matrix % ((0,) * (k * k)) + "}\n").encode()
+        laid = {}
         for c, run in runs:
-            line = (head + matrix % c + d_half).encode()
-            size, base = len(line), len(line) - len(d_half)
-            text = bytearray(line * (len(run) // width))
-            digits = run.translate(_DIGITS)
-            for p, at in enumerate(d_offsets):
-                text[base + at::size] = digits[p::width]
-            stream.write(text.decode())
+            if run not in laid:
+                laid[run] = _d_lines(run, d_half)
+            stream.write(laid[run].replace(_PLACEHOLDER, (head + matrix % c).encode()).decode())
     stream.write(encode(record.summary_dict()) + "\n")
+
+
+def _d_lines(run: bytes, d_half: bytes) -> bytes:
+    """d_half once per D of the run, with the D's entries as its digits.
+
+    d_half is a line's D half with every entry 0.  The run's bytes become
+    ASCII digits in one translate, and each D position is filled for every
+    line at once by one strided slice assignment: k^2 slice operations per
+    run, not one conversion per entry.
+    """
+    offsets = [at for at, ch in enumerate(d_half) if ch == ord("0")]
+    width, size = len(offsets), len(d_half)
+    text = bytearray(d_half * (len(run) // width))
+    digits = run.translate(_DIGITS)
+    for p, at in enumerate(offsets):
+        text[at::size] = digits[p::width]
+    return bytes(text)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +142,7 @@ def load_payload(path: str):
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     if not text.lstrip().startswith("{"):

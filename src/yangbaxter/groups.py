@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
 from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -86,8 +86,7 @@ def invert_perm(p: Sequence[int]) -> Perm:
 # Cayley-table groups
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(namedtuple("FiniteGroup", "n table id inv")):
     """A group on {0..n-1} given by its full operation table."""
 
     n: int
@@ -344,8 +343,7 @@ def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     return tuple(facs)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "factors")):
     """Direct product of cyclic groups Z_d1 x ... x Z_dk with d1 | d2 | ... | dk.
 
     Elements are indexed 0..n-1 in mixed-radix order: the coordinate of the
@@ -355,12 +353,13 @@ class AbelianGroup:
 
     factors: tuple[int, ...]
 
-    def __post_init__(self):
-        for i, d in enumerate(self.factors):
+    def __new__(cls, factors: tuple[int, ...]):
+        for i, d in enumerate(factors):
             if d < 2:
                 raise ValueError(f"invariant factor {d} is below 2")
-            if i and d % self.factors[i - 1] != 0:
-                raise ValueError(f"factor {self.factors[i - 1]} does not divide {d}")
+            if i and d % factors[i - 1] != 0:
+                raise ValueError(f"factor {factors[i - 1]} does not divide {d}")
+        return super().__new__(cls, factors)
 
     @property
     def n(self) -> int:
@@ -544,8 +543,7 @@ def abelian_groups_of_order(n: int) -> tuple[AbelianGroup, ...]:
 # Permutation groups
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(namedtuple("PermGroup", "degree generators")):
     """Permutation group on {0..degree-1}, given by generators.
 
     The closure is computed lazily and cached; the object is immutable

@@ -4,15 +4,14 @@ towers, multipermutation level, and the three permutation groups."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .groups import PermGroup, _row_kernel, _sorted_blocks, perm_group_closure
 from .solution import FiniteSolution
 
 
-@dataclass(frozen=True)
-class SolutionPartition:
+class SolutionPartition(namedtuple("SolutionPartition", "n blocks kind")):
     """A partition of a solution's carrier, canonically sorted.
 
     kind "sim" groups by equal sigma rows, "cosim" by equal tau rows,
@@ -92,8 +91,7 @@ def is_congruence(s: FiniteSolution, p: SolutionPartition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QuotientSolution:
+class QuotientSolution(namedtuple("QuotientSolution", "solution projection")):
     solution: FiniteSolution
     projection: tuple[int, ...]  # carrier point -> block index
 
@@ -124,8 +122,7 @@ def retraction(s: FiniteSolution) -> QuotientSolution:
     return _quotient(s, relation(s, "approx"))
 
 
-@dataclass(frozen=True)
-class MultipermutationResult:
+class MultipermutationResult(namedtuple("MultipermutationResult", "level tower_sizes")):
     """Outcome of iterating the retraction.
 
     level is the number of retractions needed to reach a one-element
@@ -164,8 +161,7 @@ def multipermutation_level(s: FiniteSolution) -> MultipermutationResult:
     raise AssertionError("retraction tower failed to shrink or stabilize")
 
 
-@dataclass(frozen=True)
-class PermutationGroups:
+class PermutationGroups(namedtuple("PermutationGroups", "left right full")):
     left: PermGroup    # generated by the sigma rows
     right: PermGroup   # generated by the tau rows
     full: PermGroup    # generated by both

@@ -9,7 +9,7 @@ tau[y][x]).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 from typing import Optional, Sequence
@@ -24,8 +24,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "check witness")):
     """Why a pair of tables fails to be a solution."""
 
     check: str          # "sigma-row" | "tau-row" | "bijectivity" | "birack:1/2/3"
@@ -41,8 +40,7 @@ class VerificationError(ValueError):
         self.violation = violation
 
 
-@dataclass(frozen=True)
-class FiniteSolution:
+class FiniteSolution(namedtuple("FiniteSolution", "n sigma tau")):
     n: int
     sigma: tuple[tuple[int, ...], ...]
     tau: tuple[tuple[int, ...], ...]
@@ -285,8 +283,7 @@ def has_lri(s: FiniteSolution) -> bool:
     return all(compose(s.sigma[x], s.tau[x]) == ident for x in range(s.n))
 
 
-@dataclass(frozen=True)
-class TwoReductivity:
+class TwoReductivity(namedtuple("TwoReductivity", "red1 red2 red3 red4")):
     """Per-identity breakdown of the four 2-reductivity identities."""
 
     red1: bool  # sigma_{sigma_x(y)} = sigma_y

@@ -14,7 +14,7 @@ import gc
 import itertools
 import operator
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -37,8 +37,7 @@ from .solution import FiniteSolution, is_2reductive
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class AbelianUnion:
+class AbelianUnion(namedtuple("AbelianUnion", "groups c d")):
     groups: tuple[AbelianGroup, ...]
     c: Matrix
     d: Matrix
@@ -152,8 +151,7 @@ def union_to_solution(u: AbelianUnion) -> FiniteSolution:
     return FiniteSolution(n=u.n, sigma=tuple(sig), tau=tuple(ta))
 
 
-@dataclass(frozen=True)
-class UnionDecomposition:
+class UnionDecomposition(namedtuple("UnionDecomposition", "union blocks carrier_map")):
     union: AbelianUnion
     blocks: tuple[tuple[int, ...], ...]       # orbits of the carrier, sorted
     carrier_map: tuple[int, ...]              # isomorphism onto the rebuilt solution
@@ -234,8 +232,7 @@ def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
 # Isomorphism and canonical forms
 
 
-@dataclass(frozen=True)
-class UnionIsomorphism:
+class UnionIsomorphism(namedtuple("UnionIsomorphism", "pi psis")):
     pi: tuple[int, ...]          # block bijection
     psis: tuple[Perm, ...]       # psis[j] maps block j of the first union
 
@@ -508,7 +505,7 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
         rows = list(map(cflat.__getitem__, tails))
         if rows != sorted(rows):
             continue
-        stabiliser = arranged(ident, [o for i, o in enumerate(swaps) if rows[i] == rows[i + 1]])
+        stabiliser = []
         for g, pos in gathers:
             image = g(x)
             # sorting the trivial rows only lowers an image, and only
@@ -522,7 +519,9 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
                 if sorted(moved) == rows:
                     stabiliser += arranged(pos, _sorting_orders(moved))
         else:
-            kept.append((cflat, c_combo, stabiliser))
+            # the identity's swaps are built only for the C's kept
+            same = [o for i, o in enumerate(swaps) if rows[i] == rows[i + 1]]
+            kept.append((cflat, c_combo, arranged(ident, same) + stabiliser))
     # (C's subgroups, its stabiliser) -> the run of every C with them
     runs, shared = [], {}
     for cflat, c_combo, stabiliser in sorted(kept, key=operator.itemgetter(0)):
@@ -646,8 +645,7 @@ def enumerate_2reductive(n: int) -> tuple[AbelianUnion, ...]:
 # Matrix-level predicates
 
 
-@dataclass(frozen=True)
-class UnionPredicates:
+class UnionPredicates(namedtuple("UnionPredicates", "involutive square_free condition_star")):
     involutive: bool
     square_free: bool
     condition_star: bool
@@ -682,8 +680,7 @@ def opposite_union(u: AbelianUnion) -> AbelianUnion:
     return AbelianUnion(groups=u.groups, c=c, d=d)
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(namedtuple("InjectivityReport", "diagonal_ok order_ok")):
     """The two necessary conditions for injectivity of a 2-reductive solution.
 
     Failing either proves the solution is not injective; passing both proves

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import io
 import json
 import os
@@ -95,6 +96,14 @@ def test_verify_parse_error_exits_2(tmp_path, capsys):
     assert "invalid JSON" in err
     missing = str(tmp_path / "missing.json")
     assert main(["verify", missing]) == 2
+
+
+@pytest.mark.parametrize("name, code", [("missing.json", errno.ENOENT), (".", errno.EISDIR)])
+def test_unreadable_input_names_its_path_once(tmp_path, capsys, name, code):
+    path = str(tmp_path / name)
+    assert main(["verify", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {path}: {os.strerror(code)}"]
 
 
 def test_verify_unknown_schema_exits_2(tmp_path, capsys):
@@ -272,10 +281,8 @@ def test_census_lines_match_the_library_census(census):
         assert json.loads(lines[-1]) == record.summary_dict()
 
 
-def test_write_census_streams_one_run_at_a_time():
-    # each write holds the lines of one C-run, never a whole cell, so the
-    # text in flight stays small
-    record = cli.build_census(5)
+def _census_writes(record):
+    """The texts write_census passes to its stream, one per write."""
     writes = []
 
     class Recorder(io.StringIO):
@@ -285,12 +292,40 @@ def test_write_census_streams_one_run_at_a_time():
 
     buf = Recorder()
     cli.write_census(record, buf)
-    body = writes[:-1]
     assert "".join(writes) == buf.getvalue()
+    return writes
+
+
+def test_write_census_streams_one_run_at_a_time():
+    # each write holds the lines of one C-run, never a whole cell, so the
+    # text in flight stays small
+    record = cli.build_census(5)
+    body = _census_writes(record)[:-1]
     for text in body:
         assert len({json.dumps(json.loads(line)["C"]) for line in text.splitlines()}) == 1
     biggest = max(len(list(unions.cell_keys(*cell))) for cell in record.cells)
     assert max(text.count("\n") for text in body) < biggest
+
+
+def test_write_census_lays_out_a_shared_run_once(monkeypatch):
+    # two C's holding one run object share its D halves: one layout, and
+    # still one write per C-run
+    calls = []
+
+    def d_lines(run, d_half):
+        calls.append(run)
+        return original(run, d_half)
+
+    original = cli._d_lines
+    monkeypatch.setattr(cli, "_d_lines", d_lines)
+    run = bytes([0, 1, 1, 0])
+    runs = [((0, 0, 0, 0), run), ((0, 1, 1, 0), run)]
+    writes = _census_writes(cli.CensusRecord(n=4, cells=((((2,), (2,)), runs),)))
+    assert calls == [run]
+    assert writes[:-1] == [
+        '{"groups":[[2],[2]],"C":[[0,0],[0,0]],"D":[[0,1],[1,0]]}\n',
+        '{"groups":[[2],[2]],"C":[[0,1],[1,0]],"D":[[0,1],[1,0]]}\n',
+    ]
 
 
 def _template_writer(record, stream):
