@@ -31,7 +31,7 @@ from .groups import (
     is_normal,
 )
 from .retraction import MultipermutationResult, multipermutation_level
-from .solution import FiniteSolution, TwoReductivity, is_2reductive
+from .solution import FiniteSolution, TwoReductivity
 
 
 class BraceViolation(namedtuple("BraceViolation", "check witness")):
@@ -363,7 +363,7 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     s = associated_solution(b)
     return ReductivityProfile(
         solution=s,
-        reductivity=is_2reductive(s),
+        reductivity=s.reductivity,
         multipermutation=multipermutation_level(s),
         series=socle_series(b),
     )

@@ -176,10 +176,10 @@ def load_payload(path: str):
 # Reports
 
 
-def solution_report(s: FiniteSolution, out: TextIO, red=None, mp=None) -> None:
-    """red and mp are is_2reductive(s) and multipermutation_level(s), computed
-    here unless the caller already has them."""
-    red = red or solutions.is_2reductive(s)
+def solution_report(s: FiniteSolution, out: TextIO, mp=None) -> None:
+    """mp is multipermutation_level(s), computed here unless the caller
+    already has it; the identities are the ones s holds (reductivity)."""
+    red = s.reductivity
     mp = mp or multipermutation_level(s)
     lines = [
         ("n", s.n),
@@ -233,7 +233,7 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.Reducti
     out.write(f"two_reductive: {profile.all_four}\n")
     if full:
         out.write("associated_solution:\n")
-        solution_report(profile.solution, out, profile.reductivity, profile.multipermutation)
+        solution_report(profile.solution, out, profile.multipermutation)
     return profile
 
 

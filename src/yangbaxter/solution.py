@@ -56,6 +56,33 @@ class FiniteSolution(namedtuple("FiniteSolution", "n sigma tau")):
     def tau_inv(self) -> tuple[Perm, ...]:
         return tuple(invert_perm(row) for row in self.tau)
 
+    @cached_property
+    def reductivity(self) -> TwoReductivity:
+        """is_2reductive of the tables, computed once per solution: verify,
+        the report and solution_to_union share it."""
+        return is_2reductive(self)
+
+    @cached_property
+    def commuting_rows(self) -> bool:
+        """Whether the distinct sigma- and tau-rows are permutations that
+        commute pairwise, in O(d) kernel calls for d rows; with red1-red4,
+        whether the tables are a solution (validate_tables).
+
+        With the rows' columns joined, so that entry k * d + j is g_j(k),
+        composing g_i after them reads g_i g_j(k) there, and joining the
+        columns in the order g_i(0), g_i(1), ... reads g_j g_i(k).
+        """
+        n, perm = self.n, list(range(self.n))
+        rows = list(dict.fromkeys(self.sigma + self.tau))
+        if not all(sorted(row) == perm for row in rows):
+            return False
+        enc, maps, then, join, _ = _row_kernel(rows)
+        every = join(enc)
+        cols = [every[k::n] for k in range(n)]
+        by_cols = join(cols)
+        return all(then(by_cols, m) == join(map(cols.__getitem__, row))
+                   for row, m in zip(rows, maps))
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -165,28 +192,11 @@ def _braids(s_kernel, tau_cols, r_kernel) -> bool:
     )
 
 
-def validate_tables(
-    sigma: Sequence[Sequence[int]],
-    tau: Sequence[Sequence[int]],
-) -> Optional[Violation]:
-    """Full solution check; returns None when the tables pass.
-
-    Non-degeneracy (every row a permutation), bijectivity of r on pairs, and
-    the braid relation, in O(n) calls of the row kernel: the verdicts come
-    from the derived rows (_derived_rows), r being bijective iff each is a
-    permutation, and from the derived-rack criterion (_braids).  Only a
-    failed verdict runs a witness scan over pairs or triples:
-    "bijectivity" names the first two pairs, in lex order, with the same
-    image (_pair_collision), and "birack:k" the first triple, in lex order,
-    where composing r directly mismatches, with k the first mismatched
-    coordinate (_braid_mismatch).  That the fast verdicts and the scans agree
-    are theorems the test suite checks.
-    """
-    n = len(sigma)
-    if len(tau) != n:
-        return Violation("tau-row", ("row count", len(tau), n))
-    sig = tuple(tuple(row) for row in sigma)
-    ta = tuple(tuple(row) for row in tau)
+def _violation(s: FiniteSolution) -> Optional[Violation]:
+    """validate_tables of tables held as a FiniteSolution of tuple rows."""
+    n, sig, ta = s
+    if len(ta) != n:
+        return Violation("tau-row", ("row count", len(ta), n))
     perm = list(range(n))
     for i, row in enumerate(sig):
         if sorted(row) != perm:
@@ -194,6 +204,8 @@ def validate_tables(
     for i, row in enumerate(ta):
         if sorted(row) != perm:
             return Violation("tau-row", (i,))
+    if s.reductivity.holds and s.commuting_rows:
+        return None
     s_kernel, tau_cols = _row_kernel(sig), list(zip(*ta))
     derived = _derived_rows(s_kernel, tau_cols)
     if not all(len(set(row)) == n for row in derived):
@@ -204,18 +216,47 @@ def validate_tables(
     return None
 
 
+def validate_tables(
+    sigma: Sequence[Sequence[int]],
+    tau: Sequence[Sequence[int]],
+) -> Optional[Violation]:
+    """Full solution check; returns None when the tables pass.
+
+    Non-degeneracy (every row a permutation), bijectivity of r on pairs, and
+    the braid relation.  Tables that satisfy red1-red4 (is_2reductive) are
+    a solution iff their distinct rows commute pairwise
+    (FiniteSolution.commuting_rows): the identities turn the braid relation
+    into sigma_x sigma_y = sigma_y sigma_x, tau_y tau_z = tau_z tau_y and
+    sigma_x tau_z = tau_z sigma_x, and red4 makes r injective, as
+    (u, v) = r(x, y) gives tau_u = tau_y, so x = tau_u^-1(v) and
+    y = sigma_x^-1(u).  Other tables, and 2-reductive ones whose rows do
+    not commute, take O(n) calls of the row kernel: the verdicts come from
+    the derived rows (_derived_rows), r being bijective iff each is a
+    permutation, and from the derived-rack criterion (_braids).  Only a
+    failed verdict runs a witness scan over pairs or triples:
+    "bijectivity" names the first two pairs, in lex order, with the same
+    image (_pair_collision), and "birack:k" the first triple, in lex order,
+    where composing r directly mismatches, with k the first mismatched
+    coordinate (_braid_mismatch).  That the fast verdicts and the scans agree
+    are theorems the test suite checks.
+    """
+    return _violation(_tables(sigma, tau))
+
+
+def _tables(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]) -> FiniteSolution:
+    """The tables as a FiniteSolution of tuple rows, not yet verified."""
+    return FiniteSolution(len(sigma), tuple(map(tuple, sigma)), tuple(map(tuple, tau)))
+
+
 def verify(
     sigma: Sequence[Sequence[int]],
     tau: Sequence[Sequence[int]],
 ) -> FiniteSolution:
-    violation = validate_tables(sigma, tau)
+    s = _tables(sigma, tau)
+    violation = _violation(s)
     if violation is not None:
         raise VerificationError(violation)
-    return FiniteSolution(
-        n=len(sigma),
-        sigma=tuple(tuple(row) for row in sigma),
-        tau=tuple(tuple(row) for row in tau),
-    )
+    return s
 
 
 def projection_solution(n: int) -> FiniteSolution:

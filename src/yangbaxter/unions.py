@@ -32,7 +32,7 @@ from .groups import (
     invert_perm,
     subgroup_generated,
 )
-from .solution import FiniteSolution, is_2reductive
+from .solution import FiniteSolution
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -190,9 +190,14 @@ def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
     least point e over the distinct sigma- and tau-rows: a point z first
     reached as g(z') gets t_z = g o t_z', the one element taking e to z, and
     row z of the orbit's translation table is t_z read on the orbit.
+
+    Raises ValueError on tables that are not a 2-reductive solution,
+    decided as validate_tables does, so unverified tables are decided too.
     """
-    if not is_2reductive(s).holds:
+    if not s.reductivity.holds:
         raise ValueError("solution is not 2-reductive")
+    if not s.commuting_rows:
+        raise ValueError("tables are not a solution: their rows are not commuting permutations")
     rows = list(dict.fromkeys(s.sigma + s.tau))
     reached: dict[int, tuple[int, int]] = {}    # z -> (g, z'): z = rows[g](z')
     orbs, groups, at = [], [], 0

@@ -427,6 +427,88 @@ def test_valid_tables_never_reach_a_witness_scan(census_solutions, brace_catalog
         assert validate_tables(s.sigma, s.tau) is None, s
 
 
+def test_2reductive_tables_get_the_triple_loop_verdict(census_solutions):
+    # tables that satisfy red1-red4 are decided by whether their rows
+    # commute; where they do not, the derived-rack route names the
+    # witness.  Every verdict is the triple loop's
+    def constant_along(t, u):
+        """t_{u_x(y)} = t_y for all x, y."""
+        return all(t[row[y]] == t[y] for row in u for y in range(len(t)))
+
+    n = 3
+    tables = list(itertools.product(itertools.permutations(range(n)), repeat=n))
+    assert len(tables) ** 2 == 46656
+    # red1 of sigma and red2 of tau are the same condition on one table
+    closed = [t for t in tables if constant_along(t, t)]
+    pairs = [
+        (sigma, tau) for sigma in closed for tau in closed
+        if constant_along(sigma, tau) and constant_along(tau, sigma)    # red3, red4
+    ]
+    assert len(pairs) == 72
+    verdicts = [validate_tables(sigma, tau) for sigma, tau in pairs]
+    assert verdicts == [validate_oracle(sigma, tau) for sigma, tau in pairs]
+    assert verdicts.count(None) == 54
+    # permutational tables, sigma_x = f and tau_y = g, satisfy red1-red4 and
+    # are a solution iff fg = gf
+    for n in (3, 4):
+        for f, g in itertools.product(itertools.permutations(range(n)), repeat=2):
+            sigma, tau = (f,) * n, (g,) * n
+            v = validate_tables(sigma, tau)
+            assert v == validate_oracle(sigma, tau), (f, g)
+            assert (v is None) == all(f[g[x]] == g[f[x]] for x in range(n)), (f, g)
+    # census solutions with two entries of one row swapped: most fail
+    # red1-red4, some satisfy them with rows that do not commute
+    rng = random.Random(8)
+    two_reductive = set()
+    for s in (s for n in range(2, 5) for s in census_solutions[n]):
+        sigma, tau = s.sigma, s.tau
+        if rng.random() < 0.5:
+            sigma = swap_in_row(sigma, rng)
+        else:
+            tau = swap_in_row(tau, rng)
+        v = validate_tables(sigma, tau)
+        assert v == validate_oracle(sigma, tau), (sigma, tau)
+        if two_reductive_oracle(FiniteSolution(n=s.n, sigma=sigma, tau=tau)).holds:
+            two_reductive.add(v is None)
+    assert two_reductive == {True, False}
+
+
+def test_verify_decides_2reductive_tables_without_derived_rows(
+    census_solutions, brace_catalog, monkeypatch
+):
+    # relabelled census solutions and a relabelled 260-point union are
+    # accepted by their commuting rows, no derived row built; tables that
+    # fail red1-red4 still take the derived-rack route
+    rng = random.Random(25)
+    z130 = yb.abelian_group([130])
+    big = yb.union_to_solution(
+        yb.abelian_union([z130, z130], [[1, 2], [3, 0]], [[0, 5], [7, 1]])
+    )
+    relabelled = [
+        yb.relabel(s, rng.sample(range(s.n), s.n))
+        for s in [*(s for n in range(1, 6) for s in census_solutions[n]), big]
+    ]
+    derived_rows = solution_module._derived_rows
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError("derived rows of 2-reductive tables")
+
+    def counted(*args):
+        calls.append(args)
+        return derived_rows(*args)
+
+    monkeypatch.setattr(solution_module, "_derived_rows", refuse)
+    for s in relabelled:
+        assert yb.verify(s.sigma, s.tau) == s
+    monkeypatch.setattr(solution_module, "_derived_rows", counted)
+    s = next(
+        s for s in (yb.associated_solution(b) for _, b in brace_catalog)
+        if not yb.is_2reductive(s).holds
+    )
+    assert yb.verify(s.sigma, s.tau) == s and len(calls) == 1
+
+
 def test_finite_group_messages_match_the_triple_loop():
     rng = random.Random(4242)
     seen = set()

@@ -60,7 +60,7 @@ CACHED = {
     "AbelianGroup": {"automorphisms", "as_finite_group"},
     "PermGroup": {"elements", "is_abelian"},
     "FiniteGroup": {"is_abelian"},
-    "FiniteSolution": {"sigma_inv", "tau_inv"},
+    "FiniteSolution": {"sigma_inv", "tau_inv", "reductivity", "commuting_rows"},
     "SkewBrace": {"lambdas", "rhos"},
 }
 

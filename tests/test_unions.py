@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import operator
 import random
+import signal
 import tracemalloc
 from math import prod
 
@@ -16,7 +18,7 @@ from solution_oracles import canonical_key
 from yangbaxter import groups as groups_module
 from yangbaxter import unions as unions_module
 from yangbaxter.groups import invert_perm
-from yangbaxter.solution import validate_tables
+from yangbaxter.solution import FiniteSolution, validate_tables
 from yangbaxter.unions import (
     AbelianUnion,
     _cell_positions,
@@ -119,6 +121,40 @@ def test_solution_to_union_requires_2reductive():
         yb.solution_to_union(
             yb.associated_solution(yb.trivial_brace(yb.symmetric_group(3)))
         )
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raises TimeoutError in the block once it has run the given wall
+    seconds, so that a call that never returns fails the test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("sigma_row, tau_row, violation", [
+    # red1-red4 hold, but the rows do not commute
+    ((1, 0, 2), (0, 2, 1), "birack:2 fails at (0, 0, 0)"),
+    # red1-red4 hold, but a row is not a permutation
+    ((0, 0), (0, 1), "sigma-row fails at (0,)"),
+], ids=["not-braided", "not-a-permutation"])
+def test_decomposition_rejects_tables_that_are_not_a_solution(sigma_row, tau_row, violation):
+    # tables built without verify: the decomposition checks its
+    # precondition instead of walking orbits that are not torsors
+    n = len(sigma_row)
+    s = FiniteSolution(n=n, sigma=(sigma_row,) * n, tau=(tau_row,) * n)
+    assert yb.is_2reductive(s).holds
+    assert str(validate_tables(s.sigma, s.tau)) == violation
+    for decompose in (yb.solution_to_union, yb.injectivity_necessary_checks):
+        with _within(5), pytest.raises(ValueError, match="^tables are not a solution"):
+            decompose(s)
 
 
 def test_round_trip_with_carrier_map(census, small_solutions):
