@@ -522,7 +522,8 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
                 if sorted(moved) < rows:
                     break
                 if sorted(moved) == rows:
-                    stabiliser += arranged(pos, _sorting_orders(moved))
+                    # each order q of the trivial rows with moved[q[i]] == rows[i]
+                    stabiliser += arranged(pos, _block_bijections(rows, moved))
         else:
             # the identity's swaps are built only for the C's kept
             same = [o for i, o in enumerate(swaps) if rows[i] == rows[i + 1]]
@@ -536,13 +537,6 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
             shared[key] = b"".join(_least_ds(columns, ident, stabiliser, width))
         runs.append((cflat, shared[key]))
     return runs
-
-
-def _sorting_orders(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Every order of rows' indices that reads them sorted: the sorted
-    order with each run of equal rows permuted in every way."""
-    runs = itertools.groupby(sorted(range(len(rows)), key=rows.__getitem__), rows.__getitem__)
-    return [sum(p, ()) for p in itertools.product(*[itertools.permutations(r) for _, r in runs])]
 
 
 def _least_ds(

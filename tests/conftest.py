@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 import yangbaxter as yb
-from solution_oracles import canonical_key
+from oracles import class_key
 from yangbaxter.solution import validate_tables
 
 
@@ -36,7 +36,7 @@ def small_solutions():
             for tau in itertools.product(perms, repeat=n):
                 if validate_tables(sigma, tau) is None:
                     s = yb.verify(sigma, tau)
-                    seen.setdefault(canonical_key(s), s)
+                    seen.setdefault(class_key(sigma, tau), s)
         out.extend(seen.values())
     return out
 

@@ -1,8 +1,9 @@
 """Acceptance suite.
 
 One test per criterion; each prints a single PASS/FAIL line and then
-asserts, with stated runtime bounds.  Independent oracles are implemented
-inline so they cannot share code with the paths they check.
+asserts, with stated runtime bounds.  The independent oracles live in
+tests/oracles.py, which imports nothing from the library, so they cannot
+share code with the paths they check.
 
 The census figures of criteria 1-2 rest on two routes that share no code
 with the census: a count by hand, cell by cell, of the union classes
@@ -19,7 +20,15 @@ import time
 from collections import Counter
 
 import yangbaxter as yb
-from yangbaxter.solution import validate_tables
+from oracles import (
+    class_key,
+    distributive_oracle,
+    family_flags_oracle,
+    involutive_oracle,
+    lambdas_rhos,
+    two_reductive_oracle,
+    validate_oracle,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> str:
@@ -104,22 +113,6 @@ def test_criterion_2_census_refinement():
 # 3. completeness oracle
 
 
-def _iso_key(sigma, tau, n):
-    """Minimum relabeling of the tables over all carrier bijections."""
-    best = None
-    for phi in itertools.permutations(range(n)):
-        s2 = [[0] * n for _ in range(n)]
-        t2 = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                s2[phi[x]][phi[y]] = phi[sigma[x][y]]
-                t2[phi[x]][phi[y]] = phi[tau[x][y]]
-        key = (tuple(map(tuple, s2)), tuple(map(tuple, t2)))
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def _reductive_rows(n):
     """Every table of n permutation rows with T[T[x][y]] == T[y], the
     identity that 2-reductivity asks of sigma alone and of tau alone."""
@@ -147,45 +140,18 @@ def _reductive_rows(n):
     return tables
 
 
-def _is_braided(sigma, tau, n):
-    """r12 r23 r12 == r23 r12 r23 on every triple."""
-
-    def r(x, y):
-        return sigma[x][y], tau[y][x]
-
-    for x, y, z in itertools.product(range(n), repeat=3):
-        a, b = r(x, y)
-        b, c = r(b, z)
-        a, b = r(a, b)
-        e, f = r(y, z)
-        d, e = r(x, e)
-        e, f = r(e, f)
-        if (a, b, c) != (d, e, f):
-            return False
-    return True
-
-
 def _scan_2reductive(n):
     """One (sigma, tau) per isomorphism class of 2-reductive solutions of
     size n, from the definitions alone: permutation rows (non-degeneracy),
-    r bijective on pairs, the braid relation, and the four identities
-    sigma_{sigma_x(y)} = sigma_{tau_x(y)} = sigma_y and
-    tau_{tau_x(y)} = tau_{sigma_x(y)} = tau_y."""
+    r bijective on pairs and the braid relation (validate_oracle), and the
+    four identities (two_reductive_oracle)."""
     rows = _reductive_rows(n)
-    pairs = list(itertools.product(range(n), repeat=2))
-    classes = set()
-    for sigma in rows:
-        for tau in rows:
-            if not all(
-                sigma[tau[x][y]] == sigma[y] and tau[sigma[x][y]] == tau[y]
-                for x, y in pairs
-            ):
-                continue
-            if len({(sigma[x][y], tau[y][x]) for x, y in pairs}) < n * n:
-                continue
-            if _is_braided(sigma, tau, n):
-                classes.add(_iso_key(sigma, tau, n))
-    return classes
+    return {
+        class_key(sigma, tau)
+        for sigma in rows
+        for tau in rows
+        if all(two_reductive_oracle(sigma, tau)) and validate_oracle(sigma, tau) is None
+    }
 
 
 def _perm_order(g):
@@ -239,15 +205,9 @@ def _scan_profile(classes, n):
     """Orbit-type breakdown, involutive and square-free counts of a scan."""
     by_type, involutive, square_free = Counter(), 0, 0
     for sigma, tau in classes:
-
-        def r(x, y):
-            return sigma[x][y], tau[y][x]
-
         by_type[_orbit_type_label(sigma + tau, n)] += 1
-        involutive += all(
-            r(*r(x, y)) == (x, y) for x in range(n) for y in range(n)
-        )
-        square_free += all(r(x, x) == (x, x) for x in range(n))
+        involutive += involutive_oracle(sigma, tau)
+        square_free += all(sigma[x][x] == tau[x][x] == x for x in range(n))
     return dict(by_type), involutive, square_free
 
 
@@ -260,23 +220,14 @@ def _census_profile(census):
     )
 
 
-def test_criterion_3_completeness_oracle():
+def test_criterion_3_completeness_oracle(small_solutions):
     t0 = time.perf_counter()
     ok = True
     details = []
     # The library's own verifier and identities pick out the census classes
-    # among all table pairs.
+    # among all table pairs (small_solutions: one solution per class).
     for n in (2, 3):
-        perms = [tuple(p) for p in itertools.permutations(range(n))]
-        classes = set()
-        for sigma in itertools.product(perms, repeat=n):
-            for tau in itertools.product(perms, repeat=n):
-                if validate_tables(sigma, tau) is not None:
-                    continue
-                s = yb.verify(sigma, tau)
-                if not yb.is_2reductive(s).holds:
-                    continue
-                classes.add(_iso_key(sigma, tau, n))
+        classes = [s for s in small_solutions if s.n == n and yb.is_2reductive(s).holds]
         census = len(yb.enumerate_2reductive(n))
         details.append(f"n={n}: brute force {len(classes)}, census {census}")
         ok = ok and len(classes) == census
@@ -286,7 +237,7 @@ def test_criterion_3_completeness_oracle():
         scanned = _scan_2reductive(n)
         census = yb.enumerate_2reductive(n)
         listed = {
-            _iso_key(s.sigma, s.tau, n) for s in map(yb.union_to_solution, census)
+            class_key(s.sigma, s.tau) for s in map(yb.union_to_solution, census)
         }
         scan_profile = _scan_profile(scanned, n)
         census_profile = _census_profile(census)
@@ -322,7 +273,7 @@ def test_criterion_4_round_trip_and_isomorphism():
     for n in range(1, 5):
         census = yb.enumerate_2reductive(n)
         sols = [yb.union_to_solution(u) for u in census]
-        keys = [_iso_key(s.sigma, s.tau, s.n) for s in sols]
+        keys = [class_key(s.sigma, s.tau) for s in sols]
         for i in range(len(census)):
             for j in range(i, len(census)):
                 union_verdict = yb.unions_isomorphic(census[i], census[j]) is not None
@@ -367,7 +318,8 @@ def test_criterion_6_brace_catalog(brace_catalog):
     for name, b in brace_catalog:
         n = b.n
         dot, circ = b.dot, b.circle
-        lams, rhos = b.lambdas, b.rhos
+        lams, rhos = lambdas_rhos(dot.table, circ.table)
+        lam, rho = (family_flags_oracle(dot.table, circ.table, fam) for fam in (lams, rhos))
         ident = tuple(range(n))
 
         def is_dot_automorphism(p):
@@ -396,37 +348,14 @@ def test_criterion_6_brace_catalog(brace_catalog):
             violations.append(f"{name}: (c) socle != ker intersection")
         s = yb.associated_solution(b)
         sig, tau = s.sigma, s.tau
-        triples = list(itertools.product(range(n), repeat=3))
-        antihom = all(
-            lams[dot.mul(x, y)][z] == lams[y][lams[x][z]] for x, y, z in triples
-        )
-        left_dist = all(
-            sig[x][sig[y][z]] == sig[sig[x][y]][sig[x][z]] for x, y, z in triples
-        )
-        if not yb.is_biskew(b) == antihom == left_dist:
+        if not yb.is_biskew(b) == lam[1] == distributive_oracle(sig):
             violations.append(f"{name}: (d) bi-skew routes disagree")
         if yb.associated_solution(yb.opposite_brace(b)) != yb.inverse_solution(s):
             violations.append(f"{name}: (e) opposite vs inverse")
         prof = yb.reductivity_profile(b)
-        pairs = [(x, y) for x in range(n) for y in range(n)]
-        red = (
-            all(sig[sig[x][y]] == sig[y] for x, y in pairs),
-            all(tau[tau[x][y]] == tau[y] for x, y in pairs),
-            all(sig[tau[x][y]] == sig[y] for x, y in pairs),
-            all(tau[sig[x][y]] == tau[y] for x, y in pairs),
-        )
-        homs = tuple(
-            all(
-                fam[dot.mul(x, y)][z] == (fam[x][fam[y][z]] if hom else fam[y][fam[x][z]])
-                for x, y, z in triples
-            )
-            for fam, hom in ((lams, True), (rhos, True), (lams, False), (rhos, False))
-        )
-        two_sided = all(
-            fam[dot.mul(x, y)] == fam[dot.mul(y, x)] == fam[circ.mul(x, y)]
-            for fam in (lams, rhos)
-            for x, y in pairs
-        )
+        red = two_reductive_oracle(sig, tau)
+        homs = (lam[0], rho[0], lam[1], rho[1])
+        two_sided = lam[2] and rho[2]
         fields = (prof.red1, prof.red2, prof.red3, prof.red4)
         if red != homs or red != fields:
             violations.append(f"{name}: (f) identities {red} vs homs {homs}")
@@ -501,7 +430,7 @@ def test_criterion_8_seven_identities(brace_catalog):
         n = b.n
         dot, circ = b.dot, b.circle
         inv_d, bar = dot.inv, circ.inv
-        rhos = b.rhos
+        _, rhos = lambdas_rhos(dot.table, circ.table)
         for y in range(n):
             if circ.mul(y, y) != dot.mul(y, bar[inv_d[y]]):
                 violations.append(f"{name}: (i) at {y}")

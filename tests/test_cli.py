@@ -777,6 +777,18 @@ def test_library_imports_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "yangbaxter" in loaded
     assert loaded - {"yangbaxter"} <= sys.stdlib_module_names, loaded
+    # the tests' oracles share no code with the library: oracles.py imports
+    # only the standard library, at any depth of its syntax tree
+    with open(os.path.join(os.path.dirname(__file__), "oracles.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import names no standard module
+            imported.add("." if node.level else node.module.split(".")[0])
+    assert imported and imported <= sys.stdlib_module_names, imported
 
 
 # the package's modules from the bottom up: each imports only from modules

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import yangbaxter as yb
+from oracles import automorphisms, block_table, element_orders, isomorphisms_oracle
 from yangbaxter.groups import (
     compose,
     finite_group,
@@ -51,22 +52,11 @@ def test_abelian_groups_of_order_small():
         yb.abelian_groups_of_order(0)
 
 
-def _order_profile(table):
-    n = len(table)
-    prof = []
-    for x in range(n):
-        k, acc = 1, x
-        while acc != 0:
-            acc = table[acc][x]
-            k += 1
-        prof.append(k)
-    return tuple(sorted(prof))
-
-
 def test_abelian_groups_of_order_8_against_oracle():
     # Oracle: every abelian group is a direct product of cyclic groups, so
     # enumerate all multisets of cyclic orders >= 2 with product 8, build the
-    # tables, and deduplicate by brute-force table isomorphism.
+    # tables in mixed radix, and deduplicate by isomorphisms from generator
+    # images.
     def multisets(target, cap):
         if target == 1:
             yield ()
@@ -76,47 +66,10 @@ def test_abelian_groups_of_order_8_against_oracle():
                 for rest in multisets(target // d, d):
                     yield (d,) + rest
 
-    def product_table(orders):
-        size = 1
-        for d in orders:
-            size *= d
-
-        def decode(x):
-            coords = []
-            for d in reversed(orders):
-                coords.append(x % d)
-                x //= d
-            return list(reversed(coords))
-
-        def encode(cs):
-            x = 0
-            for c, d in zip(cs, orders):
-                x = x * d + c % d
-            return x
-
-        return [
-            [encode([a + b for a, b in zip(decode(x), decode(y))]) for y in range(size)]
-            for x in range(size)
-        ]
-
-    def tables_isomorphic(t1, t2):
-        if _order_profile(t1) != _order_profile(t2):
-            return False
-        n = len(t1)
-        for phi in itertools.permutations(range(n)):
-            if phi[0] != 0:
-                continue
-            if all(
-                phi[t1[a][b]] == t2[phi[a]][phi[b]] for a in range(n) for b in range(n)
-            ):
-                return True
-        return False
-
     reps = []
     for orders in multisets(8, 8):
-        t = product_table(orders)
-        if not any(tables_isomorphic(t, r) for r in reps):
-            reps.append(t)
+        if not any(next(isomorphisms_oracle(orders, r), None) for r in reps):
+            reps.append(block_table(orders))
     assert len(reps) == 3
     assert len(yb.abelian_groups_of_order(8)) == 3
 
@@ -143,6 +96,20 @@ def test_automorphisms_are_automorphisms():
         for a in range(g.n):
             for b in range(g.n):
                 assert phi[g.add(a, b)] == g.add(phi[a], phi[b])
+
+
+def test_automorphisms_match_the_generator_image_oracle():
+    # every abelian group of order <= 32 but Z2^4, Z2^3xZ4 and Z2^5, whose
+    # 20,160, 21,504 and 9,999,360 automorphisms take the oracle ~0.5 s,
+    # ~0.8 s and minutes; Z2^4's are the filter's in test_kernels
+    skipped = {(2, 2, 2, 2), (2, 2, 2, 4), (2, 2, 2, 2, 2)}
+    checked = 0
+    for n in range(1, 33):
+        for g in yb.abelian_groups_of_order(n):
+            if g.factors not in skipped:
+                assert sorted(g.automorphisms) == sorted(automorphisms(g.factors)), g.factors
+                checked += 1
+    assert checked == 55 - len(skipped)
 
 
 def test_perm_group_closure_examples():
@@ -300,7 +267,7 @@ def test_small_groups_catalog():
     # pairwise non-isomorphic within an order: element-order profiles differ
     for order, names in by_order.items():
         tables = [g.table for name, g in cat if g.n == order]
-        profiles = [_order_profile(t) for t in tables]
+        profiles = [tuple(sorted(element_orders(t))) for t in tables]
         assert len(set(profiles)) == len(profiles)
 
 

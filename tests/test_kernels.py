@@ -4,9 +4,9 @@ and every pair condition against a loop over pairs.
 The library compares composed table rows, one row per table row where it
 can, decides associativity and the brace law on a generating set, and
 bijectivity and the braid relation from the derived rows; these tests hold
-each check to a test-local loop over all pairs or triples, verdict and
-witness, on random corrupted tables and on every small table of a kind, and
-the pruned automorphism search to the plain product filter.
+each check to a loop over all pairs or triples, here or in oracles.py,
+verdict and witness, on random corrupted tables and on every small table of
+a kind, and the pruned automorphism search to the plain product filter.
 """
 
 from __future__ import annotations
@@ -20,6 +20,17 @@ import pytest
 
 import yangbaxter as yb
 import yangbaxter.solution as solution_module
+from oracles import (
+    distributive_oracle,
+    family_flags_oracle,
+    involutive_oracle,
+    is_permutation,
+    isomorphisms_oracle,
+    lambdas_rhos,
+    relabel_table,
+    two_reductive_oracle,
+    validate_oracle,
+)
 from yangbaxter import cli
 from yangbaxter.brace import BraceViolation, _brace_law_failure
 from yangbaxter.groups import (
@@ -27,7 +38,6 @@ from yangbaxter.groups import (
     _isomorphisms,
     _row_kernel,
     compose,
-    element_order,
     finite_group,
     invert_perm,
     is_subgroup,
@@ -35,7 +45,6 @@ from yangbaxter.groups import (
 from yangbaxter.solution import (
     FiniteSolution,
     TwoReductivity,
-    Violation,
     _braid_mismatch,
     _braids,
     _derived_rows,
@@ -48,45 +57,6 @@ SIZES = range(4, 10)
 
 # ---------------------------------------------------------------------------
 # scalar oracles
-
-
-def is_permutation(row, n):
-    """Whether row lists each of 0..n-1 exactly once, by set equality: a check
-    of the test's own, so that the oracles share no code with the library."""
-    return len(row) == n and set(row) == set(range(n))
-
-
-def validate_oracle(sigma, tau):
-    """validate_tables as a plain loop: rows, bijectivity, then the braid
-    relation composed on every triple, first mismatch in lex order."""
-    n = len(sigma)
-    for i, row in enumerate(sigma):
-        if not is_permutation(row, n):
-            return Violation("sigma-row", (i,))
-    for i, row in enumerate(tau):
-        if not is_permutation(row, n):
-            return Violation("tau-row", (i,))
-    images = {}
-    for x, y in itertools.product(range(n), repeat=2):
-        img = (sigma[x][y], tau[y][x])
-        if img in images:
-            return Violation("bijectivity", (images[img], (x, y)))
-        images[img] = (x, y)
-
-    def r(x, y):
-        return sigma[x][y], tau[y][x]
-
-    for x, y, z in itertools.product(range(n), repeat=3):
-        b, c = r(y, z)
-        a, b = r(x, b)
-        b, c = r(b, c)
-        p, q = r(x, y)
-        q, s = r(q, z)
-        p, q = r(p, q)
-        for coord, (u, v) in enumerate(((a, p), (b, q), (c, s)), start=1):
-            if u != v:
-                return Violation(f"birack:{coord}", (x, y, z))
-    return None
 
 
 def group_oracle(rows):
@@ -154,31 +124,6 @@ def ideal_oracle(dot, circ, s):
     )
 
 
-def family_flags_oracle(dot, circ, fam):
-    """(fam_{x.y} = fam_x fam_y, fam_{x.y} = fam_y fam_x,
-    fam_{x.y} = fam_{y.x} = fam_{x o y}), each for every pair (x, y)."""
-    n = len(dot)
-
-    def after(p, q):
-        return tuple(p[q[z]] for z in range(n))
-
-    pairs = list(itertools.product(range(n), repeat=2))
-    return (
-        all(fam[dot[x][y]] == after(fam[x], fam[y]) for x, y in pairs),
-        all(fam[dot[x][y]] == after(fam[y], fam[x]) for x, y in pairs),
-        all(fam[dot[x][y]] == fam[dot[y][x]] == fam[circ[x][y]] for x, y in pairs),
-    )
-
-
-def involutive_oracle(sigma, tau):
-    n = len(sigma)
-
-    def r(x, y):
-        return sigma[x][y], tau[y][x]
-
-    return all(r(*r(x, y)) == (x, y) for x, y in itertools.product(range(n), repeat=2))
-
-
 def condition_star_oracle(sigma, tau):
     n = len(sigma)
     return all(
@@ -200,56 +145,8 @@ def coset_quotient_oracle(table, s):
     return quotient, proj[ident], inv, proj
 
 
-def distributive_oracle(table):
-    n = len(table)
-    return all(
-        table[x][table[y][z]] == table[table[x][y]][table[x][z]]
-        for x, y, z in itertools.product(range(n), repeat=3)
-    )
-
-
-def two_reductive_oracle(s):
-    """is_2reductive as the loop over every pair (x, y), per identity."""
-    n, sig, ta = s.n, s.sigma, s.tau
-    red = [True] * 4
-    for x, y in itertools.product(range(n), repeat=2):
-        red[0] = red[0] and sig[sig[x][y]] == sig[y]
-        red[1] = red[1] and ta[ta[x][y]] == ta[y]
-        red[2] = red[2] and sig[ta[x][y]] == sig[y]
-        red[3] = red[3] and ta[sig[x][y]] == ta[y]
-    return TwoReductivity(*red)
-
-
-def isomorphisms_oracle(source, target):
-    """The plain product-order filter that _isomorphisms prunes."""
-    n = source.n
-    if target.n != n:
-        return
-    table = target.table
-    orders = [element_order(target, x) for x in range(n)]
-    candidates = [[x for x in range(n) if d % orders[x] == 0] for d in source.factors]
-    for images in itertools.product(*candidates):
-        phi = [target.id]
-        for d, img in zip(source.factors, images):
-            steps = [target.id]
-            for _ in range(d - 1):
-                steps.append(table[steps[-1]][img])
-            phi = [table[p][q] for p in phi for q in steps]
-        if len(set(phi)) == n:
-            yield tuple(phi)
-
-
 # ---------------------------------------------------------------------------
 # random inputs
-
-
-def relabel_table(table, phi):
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[phi[a]][phi[b]] = phi[table[a][b]]
-    return tuple(map(tuple, out))
 
 
 def fixing_zero(rng, n):
@@ -468,7 +365,7 @@ def test_2reductive_tables_get_the_triple_loop_verdict(census_solutions):
             tau = swap_in_row(tau, rng)
         v = validate_tables(sigma, tau)
         assert v == validate_oracle(sigma, tau), (sigma, tau)
-        if two_reductive_oracle(FiniteSolution(n=s.n, sigma=sigma, tau=tau)).holds:
+        if all(two_reductive_oracle(sigma, tau)):
             two_reductive.add(v is None)
     assert two_reductive == {True, False}
 
@@ -604,7 +501,7 @@ def test_is_2reductive_matches_the_pair_loop(census_solutions, brace_catalog):
     catalog = [yb.associated_solution(b) for _, b in brace_catalog]
     census = [s for n in census_solutions for s in census_solutions[n]]
     for s in census + catalog + [union, shifts]:
-        assert yb.is_2reductive(s) == two_reductive_oracle(s), s.n
+        assert yb.is_2reductive(s) == two_reductive_oracle(s.sigma, s.tau), s.n
     assert any(not yb.is_2reductive(s).holds for s in catalog)
     assert yb.is_2reductive(shifts) == TwoReductivity(False, True, True, True)
 
@@ -638,7 +535,7 @@ def test_pruned_isomorphisms_yield_the_product_order_filter(order):
         gens = [order // prod(source.factors[:i + 1]) for i in range(len(source.factors))]
         for target in groups:
             tg = target.as_finite_group
-            every = list(isomorphisms_oracle(source, tg))
+            every = list(isomorphisms_oracle(source.factors, tg.table))
             assert list(_isomorphisms(source, tg)) == every
             if not every:
                 continue
@@ -780,18 +677,15 @@ def skew_braces_by_definition(n):
 
 
 def check_report_by_definitions(dot, circ):
-    """brace_report's derived lines vs definitions on the tables: the hom
-    and antihom flags of lambda and rho, built here, vs the loop over pairs;
+    """brace_report's derived lines vs definitions on the tables: lambda
+    and rho by definition, which the brace's must equal, and their hom and
+    antihom flags from the loop over pairs;
     bi_skew vs the swapped brace law; and two_reductive, the two-sided
     identity, level <= 2, class <= 2 and the class of the opposite brace
     (dot table transposed) <= 2, all equal.  Returns (red1, ..., red4)."""
-    n = len(dot)
     b = yb.verify_brace(dot, circ)
-    ident = next(e for e in range(n) if dot[e][e] == e)
-    dinv = [dot[a].index(ident) for a in range(n)]
-    cinv = [circ[a].index(ident) for a in range(n)]
-    lams = [tuple(dot[dinv[a]][circ[a][x]] for x in range(n)) for a in range(n)]
-    rhos = [tuple(circ[circ[cinv[lams[x][y]]][x]][y] for x in range(n)) for y in range(n)]
+    lams, rhos = lambdas_rhos(dot, circ)
+    assert (b.lambdas, b.rhos) == (lams, rhos), (dot, circ)
     lam = family_flags_oracle(dot, circ, lams)
     rho = family_flags_oracle(dot, circ, rhos)
     report, solution = report_sections(b)

@@ -9,35 +9,13 @@ import random
 import pytest
 
 import yangbaxter as yb
-from solution_oracles import canonical_key
+from oracles import class_key, relabel_table, validate_oracle
 from yangbaxter.solution import (
     _braid_mismatch,
     parse_solution_text,
     solution_to_text,
     validate_tables,
 )
-
-
-def braid_holds_oracle(sigma, tau):
-    """Independent braid check: compose r explicitly on all triples."""
-    n = len(sigma)
-
-    def r(x, y):
-        return sigma[x][y], tau[y][x]
-
-    if len({r(x, y) for x in range(n) for y in range(n)}) != n * n:
-        return False
-    for t in itertools.product(range(n), repeat=3):
-        x, y, z = t
-        l1 = (x,) + r(y, z)
-        l2 = r(l1[0], l1[1]) + (l1[2],)
-        lhs = (l2[0],) + r(l2[1], l2[2])
-        r1 = r(x, y) + (z,)
-        r2 = (r1[0],) + r(r1[1], r1[2])
-        rhs = r(r2[0], r2[1]) + (r2[2],)
-        if lhs != rhs:
-            return False
-    return True
 
 
 def birack_holds(sigma, tau):
@@ -84,7 +62,7 @@ def test_verify_agrees_with_braid_oracle_on_all_n2_tables():
     for s0, s1, t0, t1 in itertools.product(perms, repeat=4):
         sigma, tau = (s0, s1), (t0, t1)
         mine = validate_tables(sigma, tau) is None
-        assert mine == braid_holds_oracle(sigma, tau)
+        assert mine == (validate_oracle(sigma, tau) is None)
         if mine:
             accepted.append((sigma, tau))
     assert len(accepted) == 4
@@ -111,9 +89,7 @@ def test_verify_differential_random_tables():
         for _ in range(300):
             sigma = tuple(rng.choice(perms) for _ in range(n))
             tau = tuple(rng.choice(perms) for _ in range(n))
-            assert (validate_tables(sigma, tau) is None) == braid_holds_oracle(
-                sigma, tau
-            )
+            assert validate_tables(sigma, tau) == validate_oracle(sigma, tau)
 
 
 def test_violation_reports():
@@ -345,7 +321,7 @@ def test_injectivity_checks_examples():
 def test_solutions_isomorphic_matches_canonical_keys(small_solutions):
     rng = random.Random(5)
     sols = small_solutions
-    keys = [canonical_key(s) for s in sols]
+    keys = [class_key(s.sigma, s.tau) for s in sols]
     pairs = [(i, j) for i in range(len(sols)) for j in range(len(sols)) if sols[i].n == sols[j].n]
     for i, j in rng.sample(pairs, 60):
         phi = yb.solutions_isomorphic(sols[i], sols[j])
@@ -360,6 +336,7 @@ def test_solutions_isomorphic_finds_relabelings(small_solutions):
         phi = list(range(s.n))
         rng.shuffle(phi)
         t = yb.relabel(s, phi)
+        assert (t.sigma, t.tau) == (relabel_table(s.sigma, phi), relabel_table(s.tau, phi))
         found = yb.solutions_isomorphic(s, t)
         assert found is not None
         assert yb.relabel(s, found) == t

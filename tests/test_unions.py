@@ -14,7 +14,16 @@ from math import prod
 import pytest
 
 import yangbaxter as yb
-from solution_oracles import canonical_key
+from oracles import (
+    automorphisms,
+    canonical_union,
+    class_key,
+    generates,
+    span,
+    transform,
+    union_tables,
+    witness_scan,
+)
 from yangbaxter import groups as groups_module
 from yangbaxter import unions as unions_module
 from yangbaxter.groups import invert_perm
@@ -36,51 +45,9 @@ Z2 = yb.abelian_group([2])
 Z3 = yb.abelian_group([3])
 
 
-def _transform(k, c, d, pi, psis):
-    """Flattened (C', D') with C'[pi(i)][pi(j)] = psi_j(C[i][j])."""
-    nc = [0] * (k * k)
-    nd = [0] * (k * k)
-    for i in range(k):
-        for j in range(k):
-            at = pi[i] * k + pi[j]
-            nc[at] = psis[j][c[i][j]]
-            nd[at] = psis[j][d[i][j]]
-    return tuple(nc), tuple(nd)
-
-
-def _oracle_canonical(u):
-    """Least flattened (C, D) over every bijection of u's blocks onto the
-    blocks sorted by (-order, factors) and every tuple of automorphisms."""
-    k = u.k
-    target = sorted((g.factors for g in u.groups), key=lambda f: (-prod(f), f))
-    best = None
-    for pi in itertools.permutations(range(k)):
-        if any(target[pi[i]] != u.groups[i].factors for i in range(k)):
-            continue
-        for psis in itertools.product(*(g.automorphisms for g in u.groups)):
-            cand = _transform(k, u.c, u.d, pi, psis)
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
-def _span_size(factors, elems):
-    """Order of the subgroup of Z_d1 x ... x Z_dk generated by elems, each
-    element read as its mixed-radix digits (first factor most significant)."""
-    coords = list(itertools.product(*(range(d) for d in factors)))
-    gens = [coords[x] for x in elems]
-    span = {coords[0]}
-    frontier = [coords[0]]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = tuple((x + y) % d for x, y, d in zip(a, g, factors))
-                if b not in span:
-                    span.add(b)
-                    new.append(b)
-        frontier = new
-    return len(span)
+def _plain(u):
+    """The union as the oracles read it: (block types, C, D)."""
+    return tuple(g.factors for g in u.groups), u.c, u.d
 
 
 def test_union_to_solution_projection():
@@ -174,34 +141,6 @@ def test_round_trip_with_carrier_map(census, small_solutions):
         assert yb.abelian_union(u.groups, u.c, u.d) == u
 
 
-def _mixed_radix_add(factors, a, b):
-    """a + b in Z_d1 x ... x Z_dk, digit by digit, the first factor the
-    most significant."""
-    total, weight = 0, 1
-    for d in reversed(factors):
-        total += (a // weight + b // weight) % d * weight
-        weight *= d
-    return total
-
-
-def _entry_formula(u):
-    """The tables of a union entry by entry: sigma_x(y) = y + c[i][j] and
-    tau_x(y) = y + d[i][j] for x in block i and y in block j."""
-    block_of = [j for j, g in enumerate(u.groups) for _ in range(g.n)]
-    off = u.offsets
-
-    def table(m):
-        return tuple(
-            tuple(
-                off[j] + _mixed_radix_add(u.groups[j].factors, y - off[j], m[block_of[x]][j])
-                for y, j in enumerate(block_of)
-            )
-            for x in range(u.n)
-        )
-
-    return table(u.c), table(u.d)
-
-
 def _wide_unions():
     """Unions with blocks outside the small census, up to 260 points."""
     z2x4, z3x3, z2_4 = yb.abelian_group([2, 4]), yb.abelian_group([3, 3]), yb.abelian_group([2] * 4)
@@ -222,7 +161,7 @@ def test_union_to_solution_matches_the_entry_formula(census):
     # one sigma-row and one tau-row per block, shared by the block's points
     for u in [v for n in range(1, 6) for v in census[n]] + _wide_unions():
         s = yb.union_to_solution(u)
-        assert (s.n, (s.sigma, s.tau)) == (u.n, _entry_formula(u)), u
+        assert (s.n, (s.sigma, s.tau)) == (u.n, union_tables(_plain(u))), u
         assert len({id(row) for row in s.sigma}) == len({id(row) for row in s.tau}) == u.k
 
 
@@ -287,7 +226,7 @@ def test_unions_isomorphic_spec_pairs():
 
 def test_unions_isomorphic_agrees_with_solution_isomorphism(census):
     sols = [yb.union_to_solution(u) for u in census[3]]
-    keys = [canonical_key(s) for s in sols]
+    keys = [class_key(s.sigma, s.tau) for s in sols]
     assert len(set(keys)) == len(keys)  # census entries pairwise non-isomorphic
     for i, u in enumerate(census[3]):
         for j, v in enumerate(census[3]):
@@ -405,27 +344,24 @@ def test_census_cells_partition_structure():
     assert len(entries) == 15
 
 
+def _generating_columns(t, length):
+    """Every tuple of length elements of the block of type t that generates it."""
+    return [col for col in itertools.product(range(prod(t)), repeat=length) if generates(t, col)]
+
+
 def test_enumerate_cell_agrees_with_canonical_form():
     # enumerate_cell and canonical_form share their compiled gathers; the
     # oracle loops over (pi, psis) one union at a time, over every combo of
     # columns that generate their blocks
     for n in range(1, 6):
         for types in census_cells(n):
-            groups = tuple(yb.abelian_group(list(t)) for t in types)
-            k = len(groups)
-            columns = [
-                [
-                    col
-                    for col in itertools.product(range(g.n), repeat=2 * k)
-                    if _span_size(g.factors, col) == g.n
-                ]
-                for g in groups
-            ]
+            k = len(types)
+            columns = [_generating_columns(t, 2 * k) for t in types]
             expected = set()
             for combo in itertools.product(*columns):
                 c = tuple(tuple(combo[j][i] for j in range(k)) for i in range(k))
                 d = tuple(tuple(combo[j][k + i] for j in range(k)) for i in range(k))
-                expected.add(_oracle_canonical(AbelianUnion(groups=groups, c=c, d=d)))
+                expected.add(canonical_union((types, c, d)))
             assert list(cell_keys(types, enumerate_cell(types))) == sorted(expected), types
 
 
@@ -437,13 +373,12 @@ def _spread(m, auts):
 
 
 def _every_gather(types):
-    """The blocks of a sorted cell, their automorphisms, and every symmetry
+    """The automorphisms of a sorted cell's blocks, and every symmetry
     (pi, psis) of the cell, a type-preserving permutation of the blocks and
     one automorphism per block, as a function of a _spread matrix that
     returns the flattened M' with M'[pi(i)][pi(j)] = psi_j(M[i][j]).  The
     first is the identity (the identity automorphism is the least tuple)."""
-    groups = [yb.abelian_group(list(t)) for t in types]
-    auts = [g.automorphisms for g in groups]
+    auts = [automorphisms(t) for t in types]
     k = len(types)
     starts = list(itertools.accumulate((k * len(a) for a in auts), initial=0))
     gathers = []
@@ -456,15 +391,15 @@ def _every_gather(types):
                 pos[pi[i] * k + pi[j]] = starts[j] + k * ts[j] + i
             get = operator.itemgetter(*pos)
             gathers.append(get if k > 1 else lambda m, get=get: (get(m),))
-    return groups, auts, gathers
+    return auts, gathers
 
 
 def _one_stage_cell(types):
     """The cell's keys by a one-stage orderly test: a combo of columns that
     generate their blocks is kept when no symmetry of the cell maps its
     whole (C, D) below the identity's image."""
-    groups, auts, (ident, *others) = _every_gather(types)
-    k = len(groups)
+    auts, (ident, *others) = _every_gather(types)
+    k = len(types)
     # each generating column of block j, as its C half and D half spread
     columns = [
         [
@@ -472,10 +407,9 @@ def _one_stage_cell(types):
                 tuple(psi[x] for psi in a for x in col[:k]),
                 tuple(psi[x] for psi in a for x in col[k:]),
             )
-            for col in itertools.product(range(g.n), repeat=2 * k)
-            if _span_size(g.factors, col) == g.n
+            for col in _generating_columns(t, 2 * k)
         ]
-        for g, a in zip(groups, auts)
+        for t, a in zip(types, auts)
     ]
     kept = []
     for combo in itertools.product(*columns):
@@ -552,15 +486,12 @@ def test_census_at_6_runs_the_d_stage_once_per_key(monkeypatch):
     assert sum(len(runs) for _, runs in cells) == 452
     assert len(calls) <= 80
     for types, runs in cells:
-        groups, auts, gathers = _every_gather(types)
+        auts, gathers = _every_gather(types)
         k = len(types)
         shared = {}
         for cflat, run in runs:
             c = [cflat[i * k:(i + 1) * k] for i in range(k)]
-            subgroups = tuple(
-                groups_module.subgroup_generated(g.as_finite_group, col)
-                for g, col in zip(groups, zip(*c))
-            )
+            subgroups = tuple(frozenset(span(t, col)) for t, col in zip(types, zip(*c)))
             spread = _spread(c, auts)
             stabiliser = frozenset(i for i, g in enumerate(gathers) if g(spread) == cflat)
             assert shared.setdefault((subgroups, stabiliser), run) is run, (types, cflat)
@@ -636,7 +567,8 @@ def test_canonical_form_is_the_least_image_over_all_gathers():
     ]
     rng = random.Random(16381)
     for types in cells:
-        groups, auts, gathers = _every_gather(types)
+        groups = [yb.abelian_group(list(t)) for t in types]
+        auts, gathers = _every_gather(types)
         k = len(groups)
         entry = rng.randrange(min(g.n for g in groups))
         randoms = [
@@ -674,13 +606,11 @@ def test_canonical_form_on_blocks_outside_the_small_census():
                 for _ in range(2)
             )
             cf = yb.canonical_form(AbelianUnion(groups=groups, c=c, d=d))
-            assert (sum(cf.c, ()), sum(cf.d, ())) == _oracle_canonical(
-                AbelianUnion(groups=groups, c=c, d=d)
-            ), types
+            assert (sum(cf.c, ()), sum(cf.d, ())) == canonical_union((types, c, d)), types
             for _ in range(3):
                 pi = rng.sample(range(k), k)
-                psis = [rng.choice(g.automorphisms) for g in groups]
-                nc, nd = _transform(k, c, d, pi, psis)
+                psis = [rng.choice(automorphisms(t)) for t in types]
+                nc, nd = transform(c, d, pi, psis)
                 moved = [None] * k
                 for i in range(k):
                     moved[pi[i]] = groups[i]
@@ -709,38 +639,7 @@ def test_canonical_form_tells_equal_columns_of_other_block_types_apart():
             ]:
                 u = AbelianUnion(groups=groups, c=tuple(map(tuple, c)), d=tuple(map(tuple, d)))
                 cf = yb.canonical_form(u)
-                assert (sum(cf.c, ()), sum(cf.d, ())) == _oracle_canonical(u), (types, c, d)
-
-
-def _oracle_witness(u1, u2):
-    """The witness by a scan of the automorphism lists: block bijections in
-    lexicographic order and, per column j, the first automorphism in sorted
-    order that sends column j of u1 to column pi(j) of u2."""
-    k = u1.k
-    if u2.k != k:
-        return None
-    for pi in itertools.permutations(range(k)):
-        if any(u2.groups[pi[i]].factors != u1.groups[i].factors for i in range(k)):
-            continue
-        psis = []
-        for j, g in enumerate(u1.groups):
-            psi = next(
-                (
-                    psi for psi in g.automorphisms
-                    if all(
-                        psi[u1.c[i][j]] == u2.c[pi[i]][pi[j]]
-                        and psi[u1.d[i][j]] == u2.d[pi[i]][pi[j]]
-                        for i in range(k)
-                    )
-                ),
-                None,
-            )
-            if psi is None:
-                break
-            psis.append(psi)
-        else:
-            return yb.UnionIsomorphism(pi=pi, psis=tuple(psis))
-    return None
+                assert (sum(cf.c, ()), sum(cf.d, ())) == canonical_union(_plain(u)), (types, c, d)
 
 
 def test_unions_isomorphic_returns_the_scan_witness():
@@ -770,12 +669,12 @@ def test_unions_isomorphic_returns_the_scan_witness():
             (flat, randoms[0]),
         ]:
             u = AbelianUnion(groups=groups, c=tuple(map(tuple, c)), d=tuple(map(tuple, d)))
-            for j, g in enumerate(groups):
-                generating[g.generates([row[j] for row in c] + [row[j] for row in d])] += 1
+            for j, t in enumerate(types):
+                generating[generates(t, [row[j] for row in c] + [row[j] for row in d])] += 1
             for _ in range(3):
                 pi = rng.sample(range(k), k)
-                psis = [rng.choice(g.automorphisms) for g in groups]
-                nc, nd = _transform(k, c, d, pi, psis)
+                psis = [rng.choice(automorphisms(t)) for t in types]
+                nc, nd = transform(c, d, pi, psis)
                 moved = [None] * k
                 for i in range(k):
                     moved[pi[i]] = groups[i]
@@ -789,7 +688,7 @@ def test_unions_isomorphic_returns_the_scan_witness():
                         d=tuple(tuple(nd[i * k:(i + 1) * k]) for i in range(k)),
                     )
                     witness = yb.unions_isomorphic(u, v)
-                    assert witness == _oracle_witness(u, v), (types, c, d)
+                    assert witness == witness_scan(_plain(u), _plain(v)), (types, c, d)
                     verdicts[witness is not None] += 1
     assert min(verdicts.values()) > 20 and min(generating.values()) > 20, (verdicts, generating)
 
