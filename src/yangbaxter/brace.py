@@ -20,8 +20,8 @@ from .groups import (
     _coset_quotient,
     _first_difference,
     _generators,
-    _int_table,
     _row_kernel,
+    _table_pair,
     center,
     compose,
     cyclic_group,
@@ -31,21 +31,14 @@ from .groups import (
     is_normal,
 )
 from .retraction import MultipermutationResult, multipermutation_level
-from .solution import FiniteSolution, TwoReductivity
+from .solution import FiniteSolution, TwoReductivity, VerificationError, Violation
 
 
-class BraceViolation(namedtuple("BraceViolation", "check witness")):
-    check: str
-    witness: tuple
-
-    def __str__(self) -> str:
-        return f"{self.check} fails at {self.witness}"
+BraceViolation = Violation
 
 
-class BraceError(ValueError):
-    def __init__(self, violation: BraceViolation):
-        super().__init__(str(violation))
-        self.violation = violation
+class BraceError(VerificationError):
+    """Raised by verify_brace; a VerificationError, told apart by its type."""
 
 
 class SkewBrace(namedtuple("SkewBrace", "dot circle")):
@@ -152,17 +145,7 @@ def verify_brace(
 
 
 def brace_from_dict(data: dict) -> SkewBrace:
-    try:
-        dot, circle = data["dot"], data["circle"]
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc} in brace data") from exc
-    dot = _int_table(dot, "dot")
-    if not dot:
-        raise ValueError("dot: empty table, a brace needs at least one element")
-    n = data.get("n", len(dot))
-    if type(n) is not int or n != len(dot):
-        raise ValueError(f"n: declared {n!r} but dot has {len(dot)} rows")
-    return verify_brace(dot, _int_table(circle, "circle", len(dot)))
+    return verify_brace(*_table_pair(data, "dot", "circle", "brace"))
 
 
 def dump_brace_catalog(entries, stream) -> None:

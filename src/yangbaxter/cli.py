@@ -134,9 +134,9 @@ def load_payload(path: str):
 
     The file is read as UTF-8, a leading byte-order mark dropped.  A file
     whose first non-blank character is "{" is read as JSON, any other as a
-    solution in the text format.  Malformed input raises
-    ValueError("path: field: reason"); well-formed tables that break an
-    axiom raise VerificationError or BraceError.
+    solution in the text format.  A file that cannot be read or parsed
+    raises ValueError("path: reason"); well-formed tables that break an
+    axiom raise VerificationError (BraceError for a brace).
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -152,6 +152,8 @@ def load_payload(path: str):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+        except (RecursionError, ValueError) as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a JSON object")
         if "sigma" in data and "tau" in data:
@@ -166,7 +168,7 @@ def load_payload(path: str):
             )
     try:
         return kind, load(data)
-    except (VerificationError, braces.BraceError):
+    except VerificationError:
         raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -256,7 +258,7 @@ def _load(path: str, kinds=("solution", "brace", "union"), violations=()):
         kind, obj = load_payload(path)
     except violations as exc:
         raise _Exit(EXIT_VIOLATION, f"violation: {exc.violation}") from None
-    except (VerificationError, braces.BraceError) as exc:
+    except VerificationError as exc:
         raise _Exit(EXIT_USAGE, f"error: {path}: {exc}") from None
     except ValueError as exc:
         raise _Exit(EXIT_USAGE, f"error: {exc}") from None
@@ -274,8 +276,7 @@ def _create(path: str) -> TextIO:
 
 
 def cmd_verify(args) -> int:
-    violations = (VerificationError, braces.BraceError)
-    kind, obj = _load(args.file, violations=violations)
+    kind, obj = _load(args.file, violations=VerificationError)
     if kind == "union":
         obj = unions.union_to_solution(obj)
         kind = "solution"
@@ -335,21 +336,19 @@ def cmd_classify(args) -> int:
             return EXIT_VIOLATION
         print(f"isomorphic: pi={list(witness.pi)} psis={[list(p) for p in witness.psis]}")
         return EXIT_OK
-    s1 = obj1 if kind1 == "solution" else unions.union_to_solution(obj1)
-    s2 = obj2 if kind2 == "solution" else unions.union_to_solution(obj2)
     # 2-reductivity and the carrier's size are isomorphism invariants, and
-    # here at most one input is 2-reductive
-    if u1 is not None or u2 is not None or s1.n != s2.n:
+    # here at most one input is 2-reductive; a union always is
+    if u1 is not None or u2 is not None or obj1.n != obj2.n:
         print("not isomorphic")
         return EXIT_VIOLATION
-    # neither is 2-reductive: brute force is feasible only for small carriers
-    if s1.n > 6:
+    # neither is 2-reductive, so both are solutions: brute force fits only n <= 6
+    if obj1.n > 6:
         raise _Exit(
             EXIT_USAGE,
             "error: inputs are not 2-reductive and too large for brute-force "
             "isomorphism (n > 6)",
         )
-    phi = solutions.solutions_isomorphic(s1, s2)
+    phi = solutions.solutions_isomorphic(obj1, obj2)
     if phi is None:
         print("not isomorphic")
         return EXIT_VIOLATION

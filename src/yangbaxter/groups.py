@@ -197,6 +197,23 @@ def _int_table(value, field: str, n: Optional[int] = None) -> tuple[tuple[int, .
     return tuple(tuple(row) for row in value)
 
 
+def _table_pair(data: dict, first: str, second: str, kind: str) -> tuple[tuple, tuple]:
+    """The tables data[first] and data[second] of a kind ("solution",
+    "brace") from outside input: the first fixes n >= 1, a declared
+    data["n"] must equal it, and the second must be n x n (_int_table)."""
+    try:
+        head, tail = data[first], data[second]
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc} in {kind} data") from exc
+    head = _int_table(head, first)
+    if not head:
+        raise ValueError(f"{first}: empty table, a {kind} needs at least one element")
+    n = data.get("n", len(head))
+    if type(n) is not int or n != len(head):
+        raise ValueError(f"n: declared {n!r} but {first} has {len(head)} rows")
+    return head, _int_table(tail, second, n)
+
+
 def group_from_dict(data: dict) -> FiniteGroup:
     try:
         return finite_group(_int_table(data["table"], "table"))
@@ -524,8 +541,9 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=128)
 def abelian_groups_of_order(n: int) -> tuple[AbelianGroup, ...]:
-    """One representative per isomorphism class, by invariant factors."""
+    """One representative per isomorphism class, by invariant factors; built once per n."""
     if n <= 0:
         raise ValueError(f"order must be positive, got {n}")
     per_prime = [[(p, part) for part in _partitions(e)] for p, e in _prime_factors(n).items()]

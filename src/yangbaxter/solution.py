@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .groups import (
     Perm,
-    _int_table,
     _row_kernel,
+    _table_pair,
     compose,
     identity_perm,
     invert_perm,
@@ -25,7 +25,8 @@ from .groups import (
 
 
 class Violation(namedtuple("Violation", "check witness")):
-    """Why a pair of tables fails to be a solution."""
+    """Why a pair of tables fails to be a solution, or a skew brace
+    (brace.BraceViolation, with checks such as "brace-law")."""
 
     check: str          # "sigma-row" | "tau-row" | "bijectivity" | "birack:1/2/3"
     witness: tuple      # row index, colliding pairs, or the failing triple
@@ -130,15 +131,11 @@ def _pair_collision(sigma, tau, n: int) -> Optional[Violation]:
     return None
 
 
-def _self_distributive(table: Sequence[Sequence[int]]) -> bool:
-    """Whether the rows p_x = table[x] satisfy p_x p_y = p_{p_x(y)} p_x: for
-    each x, p_x composed with every row at once against the rows p_x
-    composed with each p_{p_x(y)}, n comparisons of n^2-entry rows."""
-    return _distributes(_row_kernel(table))
-
-
 def _distributes(kernel) -> bool:
-    """_self_distributive of a table, given its row kernel."""
+    """Whether the rows p_x of a table, given its row kernel, satisfy
+    p_x p_y = p_{p_x(y)} p_x: for each x, p_x composed with every row at
+    once against the rows p_x composed with each p_{p_x(y)}, n comparisons
+    of n^2-entry rows."""
     rows, maps, then, join, _ = kernel
     every = join(rows)
     return all(
@@ -365,11 +362,11 @@ def _first_index(table: Sequence[Sequence[int]]) -> list[int]:
 
 
 def is_left_distributive(s: FiniteSolution) -> bool:
-    return _self_distributive(s.sigma)
+    return _distributes(_row_kernel(s.sigma))
 
 
 def is_right_distributive(s: FiniteSolution) -> bool:
-    return _self_distributive(s.tau)
+    return _distributes(_row_kernel(s.tau))
 
 
 def satisfies_condition_star(s: FiniteSolution) -> bool:
@@ -468,25 +465,8 @@ def solutions_isomorphic(
 # Serialization
 
 
-def _sigma_table(value) -> tuple[tuple[int, ...], ...]:
-    """The sigma table of outside input; it fixes the carrier size n >= 1."""
-    sig = _int_table(value, "sigma")
-    if not sig:
-        raise ValueError("sigma: empty table, a solution needs at least one element")
-    return sig
-
-
 def solution_from_dict(data: dict) -> FiniteSolution:
-    try:
-        sigma = data["sigma"]
-        tau = data["tau"]
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc} in solution data") from exc
-    sig = _sigma_table(sigma)
-    n = data.get("n", len(sig))
-    if type(n) is not int or n != len(sig):
-        raise ValueError(f"n: declared {n!r} but sigma has {len(sig)} rows")
-    return verify(sig, _int_table(tau, "tau", n))
+    return verify(*_table_pair(data, "sigma", "tau", "solution"))
 
 
 def parse_solution_text(text: str) -> FiniteSolution:
@@ -495,15 +475,14 @@ def parse_solution_text(text: str) -> FiniteSolution:
     blocks = [b for b in re.split(r"\n[ \t]*\n", text.replace("\r\n", "\n")) if b.strip()]
     if len(blocks) != 2:
         raise ValueError(f"expected 2 blocks separated by a blank line, got {len(blocks)}")
-    tables = []
+    tables = {}
     for field, block in zip(("sigma", "tau"), blocks):
         lines = [line for line in block.strip().splitlines() if line.strip()]
         try:
-            tables.append([[int(tok) for tok in line.split()] for line in lines])
+            tables[field] = [[int(tok) for tok in line.split()] for line in lines]
         except ValueError:
             raise ValueError(f"{field}: entries must be integers") from None
-    sigma = _sigma_table(tables[0])
-    return verify(sigma, _int_table(tables[1], "tau", len(sigma)))
+    return verify(*_table_pair(tables, "sigma", "tau", "solution"))
 
 
 def solution_to_text(s: FiniteSolution) -> str:

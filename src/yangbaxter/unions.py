@@ -316,8 +316,8 @@ def _cell_positions(
     it is read from.  C and D are spread alike and one gather maps either.
     The trivial blocks sort last, and the cell's symmetries are these
     gathers times the permutations of the trivial blocks, which only
-    permute the last rows (enumerate_cell sorts them).  The gathers are
-    yielded lazily.  The first is the identity, pi = id and every psi = id
+    permute the last rows (enumerate_cell sorts them, and takes every
+    gather at once).  The first is the identity, pi = id and every psi = id
     (block bijections come in lexicographic order and automorphisms
     sorted), so it reads a matrix's own flattened entries, the layout
     enumerate_cell compares the other gathers with.

@@ -7,9 +7,9 @@ import pytest
 
 import yangbaxter as yb
 from oracles import lambdas_rhos
-from yangbaxter.brace import BraceError
+from yangbaxter.brace import BraceError, BraceViolation
 from yangbaxter.groups import identity_perm
-from yangbaxter.solution import validate_tables
+from yangbaxter.solution import VerificationError, Violation, validate_tables
 
 
 def test_verify_brace_examples():
@@ -26,6 +26,18 @@ def test_brace_law_violation_witness():
         yb.verify_brace(s3.table, z6.table)
     assert exc.value.violation.check == "brace-law"
     assert exc.value.violation.witness == (1, 1, 1)
+
+
+def test_brace_violations_are_solution_violations():
+    # one contract for both objects: a brace's violation is a Violation, and
+    # its error a VerificationError told apart only by its type
+    assert BraceViolation is Violation and issubclass(BraceError, VerificationError)
+    assert not any(callable(v) for v in vars(BraceError).values())
+    with pytest.raises(VerificationError) as exc:
+        yb.verify_brace([[0, 1], [1, 0]], [[0]])
+    assert type(exc.value) is BraceError
+    assert exc.value.violation == Violation("carrier", (2, 1))
+    assert str(exc.value) == "carrier fails at (2, 1)"
 
 
 def test_verify_brace_rejects_non_groups():

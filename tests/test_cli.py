@@ -130,6 +130,9 @@ MALFORMED = {
     "empty-brace": ({"dot": [], "circle": []}, "dot"),
     "short-circle": ({"dot": [[0]], "circle": []}, "circle"),
     "brace-wrong-n": ({"n": 5, "dot": [[0]], "circle": [[0]]}, "n"),
+    # JSON that json.loads refuses other than by a syntax error
+    "deep-nesting": ('{"sigma": ' + "[" * 100_000, "invalid JSON"),
+    "long-integer": ('{"sigma": [[' + "1" * 5000 + ']], "tau": [[0]]}', "invalid JSON"),
 }
 
 
@@ -710,18 +713,35 @@ def test_classify_checks_2_reductivity_once_per_file(tmp_path, capsys, monkeypat
     assert calls == {"is_2reductive": 2}
 
 
+def test_classify_union_against_non_2reductive_builds_no_tables(tmp_path, capsys, monkeypatch):
+    # a union is 2-reductive, so the verdict needs no solution tables of it
+    big = yb.associated_solution(yb.trivial_brace(yb.symmetric_group(3)))
+    assert not yb.is_2reductive(big).holds
+    p_union = write(tmp_path, "u.json", yb.enumerate_2reductive(3)[5].to_dict())
+    p_big = write(tmp_path, "big.json", big.to_dict())
+    calls = _count_calls(monkeypatch, {"union_to_solution": yb.union_to_solution})
+    for p1, p2 in (p_union, p_big), (p_big, p_union):
+        assert main(["classify", p1, p2]) == 1
+        assert capsys.readouterr().out == "not isomorphic\n"
+    assert calls == {"union_to_solution": 0}
+
+
 def test_brace_command_rejects_solution_file(tmp_path, capsys):
     path = write(tmp_path, "sol.json", yb.projection_solution(2).to_dict())
     assert main(["brace", path]) == 2
 
 
 def test_brace_law_violation_exits_1(tmp_path, capsys):
+    # brace and verify both take a brace's violation as their verdict
     s3 = yb.symmetric_group(3)
     z6 = yb.cyclic_group(6)
     path = write(tmp_path, "bad.json", {"n": 6, "dot": [list(r) for r in s3.table],
                                         "circle": [list(r) for r in z6.table]})
-    assert main(["brace", path]) == 1
-    assert "brace-law" in capsys.readouterr().err
+    for command in ("brace", "verify"):
+        assert main([command, path]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err.splitlines() == ["violation: brace-law fails at (1, 1, 1)"], command
 
 
 def _child_env():

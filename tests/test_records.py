@@ -44,7 +44,6 @@ def _samples():
         unions.unions_isomorphic(u, u),
         unions.union_predicates(u),
         unions.injectivity_checks(u),
-        brace.BraceViolation("brace-law", (0, 1, 2)),
         b,
         brace.socle(b),
         brace.socle_series(b),
