@@ -17,6 +17,7 @@ import yangbaxter as yb
 from oracles import (
     automorphisms,
     canonical_union,
+    class_key,
     generates,
     span,
     transform,
@@ -221,6 +222,15 @@ def test_unions_isomorphic_spec_pairs():
     w = yb.unions_isomorphic(u_11, u_22)
     assert w is not None
     assert w.psis[0] == (0, 2, 1)  # x -> 2x on Z3
+
+
+def test_unions_isomorphic_agrees_with_solution_isomorphism(census):
+    sols = [yb.union_to_solution(u) for u in census[3]]
+    keys = [class_key(s.sigma, s.tau) for s in sols]
+    assert len(set(keys)) == len(keys)  # census entries pairwise non-isomorphic
+    for i, u in enumerate(census[3]):
+        for j, v in enumerate(census[3]):
+            assert (yb.unions_isomorphic(u, v) is not None) == (keys[i] == keys[j])
 
 
 def test_canonical_form_idempotent(census):
