@@ -19,6 +19,7 @@ from .groups import (
     Perm,
     _coset_quotient,
     _first_difference,
+    _gather,
     _generators,
     _row_kernel,
     _table_pair,
@@ -61,13 +62,24 @@ class SkewBrace(namedtuple("SkewBrace", "dot circle")):
 
     @cached_property
     def rhos(self) -> tuple[Perm, ...]:
-        """rho_y(x) = circle-inverse of lambda_x(y), composed with x o y."""
+        """rho_y(x) = c o x o y, c the circle inverse of lambda_x(y).
+
+        lambda_x depends on x only through x modulo Ker lambda, so per y
+        the d distinct lambdas give d circle rows z -> c o z, joined.  Mapping
+        every entry by z -> z o y, the circle inverse of y^-1 o z^-1, takes
+        three translates, and one gather, at x in the block of x's lambda,
+        gives rho_y.
+        """
         ct, cinv, n = self.circle.table, self.circle.inv, self.n
-        lams = self.lambdas
-        return tuple(
-            tuple([ct[ct[cinv[lams[x][y]]][x]][y] for x in range(n)])
-            for y in range(n)
-        )
+        rows, maps, then, join, _ = _row_kernel([*ct, cinv])
+        classes: dict = {}
+        cls = [classes.setdefault(lam, len(classes)) for lam in self.lambdas]
+        pick, inv = _gather([k * n + x for x, k in enumerate(cls)]), maps[n]
+        rhos = []
+        for y in range(n):
+            joined = join([rows[cinv[lam[y]]] for lam in classes])
+            rhos.append(pick(then(then(then(joined, inv), maps[cinv[y]]), inv)))
+        return tuple(rhos)
 
     def to_dict(self) -> dict:
         return {
@@ -203,11 +215,12 @@ class Ideal(namedtuple("Ideal", "brace elements")):
 
 
 def is_ideal(b: SkewBrace, elements: Sequence[int]) -> bool:
-    """Normal in both groups and stable under every lambda_a."""
+    """Normal in both groups and stable under every lambda_a, checked once
+    per distinct lambda_a."""
     elems = set(elements)
     if not is_normal(b.dot, elems) or not is_normal(b.circle, elems):
         return False
-    return all(elems.issuperset([lam[x] for x in elems]) for lam in b.lambdas)
+    return all(elems.issuperset([lam[x] for x in elems]) for lam in dict.fromkeys(b.lambdas))
 
 
 def socle(b: SkewBrace) -> Ideal:

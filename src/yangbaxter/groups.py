@@ -60,6 +60,14 @@ def _row_kernel(
             lambda row: bytes.maketrans(row, ident)[:n])
 
 
+def _gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The function reading an encoded row (or any sequence) at the indices
+    idx, as a tuple of ints: operator.itemgetter, but a tuple for one index
+    as well."""
+    get = operator.itemgetter(*idx)
+    return get if len(idx) > 1 else lambda seq: (get(seq),)
+
+
 def _product_table(
     t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:

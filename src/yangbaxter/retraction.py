@@ -107,12 +107,17 @@ def quotient_solution(s: FiniteSolution, p: SolutionPartition) -> QuotientSoluti
 def _quotient(s: FiniteSolution, p: SolutionPartition) -> QuotientSolution:
     """quotient_solution for a partition known to be a congruence; not
     verified again, as a quotient by a congruence is a solution (a test
-    checks it)."""
+    checks it).  Each distinct sigma- and tau-row of the blocks' first
+    points is read at those points and mapped to blocks once."""
     blk = p.block_of
     reps = [block[0] for block in p.blocks]
-    sig = tuple(tuple(blk[s.sigma[a][b]] for b in reps) for a in reps)
-    ta = tuple(tuple(blk[s.tau[a][b]] for b in reps) for a in reps)
-    quotient = FiniteSolution(n=len(reps), sigma=sig, tau=ta)
+
+    def mapped(table):
+        rows = [table[a] for a in reps]
+        image = {row: tuple([blk[row[b]] for b in reps]) for row in dict.fromkeys(rows)}
+        return tuple(map(image.__getitem__, rows))
+
+    quotient = FiniteSolution(n=len(reps), sigma=mapped(s.sigma), tau=mapped(s.tau))
     return QuotientSolution(solution=quotient, projection=blk)
 
 

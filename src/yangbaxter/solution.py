@@ -133,15 +133,21 @@ def _pair_collision(sigma, tau, n: int) -> Optional[Violation]:
 
 def _distributes(kernel) -> bool:
     """Whether the rows p_x of a table, given its row kernel, satisfy
-    p_x p_y = p_{p_x(y)} p_x: for each x, p_x composed with every row at
-    once against the rows p_x composed with each p_{p_x(y)}, n comparisons
-    of n^2-entry rows."""
+    p_x p_y = p_{p_x(y)} p_x.  The identity depends on x only through p_x,
+    so x runs over one point per distinct row: p_x composed with every row
+    at once against the d compositions p_w p_x, w over the d distinct rows,
+    laid out over the n points y by one join.  That is d comparisons of
+    n^2-entry rows, made by d(d + 1) compositions."""
     rows, maps, then, join, _ = kernel
-    every = join(rows)
-    return all(
-        then(every, maps[x]) == join(map(then, repeat(row), map(maps.__getitem__, row)))
-        for x, row in enumerate(rows)
-    )
+    first = _first_index(rows)
+    reps = list(dict.fromkeys(first))
+    cls = list(map({w: k for k, w in enumerate(reps)}.__getitem__, first))
+    rep_maps, every = [maps[w] for w in reps], join(rows)
+    for x in reps:
+        after = list(map(then, repeat(rows[x]), rep_maps))
+        if then(every, maps[x]) != join(map(after.__getitem__, map(cls.__getitem__, rows[x]))):
+            return False
+    return True
 
 
 def _derived_rows(s_kernel, tau_cols) -> list:
@@ -172,9 +178,10 @@ def _braids(s_kernel, tau_cols, r_kernel) -> bool:
       (i)   sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)},
       (ii)  R_z R_y = R_{R_z(y)} R_z,
       (iii) sigma_x R_z = R_{sigma_x(z)} sigma_x.
-    Each is n comparisons of two n^2-entry rows, one per x (or z): the left
-    side composes one map with every row joined, the right side joins n
-    compositions.  The test suite checks that it agrees with _braid_mismatch.
+    Each is a comparison of two n^2-entry rows per x (or z), one per
+    distinct R_z for (ii) (_distributes): the left side composes one map
+    with every row joined, the right side joins n compositions.  The test
+    suite checks that it agrees with _braid_mismatch.
     """
     s_rows, s_maps, then, join, _ = s_kernel
     r_rows, r_maps, *_ = r_kernel
@@ -335,18 +342,21 @@ class TwoReductivity(namedtuple("TwoReductivity", "red1 red2 red3 red4")):
 
 
 def is_2reductive(s: FiniteSolution) -> TwoReductivity:
-    """The four identities, each as n comparisons of composed rows.
+    """The four identities, each as one comparison of composed rows per
+    distinct sigma- or tau-row.
 
     Give each distinct sigma-row the first index that has it, sid[y], and
     each tau-row likewise, tid[y].  Then sigma_{sigma_x(y)} = sigma_y for
     every y says sid o sigma_x = sid, and the other three alike: each
-    identity composes sid or tid with every sigma_x or tau_x.
+    identity composes sid or tid with every distinct sigma- or tau-row.
     """
-    n = s.n
-    ids = [_first_index(s.sigma), _first_index(s.tau)]
-    rows, maps, then, *_ = _row_kernel([*ids, *s.sigma, *s.tau])
-    sid, tid, sigma_rows, tau_rows = rows[0], rows[1], rows[2:n + 2], rows[n + 2:]
-    sid_map, tid_map = maps[0], maps[1]
+    sid, tid = _first_index(s.sigma), _first_index(s.tau)
+    sigma_rows = [s.sigma[x] for x in dict.fromkeys(sid)]
+    tau_rows = [s.tau[x] for x in dict.fromkeys(tid)]
+    rows, maps, then, *_ = _row_kernel([sid, tid, *sigma_rows, *tau_rows])
+    split = len(sigma_rows) + 2
+    sid, tid, sid_map, tid_map = rows[0], rows[1], maps[0], maps[1]
+    sigma_rows, tau_rows = rows[2:split], rows[split:]
     return TwoReductivity(
         red1=all(then(row, sid_map) == sid for row in sigma_rows),
         red2=all(then(row, tid_map) == tid for row in tau_rows),
@@ -355,10 +365,11 @@ def is_2reductive(s: FiniteSolution) -> TwoReductivity:
     )
 
 
-def _first_index(table: Sequence[Sequence[int]]) -> list[int]:
-    """For each row of a table, the first index whose row equals it."""
+def _first_index(rows: Sequence[Sequence[int]]) -> list[int]:
+    """For each of a list of hashable rows (tuples or encoded rows), the
+    first index whose row equals it."""
     first: dict = {}
-    return [first.setdefault(tuple(row), x) for x, row in enumerate(table)]
+    return [first.setdefault(row, x) for x, row in enumerate(rows)]
 
 
 def is_left_distributive(s: FiniteSolution) -> bool:

@@ -15,6 +15,7 @@ route reproduces; the README lists the alternative readings tried.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import Counter
@@ -220,6 +221,14 @@ def _census_profile(census):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def census_keys(n):
+    """class_key of each census solution of size n, in census order; shared
+    by criteria 3 and 4."""
+    return [class_key(s.sigma, s.tau)
+            for s in map(yb.union_to_solution, yb.enumerate_2reductive(n))]
+
+
 def test_criterion_3_completeness_oracle(small_solutions):
     t0 = time.perf_counter()
     ok = True
@@ -236,9 +245,7 @@ def test_criterion_3_completeness_oracle(small_solutions):
     for n in range(1, 5):
         scanned = _scan_2reductive(n)
         census = yb.enumerate_2reductive(n)
-        listed = {
-            class_key(s.sigma, s.tau) for s in map(yb.union_to_solution, census)
-        }
+        listed = set(census_keys(n))
         scan_profile = _scan_profile(scanned, n)
         census_profile = _census_profile(census)
         details.append(
@@ -272,8 +279,7 @@ def test_criterion_4_round_trip_and_isomorphism():
                 mismatches.append(f"round-trip n={n} entry {idx}")
     for n in range(1, 5):
         census = yb.enumerate_2reductive(n)
-        sols = [yb.union_to_solution(u) for u in census]
-        keys = [class_key(s.sigma, s.tau) for s in sols]
+        keys = census_keys(n)
         # every ordered pair: the verdict must not depend on the order
         for i in range(len(census)):
             for j in range(len(census)):

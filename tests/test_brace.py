@@ -311,6 +311,15 @@ def test_z2n_builders():
         yb.z2n_dual_brace(0)
 
 
+def test_rhos_at_edge_sizes():
+    # order 1, where reading one index with operator.itemgetter gives a bare
+    # item, and order 258, above the 256 points of byte rows
+    for b in (yb.trivial_brace(yb.cyclic_group(1)), yb.z2n_brace(129)):
+        lams, rhos = lambdas_rhos(b.dot.table, b.circle.table)
+        assert (b.lambdas, b.rhos) == (lams, rhos), b.n
+        assert all(type(row) is tuple for row in b.rhos), b.n
+
+
 def test_z2n_dual_is_2reductive():
     for n in (1, 3, 5):
         b = yb.z2n_dual_brace(n)

@@ -691,15 +691,17 @@ def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brac
 
 
 def test_brace_report_encodes_only_the_solution(monkeypatch, brace_catalog):
-    # the identities are one row-kernel build (is_2reductive) and the full
-    # report's distributivity two more; the hom flags and bi-skew are read
-    # off the identities, so the brace's tables are not encoded again
+    # the rhos of the associated solution are one row-kernel build (the
+    # circle table, SkewBrace.rhos), the identities one more (is_2reductive)
+    # and the full report's distributivity two more; the hom flags and
+    # bi-skew are read off the identities, so the brace's tables are not
+    # encoded again.  A fresh brace per report computes its rhos there.
     calls = _count_calls(monkeypatch, {"_row_kernel": groups._row_kernel})
     for full in (True, False):
         for name, b in brace_catalog:
             before = calls["_row_kernel"]
-            cli.brace_report(b, full=full, out=io.StringIO())
-            assert calls["_row_kernel"] - before == (3 if full else 1), (name, full)
+            cli.brace_report(yb.SkewBrace(b.dot, b.circle), full=full, out=io.StringIO())
+            assert calls["_row_kernel"] - before == (4 if full else 2), (name, full)
 
 
 def test_classify_checks_2_reductivity_once_per_file(tmp_path, capsys, monkeypatch):

@@ -311,6 +311,52 @@ def test_validate_tables_and_distributivity_match_the_triple_loop(brace_catalog)
     assert off_row_0 == {"bijectivity", "birack"}, off_row_0
 
 
+def test_distributivity_composes_each_distinct_row_once():
+    # tables with d distinct rows cost at most d(d + 1) compositions, and
+    # the verdict, both ways, is the triple loop's
+    def counted(table):
+        rows, maps, then, join, invert = _row_kernel(table)
+        calls = [0]
+
+        def counting_then(q, p):
+            calls[0] += 1
+            return then(q, p)
+
+        verdict = solution_module._distributes((rows, maps, counting_then, join, invert))
+        d = len(set(table))
+        assert calls[0] <= d * (d + 1), (calls[0], d)
+        return verdict, calls[0]
+
+    z10 = yb.abelian_group([10])
+    union = yb.union_to_solution(yb.abelian_union(
+        [z10] * 3, [[1, 0, 2], [0, 3, 0], [5, 1, 1]], [[0, 2, 0], [1, 0, 4], [0, 0, 7]]))
+    assert union.n == 30 and len(set(union.sigma)) == 3
+    assert counted(union.sigma) == (True, 12)
+    rng = random.Random(28)
+    verdicts = set()
+    for n in (1, 4, 7, 12):
+        for d in (1, 2, 3):
+            for _ in range(15):
+                perms = [tuple(rng.sample(range(n), n)) for _ in range(d)]
+                table = tuple(rng.choice(perms) for _ in range(n))
+                verdict, _ = counted(table)
+                assert verdict == distributive_oracle(table), table
+                verdicts.add(verdict)
+    for s in (yb.projection_solution(9), union):
+        table = yb.relabel(s, rng.sample(range(s.n), s.n)).sigma
+        assert counted(table)[0] is distributive_oracle(table) is True
+    assert verdicts == {True, False}
+    # tuple rows: sigma_x(y) = y + x on 300 points gives p_x p_y the shift by
+    # x + y and p_{p_x(y)} p_x the shift by 2x + y; a Z131 + Z131 union has
+    # red1 and commuting rows, so it is left distributive
+    shifts = tuple(tuple((y + x) % 300 for y in range(300)) for x in range(300))
+    assert counted(shifts)[0] is False
+    z131 = yb.abelian_group([131])
+    big = yb.union_to_solution(
+        yb.abelian_union([z131, z131], [[1, 2], [3, 0]], [[0, 5], [7, 1]]))
+    assert big.n == 262 and counted(big.sigma) == (True, 6)
+
+
 def test_valid_tables_never_reach_a_witness_scan(census_solutions, brace_catalog, monkeypatch):
     # the pair and triple scans only name the witness of a failed verdict
     def scan(*args):
