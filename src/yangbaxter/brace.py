@@ -8,7 +8,6 @@ brace reports are read from.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
@@ -18,7 +17,7 @@ from .groups import (
     FiniteGroup,
     Perm,
     _coset_quotient,
-    _first_difference,
+    _first_triple,
     _gather,
     _generators,
     _row_kernel,
@@ -114,22 +113,21 @@ def _brace_law_holds(dot: FiniteGroup, circ: FiniteGroup) -> bool:
 def _brace_law_failure(dot: FiniteGroup, circ: FiniteGroup) -> Optional[tuple[int, int, int]]:
     """First triple (a, b, c), in lex order, where a o (b . c) differs from
     (a o b) . a^-1 . (a o c); None when the brace law holds, and only a
-    failed _brace_law_holds scans the pairs."""
+    failed _brace_law_holds scans for it."""
     if _brace_law_holds(dot, circ):
         return None
-    # per pair, the maps c -> a o (b . c) and c -> (a o b) . a^-1 . (a o c)
-    # are circ_a o dot_b and dot_{(a o b) . a^-1} o circ_a, on table rows
+    # per a, the maps c -> a o (b . c) and c -> (a o b) . a^-1 . (a o c),
+    # circ_a o dot_b and dot_{(a o b) . a^-1} o circ_a, joined over b
     dt, ct = dot.table, circ.table
-    dot_rows, dot_maps, then, *_ = _row_kernel(dt)
+    dot_rows, dot_maps, then, join, _ = _row_kernel(dt)
     circ_rows, circ_maps, *_ = _row_kernel(ct)
-    for a, ai in enumerate(dot.inv):
-        row_a, circ_a, map_a = ct[a], circ_rows[a], circ_maps[a]
-        for b in range(dot.n):
-            lhs = then(dot_rows[b], map_a)
-            rhs = then(circ_a, dot_maps[dt[row_a[b]][ai]])
-            if lhs != rhs:
-                return a, b, _first_difference(lhs, rhs)
-    return None
+    every = join(dot_rows)
+    pairs = (
+        (then(every, circ_maps[a]),
+         join(map(then, repeat(circ_rows[a]), [dot_maps[dt[ab][ai]] for ab in ct[a]])))
+        for a, ai in enumerate(dot.inv)
+    )
+    return _first_triple(pairs, dot.n)
 
 
 def verify_brace(
@@ -158,23 +156,6 @@ def verify_brace(
 
 def brace_from_dict(data: dict) -> SkewBrace:
     return verify_brace(*_table_pair(data, "dot", "circle", "brace"))
-
-
-def dump_brace_catalog(entries, stream) -> None:
-    """JSON-lines, one {"name", "n", "dot", "circle"} record per brace."""
-    for name, b in entries:
-        record = {"name": name, **b.to_dict()}
-        stream.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-
-def load_brace_catalog(stream) -> list[tuple[str, SkewBrace]]:
-    out = []
-    for line in stream:
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        out.append((data.get("name", ""), brace_from_dict(data)))
-    return out
 
 
 def associated_solution(b: SkewBrace) -> FiniteSolution:
@@ -243,9 +224,13 @@ def quotient_brace(b: SkewBrace, ideal: Sequence[int]) -> tuple[SkewBrace, tuple
     elems = set(ideal)
     if not is_ideal(b, elems):
         raise ValueError("subset is not an ideal")
+    return _brace_quotient(b, elems)
+
+
+def _brace_quotient(b: SkewBrace, elems: set[int]) -> tuple[SkewBrace, tuple[int, ...]]:
+    """quotient_brace for a subset the caller has checked to be an ideal."""
     dot, proj = _coset_quotient(b.dot, elems)
-    circ, _ = _coset_quotient(b.circle, elems)
-    return SkewBrace(dot=dot, circle=circ), proj
+    return SkewBrace(dot=dot, circle=_coset_quotient(b.circle, elems)[0]), proj
 
 
 class SocleSeries(namedtuple("SocleSeries", "quotients socles nilpotency_class")):
@@ -269,28 +254,19 @@ class SocleSeries(namedtuple("SocleSeries", "quotients socles nilpotency_class")
 
 
 def socle_series(b: SkewBrace) -> SocleSeries:
-    series = [b]
-    socles = []
-    current = b
-    for _ in range(b.n + 1):
-        socles.append(socle(current))
-        if current.n == 1:
-            return SocleSeries(
-                quotients=tuple(series), socles=tuple(socles),
-                nilpotency_class=len(series) - 1,
-            )
-        soc = set(socles[-1].elements)
-        if len(soc) == 1:
-            return SocleSeries(
-                quotients=tuple(series), socles=tuple(socles), nilpotency_class=None
-            )
-        # quotient_brace without its ideal check: the socle is an ideal
-        current = SkewBrace(
-            dot=_coset_quotient(current.dot, soc)[0],
-            circle=_coset_quotient(current.circle, soc)[0],
-        )
-        series.append(current)
-    raise AssertionError("socle series failed to shrink or stabilize")
+    """B_0 = b and B_{i+1} = B_i / Soc(B_i), until one element is left (b
+    is nilpotent, of class the number of quotients) or a socle is trivial
+    (the series stabilizes).  The loop ends, as each quotient is by a socle
+    of more than one element and so strictly shrinks the carrier.  The
+    socle is an ideal, so quotient_brace's check is skipped."""
+    series, socles = [b], [socle(b)]
+    while series[-1].n > 1 and len(socles[-1].elements) > 1:
+        series.append(_brace_quotient(series[-1], set(socles[-1].elements))[0])
+        socles.append(socle(series[-1]))
+    return SocleSeries(
+        quotients=tuple(series), socles=tuple(socles),
+        nilpotency_class=len(series) - 1 if series[-1].n == 1 else None,
+    )
 
 
 class KernelReport(namedtuple(

@@ -78,9 +78,15 @@ def _product_table(
     return tuple(tuple(p * m + q for p in row1 for q in row2) for row1 in t1 for row2 in t2)
 
 
-def _first_difference(u: Sequence[int], v: Sequence[int]) -> int:
-    """The first index where two encoded rows of the same length differ."""
-    return next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
+def _first_triple(
+    pairs: Iterable[tuple[Sequence[int], Sequence[int]]], n: int
+) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c), in lex order, where the a-th pair of joined
+    n^2-entry rows differs at index b * n + c; None when every pair agrees."""
+    for a, (lhs, rhs) in enumerate(pairs):
+        if lhs != rhs:
+            return (a, *divmod(next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v), n))
+    return None
 
 
 def invert_perm(p: Sequence[int]) -> Perm:
@@ -154,13 +160,10 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
         for g in _generators(rows, ident)
     ):
         # the first triple: per a, row_{ab} joined over b against row_a
-        # composed with every row, so the first difference is at b * n + c
+        # composed with every row
         every = join(enc)
-        for a, (row_a, map_a) in enumerate(zip(rows, maps)):
-            lhs, rhs = join([enc[ab] for ab in row_a]), then(every, map_a)
-            if lhs != rhs:
-                b, c = divmod(_first_difference(lhs, rhs), n)
-                raise ValueError(f"associativity fails at triple ({a}, {b}, {c})")
+        pairs = ((join([enc[ab] for ab in row]), then(every, m)) for row, m in zip(rows, maps))
+        raise ValueError(f"associativity fails at triple {_first_triple(pairs, n)}")
     inv = tuple(row.index(ident) for row in rows)
     return FiniteGroup(n=n, table=rows, id=ident, inv=inv)
 
@@ -220,13 +223,6 @@ def _table_pair(data: dict, first: str, second: str, kind: str) -> tuple[tuple, 
     if type(n) is not int or n != len(head):
         raise ValueError(f"n: declared {n!r} but {first} has {len(head)} rows")
     return head, _int_table(tail, second, n)
-
-
-def group_from_dict(data: dict) -> FiniteGroup:
-    try:
-        return finite_group(_int_table(data["table"], "table"))
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc} in group data") from exc
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
@@ -620,24 +616,14 @@ def perm_group_closure(
 
 
 def orbits(g: PermGroup) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition: each orbit sorted, orbits sorted by minimum element."""
-    parent = list(range(g.degree))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p in g.generators:
-        for x in range(g.degree):
-            ra, rb = find(x), find(p[x])
-            if ra != rb:
-                parent[ra] = rb
-    buckets: dict[int, list[int]] = {}
+    """Orbit partition: each orbit sorted, orbits sorted by minimum element.
+    An orbit is the closure of a point under the generators' images."""
+    blocks, seen = [], set()
     for x in range(g.degree):
-        buckets.setdefault(find(x), []).append(x)
-    return _sorted_blocks(buckets.values())
+        if x not in seen:
+            blocks.append(_closure(x, g.generators, lambda a, p: p[a]))
+            seen |= blocks[-1]
+    return _sorted_blocks(blocks)
 
 
 def _sorted_blocks(blocks: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -152,18 +152,15 @@ class MultipermutationResult(namedtuple("MultipermutationResult", "level tower_s
 
 def multipermutation_level(s: FiniteSolution) -> MultipermutationResult:
     """Retract until one point is left or the approx relation is trivial;
-    each step is retraction(), without a congruence check."""
-    sizes = [s.n]
-    current = s
-    for _ in range(s.n + 1):
-        if current.n == 1:
-            return MultipermutationResult(level=len(sizes) - 1, tower_sizes=tuple(sizes))
-        p = relation(current, "approx")
-        if p.is_trivial():
-            return MultipermutationResult(level=None, tower_sizes=tuple(sizes))
+    each step is retraction(), without a congruence check.  The loop ends,
+    as each step quotients by a relation with a block of two or more
+    points and so strictly shrinks the carrier."""
+    sizes, current = [s.n], s
+    while current.n > 1 and not (p := relation(current, "approx")).is_trivial():
         current = _quotient(current, p).solution
         sizes.append(current.n)
-    raise AssertionError("retraction tower failed to shrink or stabilize")
+    level = len(sizes) - 1 if current.n == 1 else None
+    return MultipermutationResult(level=level, tower_sizes=tuple(sizes))
 
 
 class PermutationGroups(namedtuple("PermutationGroups", "left right full")):

@@ -202,12 +202,10 @@ def _violation(s: FiniteSolution) -> Optional[Violation]:
     if len(ta) != n:
         return Violation("tau-row", ("row count", len(ta), n))
     perm = list(range(n))
-    for i, row in enumerate(sig):
-        if sorted(row) != perm:
-            return Violation("sigma-row", (i,))
-    for i, row in enumerate(ta):
-        if sorted(row) != perm:
-            return Violation("tau-row", (i,))
+    for check, table in (("sigma-row", sig), ("tau-row", ta)):
+        for i, row in enumerate(table):
+            if sorted(row) != perm:
+                return Violation(check, (i,))
     if s.reductivity.holds and s.commuting_rows:
         return None
     s_kernel, tau_cols = _row_kernel(sig), list(zip(*ta))

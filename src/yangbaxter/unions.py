@@ -23,6 +23,7 @@ from .groups import (
     FiniteGroup,
     Perm,
     _abelian_block,
+    _gather,
     _int_table,
     _isomorphisms,
     _partitions,
@@ -342,18 +343,6 @@ def _cell_positions(
     return groups, auts, positions()
 
 
-def _getter(pos: tuple[int, ...]) -> operator.itemgetter:
-    """The gather of a position tuple on a spread tuple, returning a tuple.
-
-    CPython's itemgetter keeps the tuple it is called with, so a cell that
-    holds both a gather and its positions holds them once.
-    """
-    # itemgetter of one index returns the item, not a 1-tuple
-    if len(pos) == 1:
-        return operator.itemgetter(slice(pos[0], pos[0] + 1))
-    return operator.itemgetter(*pos)
-
-
 def canonical_form(u: AbelianUnion) -> AbelianUnion:
     """Least representative of the isomorphism class: blocks sorted by type,
     matrices minimized over block permutations and group automorphisms.
@@ -422,19 +411,11 @@ def census_cells(n: int) -> list[tuple[tuple[int, ...], ...]]:
     Cells are independent enumeration units: the block-type multiset is an
     isomorphism invariant, so deduplication never crosses cells.
     """
-    cells = set()
-    for partition in _partitions(n):
-        sizes = sorted(set(partition))
-        mult = {m: partition.count(m) for m in sizes}
-        per_size = []
-        for m in sizes:
-            choices = [g.factors for g in abelian_groups_of_order(m)]
-            per_size.append(
-                list(itertools.combinations_with_replacement(choices, mult[m]))
-            )
-        for combo in itertools.product(*per_size):
-            types = [t for group_choice in combo for t in group_choice]
-            cells.add(tuple(sorted(types, key=_type_key)))
+    cells = {
+        tuple(sorted((g.factors for g in combo), key=_type_key))
+        for partition in _partitions(n)
+        for combo in itertools.product(*map(abelian_groups_of_order, partition))
+    }
     return sorted(cells, key=lambda ts: (len(ts), [_type_key(t) for t in ts]))
 
 
@@ -501,8 +482,8 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
         return [pos[:head] + sum((pos[tails[q]] for q in o), ()) for o in orders]
 
     swaps = [(*range(i), i + 1, i, *range(i + 2, len(tails))) for i in range(len(tails) - 1)]
-    own = _getter(ident)
-    gathers = [(_getter(pos), pos) for pos in others]
+    own = _gather(ident)
+    gathers = [(_gather(pos), pos) for pos in others]
     kept = []
     for c_combo in itertools.product(*completions):
         x = sum(c_combo, ())
@@ -669,14 +650,10 @@ def union_predicates(u: AbelianUnion) -> UnionPredicates:
 
 def opposite_union(u: AbelianUnion) -> AbelianUnion:
     """The union of the inverse solution: swap the matrices and negate."""
-    k = u.k
-    c = tuple(
-        tuple(u.groups[j].neg(u.d[i][j]) for j in range(k)) for i in range(k)
-    )
-    d = tuple(
-        tuple(u.groups[j].neg(u.c[i][j]) for j in range(k)) for i in range(k)
-    )
-    return AbelianUnion(groups=u.groups, c=c, d=d)
+    def negated(matrix: Matrix) -> Matrix:
+        return tuple(tuple(g.neg(x) for g, x in zip(u.groups, row)) for row in matrix)
+
+    return AbelianUnion(groups=u.groups, c=negated(u.d), d=negated(u.c))
 
 
 class InjectivityReport(namedtuple("InjectivityReport", "diagonal_ok order_ok")):

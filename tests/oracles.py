@@ -111,6 +111,28 @@ def class_key(sigma, tau):
 # abelian blocks
 
 
+def partition_count(e):
+    """The number of partitions of e, counted part size by part size."""
+    ways = [1] + [0] * e
+    for part in range(1, e + 1):
+        for total in range(part, e + 1):
+            ways[total] += ways[total - part]
+    return ways[e]
+
+
+def abelian_group_count(m):
+    """The number of abelian groups of order m up to isomorphism: one per
+    choice of a partition of each prime's exponent in m (the fundamental
+    theorem of finite abelian groups)."""
+    count, p = 1, 2
+    while m > 1:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        count, p = count * partition_count(e), p + 1
+    return count
+
+
 def block_add(factors, a, b):
     """a + b in the block, digit by digit."""
     total, weight = 0, 1

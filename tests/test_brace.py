@@ -366,17 +366,6 @@ def test_brace_serialization(brace_catalog):
         assert yb.brace_from_dict(b.to_dict()) == b
 
 
-def test_brace_catalog_file_round_trip(tmp_path, brace_catalog):
-    from yangbaxter.brace import dump_brace_catalog, load_brace_catalog
-
-    path = tmp_path / "catalog.jsonl"
-    with open(path, "w") as fh:
-        dump_brace_catalog(brace_catalog[:4], fh)
-    with open(path) as fh:
-        back = load_brace_catalog(fh)
-    assert [(name, b) for name, b in back] == list(brace_catalog[:4])
-
-
 def test_2reductive_brace_has_class_at_most_2_dot_group(brace_catalog):
     # class <= 2 is equivalent to the center-quotient being abelian
     for name, b in brace_catalog:

@@ -844,6 +844,38 @@ def test_modules_import_at_the_top_and_only_downward():
                     assert LAYERS[target] < LAYERS[module], f"{module} imports {target}"
 
 
+def test_every_private_helper_is_referenced():
+    # a module-level def or class named _x is referenced somewhere in the
+    # package outside its own definition, as a name, an attribute or an
+    # imported name, so merging two helpers leaves no unused copy behind
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees[name[:-3]] = ast.parse(fh.read())
+
+    def references(root):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    everywhere = [name for tree in trees.values() for name in references(tree)]
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and everywhere.count(node.name) == list(references(node)).count(node.name)
+    ]
+    assert not unused
+
+
 def test_readme_library_example_holds():
     # every expression of the README's Library example that ends in a
     # "# value" comment has that value as its repr; the rest is run in order

@@ -281,15 +281,6 @@ def test_opposite_group():
     assert z4.opposite().table == z4.table
 
 
-def test_group_serialization_round_trip():
-    from yangbaxter.groups import group_from_dict
-
-    q8 = yb.quaternion_group()
-    assert group_from_dict(q8.to_dict()) == q8
-    with pytest.raises(ValueError):
-        group_from_dict({"n": 2})
-
-
 def test_abelian_block_tables_are_coordinatewise_addition():
     # the union-file format: element x of Z_d1 x ... x Z_dk is the x-th digit
     # tuple in mixed-radix order, the first factor most significant

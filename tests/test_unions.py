@@ -15,6 +15,7 @@ import pytest
 
 import yangbaxter as yb
 from oracles import (
+    abelian_group_count,
     automorphisms,
     canonical_union,
     class_key,
@@ -26,12 +27,11 @@ from oracles import (
 )
 from yangbaxter import groups as groups_module
 from yangbaxter import unions as unions_module
-from yangbaxter.groups import invert_perm
+from yangbaxter.groups import _gather, invert_perm
 from yangbaxter.solution import FiniteSolution, validate_tables
 from yangbaxter.unions import (
     AbelianUnion,
     _cell_positions,
-    _getter,
     cell_keys,
     census_cells,
     census_keys,
@@ -330,6 +330,26 @@ def test_census_cells_partition_structure():
     assert len(entries) == 15
 
 
+def test_census_cells_match_the_count_of_abelian_group_multisets():
+    # a cell is a multiset of abelian groups whose orders sum to n, so the
+    # cells are counted by the Euler transform of the number of abelian
+    # groups of each order; the blocks of a cell run in type-key order,
+    # the order decreasing and then the factors increasing
+    top = 12
+    cells = [1] + [0] * top
+    for m in range(1, top + 1):
+        for _ in range(abelian_group_count(m)):
+            for total in range(m, top + 1):
+                cells[total] += cells[total - m]
+    assert cells[1:] == [1, 2, 3, 6, 8, 13, 18, 30, 41, 60, 82, 121]
+    for n in range(1, top + 1):
+        found = census_cells(n)
+        assert len(found) == len(set(found)) == cells[n], n
+        for types in found:
+            assert sum(map(prod, types)) == n, types
+            assert list(types) == sorted(types, key=lambda t: (-prod(t), t)), types
+
+
 def _generating_columns(t, length):
     """Every tuple of length elements of the block of type t that generates it."""
     return [col for col in itertools.product(range(prod(t)), repeat=length) if generates(t, col)]
@@ -426,7 +446,7 @@ def test_trivial_runs_match_the_one_stage_test():
 
 
 def _counting_getter(monkeypatch, limit=None):
-    """Count the gathers unions._getter compiles; raise past limit."""
+    """Count the gathers unions._gather compiles; raise past limit."""
     calls = []
 
     def getter(pos):
@@ -435,8 +455,8 @@ def _counting_getter(monkeypatch, limit=None):
             raise AssertionError(f"more than {limit} gathers")
         return original(pos)
 
-    original = unions_module._getter
-    monkeypatch.setattr(unions_module, "_getter", getter)
+    original = unions_module._gather
+    monkeypatch.setattr(unions_module, "_gather", getter)
     return calls
 
 
@@ -532,7 +552,7 @@ def test_first_cell_gather_is_the_identity():
     for n in range(1, 7):
         for types in census_cells(n):
             groups, auts, positions = _cell_positions(types)
-            first = _getter(next(positions))
+            first = _gather(next(positions))
             k = len(groups)
             for _ in range(3):
                 c, d = (
