@@ -120,9 +120,6 @@ class FiniteGroup(namedtuple("FiniteGroup", "n table id inv")):
         transposed table."""
         return FiniteGroup(n=self.n, table=tuple(zip(*self.table)), id=self.id, inv=self.inv)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "table": [list(row) for row in self.table]}
-
 
 def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a Cayley table on {0..n-1} as a group.
@@ -648,7 +645,7 @@ def group_from_perm_generators(gens: Sequence[Sequence[int]], degree: int) -> Fi
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    return abelian_group([n] if n > 1 else []).as_finite_group
+    return abelian_group([n]).as_finite_group
 
 
 def symmetric_group(n: int) -> FiniteGroup:

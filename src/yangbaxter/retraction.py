@@ -11,16 +11,11 @@ from .groups import PermGroup, _row_kernel, _sorted_blocks, perm_group_closure
 from .solution import FiniteSolution
 
 
-class SolutionPartition(namedtuple("SolutionPartition", "n blocks kind")):
-    """A partition of a solution's carrier, canonically sorted.
-
-    kind "sim" groups by equal sigma rows, "cosim" by equal tau rows,
-    "approx" by both; "custom" is user-supplied.
-    """
+class SolutionPartition(namedtuple("SolutionPartition", "n blocks")):
+    """A partition of a solution's carrier, canonically sorted."""
 
     n: int
     blocks: tuple[tuple[int, ...], ...]
-    kind: str
 
     @property
     def block_of(self) -> tuple[int, ...]:
@@ -34,25 +29,20 @@ class SolutionPartition(namedtuple("SolutionPartition", "n blocks kind")):
         """All singletons."""
         return len(self.blocks) == self.n
 
-    def as_lists(self) -> list[list[int]]:
-        """Serialization form: sorted block lists like [[0, 2], [1]]."""
-        return [list(b) for b in self.blocks]
-
 
 def relation(s: FiniteSolution, kind: str) -> SolutionPartition:
-    """The partition induced by ~ (sim), the mirrored relation (cosim), or both."""
+    """The partition by equal sigma rows (kind "sim"), equal tau rows
+    ("cosim"), or both ("approx")."""
     keys = {"sim": s.sigma, "cosim": s.tau, "approx": zip(s.sigma, s.tau)}
     if kind not in keys:
         raise ValueError(f"unknown relation kind {kind!r}")
     groups: dict[tuple, list[int]] = {}
     for x, key in enumerate(keys[kind]):
         groups.setdefault(key, []).append(x)
-    return SolutionPartition(n=s.n, blocks=_sorted_blocks(groups.values()), kind=kind)
+    return SolutionPartition(n=s.n, blocks=_sorted_blocks(groups.values()))
 
 
-def partition_from_blocks(
-    s: FiniteSolution, blocks: Sequence[Sequence[int]], kind: str = "custom"
-) -> SolutionPartition:
+def partition_from_blocks(s: FiniteSolution, blocks: Sequence[Sequence[int]]) -> SolutionPartition:
     seen: set[int] = set()
     for block in blocks:
         for x in block:
@@ -61,7 +51,7 @@ def partition_from_blocks(
             seen.add(x)
     if len(seen) != s.n:
         raise ValueError("blocks do not cover the carrier")
-    return SolutionPartition(n=s.n, blocks=_sorted_blocks(blocks), kind=kind)
+    return SolutionPartition(n=s.n, blocks=_sorted_blocks(blocks))
 
 
 def is_congruence(s: FiniteSolution, p: SolutionPartition) -> bool:

@@ -391,6 +391,8 @@ def satisfies_condition_star(s: FiniteSolution) -> bool:
 def relabel(s: FiniteSolution, phi: Sequence[int]) -> FiniteSolution:
     """Transport the solution along a bijection of the carrier: the row of
     phi(x) is phi o row_x o phi^-1."""
+    if sorted(phi) != list(range(s.n)):
+        raise ValueError(f"phi is not a permutation of 0..{s.n - 1}")
     inv = invert_perm(phi)
 
     def moved(table):

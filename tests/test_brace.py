@@ -366,6 +366,24 @@ def test_brace_serialization(brace_catalog):
         assert yb.brace_from_dict(b.to_dict()) == b
 
 
+def test_verified_brace_carries_the_lambdas_it_was_checked_with():
+    z6 = yb.z2n_brace(3)
+    b = yb.verify_brace(z6.dot.table, z6.circle.table)
+    assert "lambdas" in vars(b)
+    assert b.lambdas == lambdas_rhos(b.dot.table, b.circle.table)[0]
+
+
+def test_builders_from_groups_pass_verify_brace(brace_catalog):
+    # trivial, almost trivial and product braces are built without the
+    # brace-law check; verify_brace on their tables gives them back
+    built = [yb.trivial_brace(g) for _, g in yb.small_groups(8)]
+    built += [yb.almost_trivial_brace(g) for _, g in yb.small_groups(8)]
+    built += [b for name, b in brace_catalog if ")x" in name]
+    assert len(built) == 2 * len(yb.small_groups(8)) + 2
+    for b in built:
+        assert yb.verify_brace(b.dot.table, b.circle.table) == b
+
+
 def test_2reductive_brace_has_class_at_most_2_dot_group(brace_catalog):
     # class <= 2 is equivalent to the center-quotient being abelian
     for name, b in brace_catalog:

@@ -668,7 +668,7 @@ def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brac
         "socle": yb.socle,
         "multipermutation_level": yb.multipermutation_level,
         "is_2reductive": yb.is_2reductive,
-        "_brace_law_holds": brace_module._brace_law_holds,
+        "_brace_law_failure": brace_module._brace_law_failure,
     }
     calls = _count_calls(monkeypatch, functions)
     for full in (True, False):
@@ -679,15 +679,32 @@ def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brac
             # one socle per quotient of the series
             assert ran == {
                 "socle_series": 1, "socle": len(profile.series.quotients),
-                "multipermutation_level": 1, "is_2reductive": 1, "_brace_law_holds": 0,
+                "multipermutation_level": 1, "is_2reductive": 1, "_brace_law_failure": 0,
             }, (name, full)
     path = write(tmp_path, "sol.json", yb.projection_solution(3).to_dict())
     before = dict(calls)
     assert main(["verify", path]) == 0
     assert {key: calls[key] - before[key] for key in calls} == {
         "socle_series": 0, "socle": 0, "multipermutation_level": 1, "is_2reductive": 1,
-        "_brace_law_holds": 0,
+        "_brace_law_failure": 0,
     }
+
+
+def test_brace_request_composes_lambda_once(tmp_path, monkeypatch):
+    # verify_brace checks the brace law on the brace's own lambdas, and the
+    # full report reads them from that brace
+    path = write(tmp_path, "z6.json", yb.z2n_brace(3).to_dict())
+    prop = vars(yb.SkewBrace)["lambdas"]
+    calls = []
+
+    def counted(b, _orig=prop.func):
+        calls.append(b.n)
+        return _orig(b)
+
+    monkeypatch.setattr(prop, "func", counted)
+    for expected in (1, 2):
+        assert main(["brace", path, "--report", "full"]) == 0
+        assert len(calls) == expected
 
 
 def test_brace_report_encodes_only_the_solution(monkeypatch, brace_catalog):
@@ -918,4 +935,17 @@ def test_readme_names_only_tests_that_exist():
     everywhere = set().union(*defined.values())
     missing = [f"{path}::{name}" for path, name in qualified if name not in defined.get(path, ())]
     missing += [name for name in bare if name not in everywhere]
+    assert not missing, missing
+
+
+def test_readme_names_only_helpers_that_exist():
+    # README names private helpers as `module._helper`; each must be an
+    # attribute of that library module (namedtuple's own methods aside)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        cited = set(re.findall(r"`(\w+)\.(_\w+)", fh.read()))
+    cited -= {(m, name) for m, name in cited if name in ("_make", "_replace", "_fields", "_asdict")}
+    assert cited
+    missing = [f"{m}.{name}" for m, name in sorted(cited)
+               if not hasattr(sys.modules.get(f"yangbaxter.{m}"), name)]
     assert not missing, missing

@@ -225,6 +225,12 @@ def test_quotient_rejects_non_normal():
         yb.quotient(s3, sub)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_cyclic_group_rejects_a_nonpositive_order(n):
+    with pytest.raises(ValueError, match=f"order must be positive, got {n}"):
+        yb.cyclic_group(n)
+
+
 def test_subgroup_generated():
     z6 = yb.cyclic_group(6)
     assert yb.subgroup_generated(z6, [2]) == (0, 2, 4)

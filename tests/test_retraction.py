@@ -328,8 +328,3 @@ def test_quotient_solution_reindexes_by_block_minimum(census):
     q = yb.quotient_solution(s, relation(s, "approx"))
     assert q.solution.n == len(relation(s, "approx").blocks)
     assert len(q.projection) == s.n
-
-
-def test_partition_serialization_form():
-    s = yb.associated_solution(yb.z2n_brace(3))
-    assert relation(s, "sim").as_lists() == [[0, 2, 4], [1, 3, 5]]

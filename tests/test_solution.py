@@ -342,6 +342,12 @@ def test_solutions_isomorphic_finds_relabelings(small_solutions):
         assert yb.relabel(s, found) == t
 
 
+@pytest.mark.parametrize("phi", [[0, 0, 1], [0, 1], [0, 1, 5]])
+def test_relabel_rejects_a_map_that_is_not_a_permutation(census_solutions, phi):
+    with pytest.raises(ValueError, match="not a permutation of 0..2"):
+        yb.relabel(census_solutions[3][0], phi)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
