@@ -18,7 +18,6 @@ from .groups import (
     Perm,
     _coset_quotient,
     _first_triple,
-    _gather,
     _generators,
     _row_kernel,
     _table_pair,
@@ -61,24 +60,12 @@ class SkewBrace(namedtuple("SkewBrace", "dot circle")):
 
     @cached_property
     def rhos(self) -> tuple[Perm, ...]:
-        """rho_y(x) = c o x o y, c the circle inverse of lambda_x(y).
-
-        lambda_x depends on x only through x modulo Ker lambda, so per y
-        the d distinct lambdas give d circle rows z -> c o z, joined.  Mapping
-        every entry by z -> z o y, the circle inverse of y^-1 o z^-1, takes
-        three translates, and one gather, at x in the block of x's lambda,
-        gives rho_y.
-        """
-        ct, cinv, n = self.circle.table, self.circle.inv, self.n
-        rows, maps, then, join, _ = _row_kernel([*ct, cinv])
-        classes: dict = {}
-        cls = [classes.setdefault(lam, len(classes)) for lam in self.lambdas]
-        pick, inv = _gather([k * n + x for x, k in enumerate(cls)]), maps[n]
-        rhos = []
-        for y in range(n):
-            joined = join([rows[cinv[lam[y]]] for lam in classes])
-            rhos.append(pick(then(then(then(joined, inv), maps[cinv[y]]), inv)))
-        return tuple(rhos)
+        """rho_y(x) = c o x o y, c the circle inverse of lambda_x(y)
+        (Guarnieri and Vendramin, Math. Comp. 86, 2017): per y, a gather
+        down circle column y, where x o y is read."""
+        ct, cinv, lams = self.circle.table, self.circle.inv, self.lambdas
+        return tuple(tuple([ct[cinv[lam[y]]][xy] for lam, xy in zip(lams, col)])
+                     for y, col in enumerate(zip(*ct)))
 
     def to_dict(self) -> dict:
         return {
@@ -100,7 +87,7 @@ def _brace_law_failure(b: SkewBrace) -> Optional[tuple[int, int, int]]:
     induction on words; so the verdict compares the two maps per generator
     b joined over a, and only a failed verdict scans them per a joined over b.
     """
-    dot_rows, dot_maps, then, join, _ = _row_kernel(b.dot.table)
+    dot_rows, dot_maps, then, join, _ = b.dot.table_kernel
     lam_rows, lam_maps, *_ = _row_kernel(b.lambdas)
     if all(
         join(map(then, repeat(dot_rows[g]), lam_maps))

@@ -29,11 +29,9 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
 _BYTE_VALUES = bytes(range(256))
 
 
-def _row_kernel(
-    table: Sequence[Sequence[int]],
-) -> tuple[list, list, Callable, Callable, Callable]:
+class RowKernel(namedtuple("RowKernel", "rows maps then join invert")):
     """The rows of a table of maps of {0..n-1} to itself, encoded once for
-    composition: returns (rows, maps, then, join, invert).
+    composition (_row_kernel builds it):
 
     - then(rows[j], maps[i]) is the encoded row of compose(table[i], table[j]);
     - join(encoded rows) is the rows end to end, so then(join(rows), maps[i])
@@ -49,15 +47,34 @@ def _row_kernel(
     row has more than one entry), join chains the tuples and invert is
     invert_perm.
     """
+
+    rows: tuple
+    maps: tuple
+    then: Callable
+    join: Callable
+    invert: Callable
+
+    @cached_property
+    def classes(self) -> tuple[list[int], list[int]]:
+        """(reps, cls): the first index of each distinct row, in order, and
+        each row's position in reps, so rows[x] == rows[reps[cls[x]]]."""
+        first: dict = {}
+        ids = [first.setdefault(row, x) for x, row in enumerate(self.rows)]
+        reps = list(first.values())
+        return reps, list(map(dict(zip(reps, range(len(reps)))).__getitem__, ids))
+
+
+def _row_kernel(table: Sequence[Sequence[int]]) -> RowKernel:
+    """The RowKernel of a table; FiniteGroup and FiniteSolution cache theirs."""
     n = len(table[0]) if table else 0
     if n > 256:
-        rows = [tuple(row) for row in table]
-        return (rows, rows, lambda q, p: operator.itemgetter(*q)(p),
-                lambda seq: tuple(itertools.chain.from_iterable(seq)), invert_perm)
+        rows = tuple(map(tuple, table))
+        return RowKernel(rows, rows, lambda q, p: operator.itemgetter(*q)(p),
+                         lambda seq: tuple(itertools.chain.from_iterable(seq)), invert_perm)
     pad, ident = bytes(256 - n), _BYTE_VALUES[:n]
-    rows = list(map(bytes, table))
-    return (rows, [row + pad for row in rows], bytes.translate, b"".join,
-            lambda row: bytes.maketrans(row, ident)[:n])
+    rows = tuple(map(bytes, table))
+    return RowKernel(rows, tuple([row + pad for row in rows]), bytes.translate, b"".join,
+                     lambda row: bytes.maketrans(row, ident)[:n])
 
 
 def _gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -111,6 +128,8 @@ class FiniteGroup(namedtuple("FiniteGroup", "n table id inv")):
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    table_kernel = cached_property(lambda self: _row_kernel(self.table))
+
     @cached_property
     def is_abelian(self) -> bool:
         return len(center(self)) == self.n
@@ -148,10 +167,11 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     ident = next((e for e in range(n) if list(rows[e]) == perm == list(cols[e])), None)
     if ident is None:
         raise ValueError("table has no identity element")
+    group = FiniteGroup(n=n, table=rows, id=ident, inv=tuple(row.index(ident) for row in rows))
     # (ag)c = a(gc) for all a, c and each generator g (_generators) is
     # associativity, by induction on words in the generators; per g, the
     # rows row_{ag} joined over a against row_a o row_g
-    enc, maps, then, join, _ = _row_kernel(rows)
+    enc, maps, then, join, _ = group.table_kernel
     if not all(
         join([enc[ag] for ag in cols[g]]) == join(map(then, itertools.repeat(enc[g]), maps))
         for g in _generators(rows, ident)
@@ -161,8 +181,7 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
         every = join(enc)
         pairs = ((join([enc[ab] for ab in row]), then(every, m)) for row, m in zip(rows, maps))
         raise ValueError(f"associativity fails at triple {_first_triple(pairs, n)}")
-    inv = tuple(row.index(ident) for row in rows)
-    return FiniteGroup(n=n, table=rows, id=ident, inv=inv)
+    return group
 
 
 def _generators(table: Sequence[Sequence[int]], ident: int) -> Iterator[int]:

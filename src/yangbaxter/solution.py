@@ -57,6 +57,9 @@ class FiniteSolution(namedtuple("FiniteSolution", "n sigma tau")):
     def tau_inv(self) -> tuple[Perm, ...]:
         return tuple(invert_perm(row) for row in self.tau)
 
+    sigma_kernel = cached_property(lambda self: _row_kernel(self.sigma))
+    tau_kernel = cached_property(lambda self: _row_kernel(self.tau))
+
     @cached_property
     def reductivity(self) -> TwoReductivity:
         """is_2reductive of the tables, computed once per solution: verify,
@@ -132,16 +135,14 @@ def _pair_collision(sigma, tau, n: int) -> Optional[Violation]:
 
 
 def _distributes(kernel) -> bool:
-    """Whether the rows p_x of a table, given its row kernel, satisfy
+    """Whether the rows p_x of a table, given its RowKernel, satisfy
     p_x p_y = p_{p_x(y)} p_x.  The identity depends on x only through p_x,
     so x runs over one point per distinct row: p_x composed with every row
     at once against the d compositions p_w p_x, w over the d distinct rows,
     laid out over the n points y by one join.  That is d comparisons of
     n^2-entry rows, made by d(d + 1) compositions."""
     rows, maps, then, join, _ = kernel
-    first = _first_index(rows)
-    reps = list(dict.fromkeys(first))
-    cls = list(map({w: k for k, w in enumerate(reps)}.__getitem__, first))
+    reps, cls = kernel.classes
     rep_maps, every = [maps[w] for w in reps], join(rows)
     for x in reps:
         after = list(map(then, repeat(rows[x]), rep_maps))
@@ -208,7 +209,7 @@ def _violation(s: FiniteSolution) -> Optional[Violation]:
                 return Violation(check, (i,))
     if s.reductivity.holds and s.commuting_rows:
         return None
-    s_kernel, tau_cols = _row_kernel(sig), list(zip(*ta))
+    s_kernel, tau_cols = s.sigma_kernel, list(zip(*ta))
     derived = _derived_rows(s_kernel, tau_cols)
     if not all(len(set(row)) == n for row in derived):
         return _pair_collision(sig, ta, n)
@@ -348,11 +349,11 @@ def is_2reductive(s: FiniteSolution) -> TwoReductivity:
     every y says sid o sigma_x = sid, and the other three alike: each
     identity composes sid or tid with every distinct sigma- or tau-row.
     """
-    sid, tid = _first_index(s.sigma), _first_index(s.tau)
-    sigma_rows = [s.sigma[x] for x in dict.fromkeys(sid)]
-    tau_rows = [s.tau[x] for x in dict.fromkeys(tid)]
-    rows, maps, then, *_ = _row_kernel([sid, tid, *sigma_rows, *tau_rows])
-    split = len(sigma_rows) + 2
+    sig_first, tau_first = {}, {}
+    sid = [sig_first.setdefault(row, x) for x, row in enumerate(s.sigma)]
+    tid = [tau_first.setdefault(row, x) for x, row in enumerate(s.tau)]
+    rows, maps, then, *_ = _row_kernel([sid, tid, *sig_first, *tau_first])
+    split = len(sig_first) + 2
     sid, tid, sid_map, tid_map = rows[0], rows[1], maps[0], maps[1]
     sigma_rows, tau_rows = rows[2:split], rows[split:]
     return TwoReductivity(
@@ -363,19 +364,12 @@ def is_2reductive(s: FiniteSolution) -> TwoReductivity:
     )
 
 
-def _first_index(rows: Sequence[Sequence[int]]) -> list[int]:
-    """For each of a list of hashable rows (tuples or encoded rows), the
-    first index whose row equals it."""
-    first: dict = {}
-    return [first.setdefault(row, x) for x, row in enumerate(rows)]
-
-
 def is_left_distributive(s: FiniteSolution) -> bool:
-    return _distributes(_row_kernel(s.sigma))
+    return _distributes(s.sigma_kernel)
 
 
 def is_right_distributive(s: FiniteSolution) -> bool:
-    return _distributes(_row_kernel(s.tau))
+    return _distributes(s.tau_kernel)
 
 
 def satisfies_condition_star(s: FiniteSolution) -> bool:
@@ -390,8 +384,8 @@ def satisfies_condition_star(s: FiniteSolution) -> bool:
 
 def relabel(s: FiniteSolution, phi: Sequence[int]) -> FiniteSolution:
     """Transport the solution along a bijection of the carrier: the row of
-    phi(x) is phi o row_x o phi^-1."""
-    if sorted(phi) != list(range(s.n)):
+    phi(x) is phi o row_x o phi^-1.  phi's entries must be ints."""
+    if not set(map(type, phi)) <= {int} or sorted(phi) != list(range(s.n)):
         raise ValueError(f"phi is not a permutation of 0..{s.n - 1}")
     inv = invert_perm(phi)
 

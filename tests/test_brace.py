@@ -312,9 +312,11 @@ def test_z2n_builders():
 
 
 def test_rhos_at_edge_sizes():
-    # order 1, where reading one index with operator.itemgetter gives a bare
-    # item, and order 258, above the 256 points of byte rows
-    for b in (yb.trivial_brace(yb.cyclic_group(1)), yb.z2n_brace(129)):
+    # order 1, and order 258, above the 256 points of byte rows: the twisted
+    # Z258 and the almost-trivial dihedral brace, whose 258 lambdas (the
+    # conjugations of a centreless group) are all distinct
+    for b in (yb.trivial_brace(yb.cyclic_group(1)), yb.z2n_brace(129),
+              yb.almost_trivial_brace(yb.dihedral_group(129))):
         lams, rhos = lambdas_rhos(b.dot.table, b.circle.table)
         assert (b.lambdas, b.rhos) == (lams, rhos), b.n
         assert all(type(row) is tuple for row in b.rhos), b.n

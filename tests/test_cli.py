@@ -707,18 +707,31 @@ def test_brace_request_composes_lambda_once(tmp_path, monkeypatch):
         assert len(calls) == expected
 
 
-def test_brace_report_encodes_only_the_solution(monkeypatch, brace_catalog):
-    # the rhos of the associated solution are one row-kernel build (the
-    # circle table, SkewBrace.rhos), the identities one more (is_2reductive)
-    # and the full report's distributivity two more; the hom flags and
-    # bi-skew are read off the identities, so the brace's tables are not
-    # encoded again.  A fresh brace per report computes its rhos there.
+@pytest.mark.parametrize("argv, builds", [
+    (["verify", "s"], 4),
+    (["verify", "big"], 5),
+    (["classify", "s", "t"], 4),
+    (["brace", "b"], 4),
+    (["brace", "b", "--report", "full"], 6),
+], ids=["verify-2-reductive", "verify-not-2-reductive", "classify", "brace", "brace-full"])
+def test_requests_build_few_row_kernels(tmp_path, capsys, monkeypatch, argv, builds):
+    # a table owned by a record is encoded once, on it: a group's table
+    # (finite_group, then the brace law), a solution's sigma (the birack
+    # check, then left distributivity) and tau.  The other builds are
+    # tables of their own: the lambdas (brace law), the distinct rows
+    # (is_2reductive, commuting_rows), and tau's columns and the derived
+    # rows (birack check of a table that is not 2-reductive).  The rhos are
+    # gathered entry by entry, with no kernel.
+    s = yb.union_to_solution(yb.enumerate_2reductive(4)[100])
+    inputs = {
+        "s": s, "t": yb.relabel(s, [3, 1, 0, 2]),
+        "big": yb.associated_solution(yb.trivial_brace(yb.symmetric_group(3))),
+        "b": yb.dihedral_example_brace(),
+    }
+    argv = [write(tmp_path, f"{a}.json", inputs[a].to_dict()) if a in inputs else a for a in argv]
     calls = _count_calls(monkeypatch, {"_row_kernel": groups._row_kernel})
-    for full in (True, False):
-        for name, b in brace_catalog:
-            before = calls["_row_kernel"]
-            cli.brace_report(yb.SkewBrace(b.dot, b.circle), full=full, out=io.StringIO())
-            assert calls["_row_kernel"] - before == (4 if full else 2), (name, full)
+    assert main(argv) == 0
+    assert calls == {"_row_kernel": builds}
 
 
 def test_classify_checks_2_reductivity_once_per_file(tmp_path, capsys, monkeypatch):

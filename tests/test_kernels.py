@@ -315,14 +315,14 @@ def test_distributivity_composes_each_distinct_row_once():
     # tables with d distinct rows cost at most d(d + 1) compositions, and
     # the verdict, both ways, is the triple loop's
     def counted(table):
-        rows, maps, then, join, invert = _row_kernel(table)
+        kernel = _row_kernel(table)
         calls = [0]
 
         def counting_then(q, p):
             calls[0] += 1
-            return then(q, p)
+            return kernel.then(q, p)
 
-        verdict = solution_module._distributes((rows, maps, counting_then, join, invert))
+        verdict = solution_module._distributes(kernel._replace(then=counting_then))
         d = len(set(table))
         assert calls[0] <= d * (d + 1), (calls[0], d)
         return verdict, calls[0]

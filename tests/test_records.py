@@ -30,6 +30,7 @@ def _samples():
     census = cli.build_census(3)
     return [
         groups.cyclic_group(3),
+        groups.cyclic_group(3).table_kernel,
         groups.AbelianGroup((2, 4)),
         groups.PermGroup(degree=3, generators=((1, 2, 0),)),
         solution.Violation("sigma-row", (0,)),
@@ -58,8 +59,11 @@ SAMPLES = _samples()
 CACHED = {
     "AbelianGroup": {"automorphisms", "as_finite_group"},
     "PermGroup": {"elements", "is_abelian"},
-    "FiniteGroup": {"is_abelian"},
-    "FiniteSolution": {"sigma_inv", "tau_inv", "reductivity", "commuting_rows"},
+    "FiniteGroup": {"table_kernel", "is_abelian"},
+    "RowKernel": {"classes"},
+    "FiniteSolution": {
+        "sigma_inv", "tau_inv", "sigma_kernel", "tau_kernel", "reductivity", "commuting_rows",
+    },
     "SkewBrace": {"lambdas", "rhos"},
 }
 

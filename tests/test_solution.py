@@ -342,7 +342,8 @@ def test_solutions_isomorphic_finds_relabelings(small_solutions):
         assert yb.relabel(s, found) == t
 
 
-@pytest.mark.parametrize("phi", [[0, 0, 1], [0, 1], [0, 1, 5]])
+# the last two sort like 0..2, but a bool or a float is not an int label
+@pytest.mark.parametrize("phi", [[0, 0, 1], [0, 1], [0, 1, 5], [True, False, 2], [0.0, 1, 2]])
 def test_relabel_rejects_a_map_that_is_not_a_permutation(census_solutions, phi):
     with pytest.raises(ValueError, match="not a permutation of 0..2"):
         yb.relabel(census_solutions[3][0], phi)
