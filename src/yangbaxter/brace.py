@@ -222,9 +222,14 @@ class SocleSeries(namedtuple("SocleSeries", "quotients socles nilpotency_class")
         return None if self.is_nilpotent else self.quotients[-1]
 
     def describe(self) -> str:
-        if self.is_nilpotent:
-            return f"nilpotent of class {self.nilpotency_class}"
-        return f"not nilpotent (series stabilizes at size {self.quotients[-1].n})"
+        return _describe_nilpotency(self.nilpotency_class, self.quotients[-1].n)
+
+
+def _describe_nilpotency(nilpotency_class: Optional[int], last_size: int) -> str:
+    """The nilpotency of a series of quotients ending at size last_size."""
+    if nilpotency_class is not None:
+        return f"nilpotent of class {nilpotency_class}"
+    return f"not nilpotent (series stabilizes at size {last_size})"
 
 
 def socle_series(b: SkewBrace) -> SocleSeries:
@@ -268,24 +273,19 @@ def kernel_ideals(b: SkewBrace) -> KernelReport:
 # Reductivity profile
 
 
-def _le2(level: Optional[int]) -> bool:
-    """A level or class, None when never reached, is at most 2."""
-    return level is not None and level <= 2
-
-
 class ReductivityProfile(namedtuple(
-    "ReductivityProfile", "solution reductivity multipermutation series"
+    "ReductivityProfile", "solution reductivity multipermutation"
 )):
     """The results a brace report is read from.  The paper's equivalences
     give the rest: red1, red2, red3 and red4 hold iff lambda, rho, lambda
     and rho respectively are dot homomorphisms, homomorphisms,
     anti-homomorphisms and anti-homomorphisms; all four hold iff the class
-    and the level are at most 2; and red3 holds iff b is bi-skew."""
+    and the level are at most 2; red3 holds iff b is bi-skew; and the
+    retraction tower is the socle series, as Ret(r_B) is r_{B/Soc(B)}."""
 
     solution: FiniteSolution             # the associated solution
     reductivity: TwoReductivity          # its four identities
     multipermutation: MultipermutationResult
-    series: SocleSeries                  # of the brace
 
     red1 = property(lambda self: self.reductivity.red1)
     red2 = property(lambda self: self.reductivity.red2)
@@ -293,26 +293,21 @@ class ReductivityProfile(namedtuple(
     red4 = property(lambda self: self.reductivity.red4)
     all_four = property(lambda self: self.reductivity.holds)
 
-    multipermutation_le2 = property(lambda self: _le2(self.multipermutation.level))
-    nilpotent_le2 = property(lambda self: _le2(self.series.nilpotency_class))
+    # a level is None when the tower stabilizes above one point
+    multipermutation_le2 = property(lambda self: self.multipermutation.level in (0, 1, 2))
 
 
 def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     """The associated solution, its four 2-reductivity identities and its
-    multipermutation level, and the socle series of b.
+    multipermutation level.
 
     Each is computed once and on its own.  What they are equivalent to (the
-    homomorphism properties of lambda and rho, bi-skewness, the class of the
-    opposite brace) is not computed again; the test suite checks those
-    equivalences against their definitions.
+    homomorphism properties of lambda and rho, bi-skewness, the socle
+    series of b and of its opposite) is not computed again; the test suite
+    checks those equivalences against their definitions.
     """
     s = associated_solution(b)
-    return ReductivityProfile(
-        solution=s,
-        reductivity=s.reductivity,
-        multipermutation=multipermutation_level(s),
-        series=socle_series(b),
-    )
+    return ReductivityProfile(s, s.reductivity, multipermutation_level(s))
 
 
 # ---------------------------------------------------------------------------

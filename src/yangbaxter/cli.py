@@ -207,19 +207,20 @@ def solution_report(s: FiniteSolution, out: TextIO, mp=None) -> None:
 def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.ReductivityProfile:
     """Writes the report of b; returns the profile it is rendered from."""
     profile = braces.reductivity_profile(b)
-    series = profile.series
+    tower, kernels = profile.multipermutation, braces.kernel_ideals(b)
     # The lambda_hom and bi_skew lines are read off the identities, by theorems:
     # lambda is a dot homomorphism iff red1 (from lambda_{x o y} =
     # lambda_x lambda_y and x o y = x . lambda_x(y)), rho one iff red2, lambda
     # an anti-homomorphism iff red3, rho one iff red4; and b is bi-skew iff
     # lambda is an anti-homomorphism (Childs, New York J. Math. 25, 2019).
+    # The socle lines are read off Soc(B) = Ker lambda .cap. Ker rho and the
+    # retraction tower, which is the socle series as Ret(r_B) is r_{B/Soc(B)}.
     out.write(f"n: {b.n}\n")
     out.write(f"dot_abelian: {b.dot.is_abelian}\n")
     out.write(f"bi_skew: {profile.red3}\n")
-    out.write(f"socle: {list(series.socles[0].elements)}\n")
-    out.write(f"socle_series_sizes: {[q.n for q in series.quotients]}\n")
-    out.write(f"nilpotency: {series.describe()}\n")
-    kernels = braces.kernel_ideals(b)
+    out.write(f"socle: {sorted(set(kernels.ker_lambda).intersection(kernels.ker_rho))}\n")
+    out.write(f"socle_series_sizes: {list(tower.tower_sizes)}\n")
+    out.write(f"nilpotency: {braces._describe_nilpotency(tower.level, tower.tower_sizes[-1])}\n")
     out.write(f"ker_lambda: {list(kernels.ker_lambda)} ideal: {kernels.ker_lambda_is_ideal}\n")
     out.write(f"ker_rho: {list(kernels.ker_rho)} ideal: {kernels.ker_rho_is_ideal}\n")
     out.write(
@@ -235,7 +236,7 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.Reducti
     out.write(f"two_reductive: {profile.all_four}\n")
     if full:
         out.write("associated_solution:\n")
-        solution_report(profile.solution, out, profile.multipermutation)
+        solution_report(profile.solution, out, tower)
     return profile
 
 

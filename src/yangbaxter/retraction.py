@@ -63,8 +63,11 @@ def is_congruence(s: FiniteSolution, p: SolutionPartition) -> bool:
     that is, it must be constant on every block.  The inverses need no
     check: a bijection of a finite carrier mapping blocks into blocks
     permutes them, so its inverse maps blocks by the inverse block map.
+    A partition of another carrier is not a congruence.
     """
     n = s.n
+    if p.n != n:
+        return False
     blk = p.block_of
     first = [p.blocks[b][0] for b in blk]
     tables = (s.sigma, s.tau)

@@ -366,10 +366,14 @@ def test_criterion_6_brace_catalog(brace_catalog):
         fields = (prof.red1, prof.red2, prof.red3, prof.red4)
         if red != homs or red != fields:
             violations.append(f"{name}: (f) identities {red} vs homs {homs}")
-        opposite_class = yb.socle_series(yb.opposite_brace(b)).nilpotency_class
+        # the class of b and of its opposite, each from its own socle series
+        class_le2, opposite_class_le2 = (
+            yb.socle_series(side).nilpotency_class in (0, 1, 2)
+            for side in (b, yb.opposite_brace(b))
+        )
         if not (
             all(red) == prof.all_four == two_sided == prof.multipermutation_le2
-            == prof.nilpotent_le2 == (opposite_class is not None and opposite_class <= 2)
+            == class_le2 == opposite_class_le2
         ):
             violations.append(f"{name}: (f) five-way equivalence")
         ret = yb.retraction(s).solution

@@ -205,17 +205,21 @@ def test_right_distributive_rho_formula(brace_catalog):
 
 def test_reductivity_profiles():
     q8 = yb.quaternion_group()
-    prof = yb.reductivity_profile(yb.almost_trivial_brace(q8))
-    assert prof.all_four and prof.nilpotent_le2 and prof.multipermutation_le2
+    b = yb.almost_trivial_brace(q8)
+    prof = yb.reductivity_profile(b)
+    assert prof.all_four and prof.multipermutation_le2
+    assert yb.socle_series(b).nilpotency_class == 2
 
     prof = yb.reductivity_profile(yb.z2n_brace(3))
     assert (prof.red1, prof.red2, prof.red3, prof.red4) == (True, False, True, False)
 
     # trivial brace on S3: lambda = id makes red1, red3, red4 hold; red2 needs
     # conjugation classes mod the center, which fails for S3
-    prof = yb.reductivity_profile(yb.trivial_brace(yb.symmetric_group(3)))
+    b = yb.trivial_brace(yb.symmetric_group(3))
+    prof = yb.reductivity_profile(b)
     assert (prof.red1, prof.red2, prof.red3, prof.red4) == (True, False, True, True)
-    assert not prof.nilpotent_le2
+    assert not prof.multipermutation_le2
+    assert yb.socle_series(b).nilpotency_class is None
 
 
 def test_brace_theorems_on_catalog(brace_catalog):

@@ -659,13 +659,15 @@ def test_brace_report_makes_no_call_per_pair(monkeypatch):
 
 
 def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brace_catalog):
-    # the profile holds the socle series of b and the associated solution's
-    # identities and level; the report renders those, its socle line too:
-    # the socle of b is the series' first step.  The hom flags and bi-skew
-    # are read off the identities, so no brace law is checked again
+    # the profile holds the associated solution's identities and level; the
+    # report renders those, and its socle lines too: the socle is Ker lambda
+    # .cap. Ker rho, from the kernels, and the socle series is the
+    # retraction tower.  The hom flags and bi-skew are read off the
+    # identities, so no brace law is checked again
     functions = {
         "socle_series": yb.socle_series,
         "socle": yb.socle,
+        "kernel_ideals": yb.kernel_ideals,
         "multipermutation_level": yb.multipermutation_level,
         "is_2reductive": yb.is_2reductive,
         "_brace_law_failure": brace_module._brace_law_failure,
@@ -674,19 +676,18 @@ def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brac
     for full in (True, False):
         for name, b in brace_catalog:
             before = dict(calls)
-            profile = cli.brace_report(b, full=full, out=io.StringIO())
+            cli.brace_report(b, full=full, out=io.StringIO())
             ran = {key: calls[key] - before[key] for key in calls}
-            # one socle per quotient of the series
             assert ran == {
-                "socle_series": 1, "socle": len(profile.series.quotients),
+                "socle_series": 0, "socle": 0, "kernel_ideals": 1,
                 "multipermutation_level": 1, "is_2reductive": 1, "_brace_law_failure": 0,
             }, (name, full)
     path = write(tmp_path, "sol.json", yb.projection_solution(3).to_dict())
     before = dict(calls)
     assert main(["verify", path]) == 0
     assert {key: calls[key] - before[key] for key in calls} == {
-        "socle_series": 0, "socle": 0, "multipermutation_level": 1, "is_2reductive": 1,
-        "_brace_law_failure": 0,
+        "socle_series": 0, "socle": 0, "kernel_ideals": 0, "multipermutation_level": 1,
+        "is_2reductive": 1, "_brace_law_failure": 0,
     }
 
 

@@ -726,9 +726,12 @@ def check_report_by_definitions(dot, circ):
     """brace_report's derived lines vs definitions on the tables: lambda
     and rho by definition, which the brace's must equal, and their hom and
     antihom flags from the loop over pairs;
-    bi_skew vs the swapped brace law; and two_reductive, the two-sided
-    identity, level <= 2, class <= 2 and the class of the opposite brace
-    (dot table transposed) <= 2, all equal.  Returns (red1, ..., red4)."""
+    bi_skew vs the swapped brace law; the socle, socle_series_sizes and
+    nilpotency lines, read off the kernels and the retraction tower, vs
+    socle and socle_series of b; and two_reductive, the two-sided identity,
+    level <= 2, class <= 2 (from socle_series) and the class of the
+    opposite brace (dot table transposed) <= 2, all equal.  Returns (red1,
+    ..., red4)."""
     b = yb.verify_brace(dot, circ)
     lams, rhos = lambdas_rhos(dot, circ)
     assert (b.lambdas, b.rhos) == (lams, rhos), (dot, circ)
@@ -739,12 +742,16 @@ def check_report_by_definitions(dot, circ):
         f"hom={lam[0]} antihom={lam[1]} rho_hom={rho[0]} rho_antihom={rho[1]}"
     ), (dot, circ)
     assert report["bi_skew"] == str(brace_law_oracle(circ, dot) is None), (dot, circ)
+    series = yb.socle_series(b)
+    assert (report["socle"], report["socle_series_sizes"], report["nilpotency"]) == (
+        str(list(yb.socle(b).elements)), str([q.n for q in series.quotients]), series.describe()
+    ), (dot, circ)
     opposite = yb.verify_brace(tuple(zip(*dot)), circ)
     five = {
         report["two_reductive"] == "True",
         lam[2] and rho[2],
         at_most_2(solution["mp_level"]),
-        at_most_2(report["nilpotency"]),
+        at_most_2(series.describe()),
         at_most_2(yb.socle_series(opposite).describe()),
     }
     assert len(five) == 1, (dot, circ)

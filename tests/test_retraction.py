@@ -54,10 +54,16 @@ def test_single_block_partition_is_congruence(small_solutions):
 
 
 def test_cosim_of_z6_brace_solution_is_not_a_congruence():
-    s = yb.associated_solution(yb.z2n_brace(3))
-    assert not yb.is_congruence(s, relation(s, "cosim"))
-    with pytest.raises(ValueError):
-        yb.quotient_solution(s, relation(s, "cosim"))
+    # cosim is not a congruence here, nor is a partition of a smaller or a
+    # larger carrier
+    s, p3 = yb.associated_solution(yb.z2n_brace(3)), yb.projection_solution(3)
+    cases = [(s, relation(s, "cosim"))] + [
+        (p3, partition_from_blocks(yb.projection_solution(m), [range(m)])) for m in (2, 4)
+    ]
+    for target, p in cases:
+        assert not yb.is_congruence(target, p)
+        with pytest.raises(ValueError, match="is not a congruence"):
+            yb.quotient_solution(target, p)
 
 
 def _congruence_by_elements(s, p):
@@ -157,6 +163,9 @@ def test_congruence_above_256_points():
     verdicts = [yb.is_congruence(s, p) for p in partitions]
     assert verdicts == [_congruence_by_elements(s, p) for p in partitions]
     assert verdicts[:3] == [True, False, False]
+    # a partition of one point fewer or more is not a congruence
+    for m in (s.n - 1, s.n + 1):
+        assert not yb.is_congruence(s, yb.SolutionPartition(m, tuple((x,) for x in range(m))))
 
 
 def test_left_distributive_implies_sim_congruence(small_solutions):
