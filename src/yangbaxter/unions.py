@@ -23,6 +23,7 @@ from .groups import (
     FiniteGroup,
     Perm,
     _abelian_block,
+    _cycle,
     _gather,
     _int_table,
     _isomorphisms,
@@ -164,17 +165,24 @@ def _torsor_isomorphism(
     """Identify an abelian Cayley table (zero at index 0) with its canonical
     invariant-factor group; returns (group, local index -> canonical index).
 
-    The number of x with q x = 0, for each divisor q of the order, fixes a
-    finite abelian group up to isomorphism; for Z_d1 x ... x Z_dk it is the
-    product of the gcd(q, d_i).  So only the candidate whose counts match
-    the table's is searched.
+    Each x's multiples 0, x, 2x, .. are its row's cycle through 0.  An x of
+    order m makes the table Z_m, and the least one's multiples are the least
+    isomorphism from Z_m, as each is t -> t h for an h of order m; Z_m is
+    listed first among the groups of order m.  Failing that, the number of x
+    with q x = 0, for each divisor q of the order, fixes a finite abelian
+    group up to isomorphism; for Z_d1 x ... x Z_dk it is the product of the
+    gcd(q, d_i).  So only the candidate whose counts match is searched.
     """
     m = len(table)
-    rows = tuple(tuple(row) for row in table)
-    target = FiniteGroup(n=m, table=rows, id=0, inv=tuple(row.index(0) for row in rows))
-    orders = [element_order(target, x) for x in range(m)]
+    cycles = []
+    for row in table:
+        cycles.append(_cycle(row, 0))
+        if len(cycles[-1]) == m:
+            return abelian_groups_of_order(m)[0], invert_perm(cycles[-1])
+    inv = tuple(c[-1] for c in cycles)     # -x, the last of x's multiples
+    target = FiniteGroup(n=m, table=tuple(map(tuple, table)), id=0, inv=inv)
     divisors = [q for q in range(1, m + 1) if m % q == 0]
-    counts = [sum(q % o == 0 for o in orders) for q in divisors]
+    counts = [sum(q % len(c) == 0 for c in cycles) for q in divisors]
     for cand in abelian_groups_of_order(m):
         if [prod(gcd(q, d) for d in cand.factors) for q in divisors] == counts:
             phi = next(_isomorphisms(cand, target), None)

@@ -17,9 +17,12 @@ import yangbaxter as yb
 from oracles import (
     abelian_group_count,
     automorphisms,
+    block_table,
     canonical_union,
     class_key,
     generates,
+    isomorphisms_oracle,
+    relabel_table,
     span,
     transform,
     union_tables,
@@ -32,6 +35,7 @@ from yangbaxter.solution import FiniteSolution, validate_tables
 from yangbaxter.unions import (
     AbelianUnion,
     _cell_positions,
+    _torsor_isomorphism,
     cell_keys,
     census_cells,
     census_keys,
@@ -204,6 +208,47 @@ def test_decomposition_closes_no_permutation_group(monkeypatch, census):
         s = yb.union_to_solution(u)
         dec = yb.solution_to_union(s)
         assert yb.relabel(s, dec.carrier_map) == yb.union_to_solution(dec.union)
+
+
+def test_block_identification_matches_the_generator_image_oracle():
+    # every abelian type of order <= 16, relabelled fixing 0: the type, and
+    # the inverse of the oracle's first isomorphism onto the table, which
+    # for Z_m is the multiples of the least element of order m
+    rng = random.Random(16)
+    for m in range(1, 17):
+        for g in yb.abelian_groups_of_order(m):
+            for _ in range(3):
+                table = relabel_table(block_table(g.factors), (0, *rng.sample(range(1, m), m - 1)))
+                phi = next(isomorphisms_oracle(g.factors, table))
+                grp, to_canon = _torsor_isomorphism(table)
+                assert grp.factors == g.factors, table
+                assert to_canon == tuple(sorted(range(m), key=phi.__getitem__)), table
+
+
+def test_decomposition_searches_only_non_cyclic_blocks(monkeypatch):
+    # a cyclic or trivial block is read off its least generator's multiples;
+    # only the Z2xZ2 block runs the isomorphism search, once
+    calls = {"_isomorphisms": 0, "element_order": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(unions_module, name)):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(unions_module, name, counted)
+    z6_z4_z1 = {"groups": [[6], [4], []], "C": [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
+                "D": [[0, 0, 0], [1, 1, 0], [0, 0, 0]]}
+    with_z2_z2 = {"groups": [[6], [4], [2, 2], []],
+                  "C": [[1, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                  "D": [[0, 0, 0, 0], [1, 1, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}
+    rng = random.Random(64)
+    for data, searches in ((z6_z4_z1, 0), (with_z2_z2, 1)):
+        u = yb.union_from_dict(data)
+        s = yb.relabel(yb.union_to_solution(u), rng.sample(range(u.n), u.n))
+        calls.update(dict.fromkeys(calls, 0))
+        dec = yb.solution_to_union(s)
+        assert calls == {"_isomorphisms": searches, "element_order": 0}
+        assert yb.relabel(s, dec.carrier_map) == yb.union_to_solution(dec.union)
+        assert yb.unions_isomorphic(dec.union, u) is not None
 
 
 def test_unions_isomorphic_identity(census):
