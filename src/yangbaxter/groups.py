@@ -11,7 +11,7 @@ import itertools
 import operator
 from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
-from math import gcd, prod
+from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -447,12 +447,10 @@ def _isomorphisms(
 
     target must be abelian.  The maps are yielded in lexicographic order of
     the images of elements followed by source's standard generators, which
-    with no elements is the itertools.product order of generator images.  A
-    cyclic source Z_n needs no search: its maps are t -> t h = (t u) g, g
-    the least element of order n and u prime to n, read off g's powers.
-    Otherwise images are assigned one element at a time, in increasing
-    order, each extending an injective homomorphism phi defined on the span
-    of the elements so far.  An element a already in the span has its image
+    with no elements is the itertools.product order of generator images.
+    Images are assigned one element at a time, in increasing order, each
+    extending an injective homomorphism phi defined on the span of the
+    elements so far.  An element a already in the span has its image
     forced.  Otherwise let c be the least number with c a in the span: an
     image h is admissible iff c h = phi(c a) and no t h with 0 < t < c lies
     in phi(span), and then phi(s + t a) = phi(s) + t h extends phi
@@ -468,19 +466,6 @@ def _isomorphisms(
         pairs = set(zip(elements, forced))
         if len(pairs) != len(dict(pairs)) or len(pairs) != len({y: x for x, y in pairs}):
             return
-    if len(source.factors) == 1:
-        cycles = (_cycle(row, target.id) for row in target.table)
-        powers = next((c for c in cycles if len(c) == n), None)
-        if powers is None:
-            return
-        keys = sorted(
-            ([powers[e * u % n] for e in elements], powers[u], u)
-            for u in range(1, n)
-            if gcd(u, n) == 1 and all(powers[e * u % n] == f for e, f in zip(elements, forced))
-        )
-        for *_, u in keys:
-            yield tuple([powers[t * u % n] for t in range(n)])
-        return
     src, table = source.as_finite_group.table, target.table
     # then the standard generators: in mixed-radix order e_i = prod(factors[i + 1:])
     steps, weight = [*elements], n

@@ -570,13 +570,11 @@ def test_row_kernel_composes_like_compose():
             assert invert(rows[i]) == type(rows[i])(invert_perm(table[i]))
 
 
-@pytest.mark.parametrize("order", [2, 5, 7, 8, 9, 11, 12, 16])
+@pytest.mark.parametrize("order", [8, 9, 12, 16])
 def test_pruned_isomorphisms_yield_the_product_order_filter(order):
     # with elements and forced images, the maps are the filter's that send
     # the forced prefix of elements to its images, in lexicographic order
-    # of the images of elements and then of the standard generators; a
-    # cyclic source (the only one at a prime order) reads them off the
-    # least generator's powers, any other runs the search
+    # of the images of elements and then of the standard generators
     rng = random.Random(order)
     groups = yb.abelian_groups_of_order(order)
     for source in groups:
