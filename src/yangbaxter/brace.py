@@ -63,8 +63,9 @@ class SkewBrace(namedtuple("SkewBrace", "dot circle")):
         """rho_y(x) = c o x o y, c the circle inverse of lambda_x(y)
         (Guarnieri and Vendramin, Math. Comp. 86, 2017): per y, a gather
         down circle column y, where x o y is read."""
-        ct, cinv, lams = self.circle.table, self.circle.inv, self.lambdas
-        return tuple(tuple([ct[cinv[lam[y]]][xy] for lam, xy in zip(lams, col)])
+        ct, lams = self.circle.table, self.lambdas
+        left = [ct[c] for c in self.circle.inv]     # the row of each inverse
+        return tuple(tuple([left[lam[y]][xy] for lam, xy in zip(lams, col)])
                      for y, col in enumerate(zip(*ct)))
 
     def to_dict(self) -> dict:

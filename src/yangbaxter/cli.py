@@ -20,7 +20,7 @@ from typing import Optional, Sequence, TextIO
 from . import brace as braces
 from . import solution as solutions
 from . import unions
-from .retraction import multipermutation_level
+from .retraction import _reductive_level, multipermutation_level
 from .solution import FiniteSolution, VerificationError
 
 EXIT_OK = 0
@@ -180,9 +180,11 @@ def load_payload(path: str):
 
 def solution_report(s: FiniteSolution, out: TextIO, mp=None) -> None:
     """mp is multipermutation_level(s), computed here unless the caller
-    already has it; the identities are the ones s holds (reductivity)."""
+    already has it (in closed form with red1-red4); the identities are the
+    ones s holds (reductivity).  As s is a solution, braid identities (i)
+    and (ii) make left distributivity red3 and right distributivity red4."""
     red = s.reductivity
-    mp = mp or multipermutation_level(s)
+    mp = mp or (_reductive_level(s) if red.holds else multipermutation_level(s))
     lines = [
         ("n", s.n),
         ("involutive", solutions.is_involutive(s)),
@@ -190,8 +192,8 @@ def solution_report(s: FiniteSolution, out: TextIO, mp=None) -> None:
         ("permutational", solutions.is_permutational(s)),
         ("projection", solutions.is_projection(s)),
         ("lri", solutions.has_lri(s)),
-        ("left_distributive", solutions.is_left_distributive(s)),
-        ("right_distributive", solutions.is_right_distributive(s)),
+        ("left_distributive", red.red3),
+        ("right_distributive", red.red4),
         ("red1", red.red1),
         ("red2", red.red2),
         ("red3", red.red3),

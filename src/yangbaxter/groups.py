@@ -206,13 +206,18 @@ def _int_table(value, field: str, n: Optional[int] = None) -> tuple[tuple[int, .
     """A square table of ints from outside input, n x n when n is given.
 
     Bools and floats are not ints here; any other shape or entry raises
-    ValueError("field: reason").
+    ValueError("field: reason"); the rows are walked for the first fault
+    only when C-level passes over row types, row lengths and entry types fail.
     """
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{field}: expected a list of rows, got {type(value).__name__}")
     size = len(value) if n is None else n
     if len(value) != size:
         raise ValueError(f"{field}: has {len(value)} rows, expected {size}")
+    if (set(map(type, value)) <= {list, tuple}
+            and set(map(len, rows := tuple(map(tuple, value)))) <= {size}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
+        return rows
     for i, row in enumerate(value):
         if not isinstance(row, (list, tuple)):
             raise ValueError(f"{field}: row {i} is not a list")

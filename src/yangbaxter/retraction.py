@@ -156,6 +156,15 @@ def multipermutation_level(s: FiniteSolution) -> MultipermutationResult:
     return MultipermutationResult(level=level, tower_sizes=tuple(sizes))
 
 
+def _reductive_level(s: FiniteSolution) -> MultipermutationResult:
+    """multipermutation_level of tables with red1-red4, using no braid:
+    red1, red4 give sigma_x(y) ~ y and red3, red2 tau_x(y) ~ y, so the
+    retraction is the projection solution on the r approx classes, and r < n
+    for n > 1 (a row moves y into its class, or all rows are the identity)."""
+    sizes = tuple(dict.fromkeys((s.n, len(set(zip(s.sigma, s.tau))), 1)))
+    return MultipermutationResult(level=len(sizes) - 1, tower_sizes=sizes)
+
+
 class PermutationGroups(namedtuple("PermutationGroups", "left right full")):
     left: PermGroup    # generated by the sigma rows
     right: PermGroup   # generated by the tau rows

@@ -198,15 +198,16 @@ def _braids(s_kernel, tau_cols, r_kernel) -> bool:
 
 
 def _violation(s: FiniteSolution) -> Optional[Violation]:
-    """validate_tables of tables held as a FiniteSolution of tuple rows."""
+    """validate_tables of tables held as a FiniteSolution of tuple rows;
+    each distinct row is checked once, and its first index is the witness."""
     n, sig, ta = s
     if len(ta) != n:
         return Violation("tau-row", ("row count", len(ta), n))
     perm = list(range(n))
     for check, table in (("sigma-row", sig), ("tau-row", ta)):
-        for i, row in enumerate(table):
+        for row in dict.fromkeys(table):
             if sorted(row) != perm:
-                return Violation(check, (i,))
+                return Violation(check, (table.index(row),))
     if s.reductivity.holds and s.commuting_rows:
         return None
     s_kernel, tau_cols = s.sigma_kernel, list(zip(*ta))

@@ -160,22 +160,23 @@ class UnionDecomposition(namedtuple("UnionDecomposition", "union blocks carrier_
 
 
 def _torsor_isomorphism(
-    table: Sequence[Sequence[int]],
+    rows: Iterable[Sequence[int]], m: int,
 ) -> tuple[AbelianGroup, tuple[int, ...]]:
-    """Identify an abelian Cayley table (zero at index 0) with its canonical
-    invariant-factor group; returns (group, local index -> canonical index).
+    """Identify an abelian Cayley table, its m rows in order (zero at index
+    0), with its canonical invariant-factor group; returns (group, local
+    index -> canonical index).
 
     Each x's multiples 0, x, 2x, .. are its row's cycle through 0.  An x of
     order m makes the table Z_m, and the least one's multiples are the least
     isomorphism from Z_m, as each is t -> t h for an h of order m; Z_m is
-    listed first among the groups of order m.  Failing that, the number of x
-    with q x = 0, for each divisor q of the order, fixes a finite abelian
-    group up to isomorphism; for Z_d1 x ... x Z_dk it is the product of the
-    gcd(q, d_i).  So only the candidate whose counts match is searched.
+    listed first among the groups of order m, and no later row is read.
+    Failing that, the number of x with q x = 0, for each divisor q of m,
+    fixes a finite abelian group up to isomorphism; for Z_d1 x ... x Z_dk
+    it is the product of the gcd(q, d_i), so only that candidate is searched.
     """
-    m = len(table)
-    cycles = []
-    for row in table:
+    table, cycles = [], []
+    for row in rows:
+        table.append(row)
         cycles.append(_cycle(row, 0))
         if len(cycles[-1]) == m:
             return abelian_groups_of_order(m)[0], invert_perm(cycles[-1])
@@ -226,10 +227,16 @@ def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
         # t_z and the rows on the orbit, as maps of local indices
         on_orb = [[index_of[row[x]] for x in orb] for row in rows]
         t = {e: tuple(range(len(orb)))}
-        for z in walk[1:]:
-            g, prev = reached[z]
-            t[z] = compose(on_orb[g], t[prev])
-        grp, to_canon = _torsor_isomorphism([t[z] for z in orb])
+
+        def t_of(z):    # composed when first read, along z's walk back to e
+            path = [z]
+            while path[-1] not in t:
+                path.append(reached[path[-1]][1])
+            for y in reversed(path[:-1]):
+                t[y] = compose(on_orb[reached[y][0]], t[reached[y][1]])
+            return t[z]
+
+        grp, to_canon = _torsor_isomorphism(map(t_of, orb), len(orb))
         for x, i in index_of.items():
             local[x], carrier_map[x] = to_canon[i], at + to_canon[i]
         orbs.append(orb)

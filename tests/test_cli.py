@@ -80,6 +80,27 @@ def test_verify_brace_file(tmp_path, capsys):
     assert "bi_skew: True" in out
 
 
+def test_verify_report_lines_equal_the_definition_routes(tmp_path, capsys, small_solutions,
+                                                         census):
+    # verify prints the distributivity lines as red3 and red4, and the level
+    # of a 2-reductive solution in closed form; the definitions agree
+    braced = [yb.associated_solution(b) for b in (yb.z2n_brace(3), yb.dihedral_example_brace())]
+    files = [*small_solutions[::4], *braced, *map(yb.inverse_solution, braced), census[4][100]]
+    seen = set()
+    for i, obj in enumerate(files):
+        path = write(tmp_path, f"{i}.json", obj.to_dict())
+        s = yb.union_to_solution(obj) if isinstance(obj, yb.AbelianUnion) else obj
+        assert main(["verify", path]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        expected = (yb.is_left_distributive(s), yb.is_right_distributive(s))
+        assert (lines["left_distributive"], lines["right_distributive"]) == tuple(map(str, expected))
+        assert lines["mp_level"] == yb.multipermutation_level(s).describe()
+        seen.add((*expected, lines["two_reductive"] == "True"))
+    # every (left, right) pair of flags, and a 2-reductive file
+    assert seen >= {(True, True, True), (True, False, False), (False, True, False),
+                    (False, False, False)}, seen
+
+
 def test_verify_bad_row_exits_1(tmp_path, capsys):
     path = write(
         tmp_path, "bad.json",
@@ -175,6 +196,35 @@ def test_malformed_entry_message_names_its_index(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}: sigma: entry [1][1] = True is not an integer"
         ], argv
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ([[1, 0], [1.0, 0]], "sigma: entry [1][0] = 1.0 is not an integer"),
+    ([[0, 1.5, 2], [0, 1, 2], [0, 1]], "sigma: entry [0][1] = 1.5 is not an integer"),
+    ([[0, 1], "01"], "sigma: row 1 is not a list"),
+    ([[0, 1], 5], "sigma: row 1 is not a list"),
+], ids=["float-after-equal-int-row", "first-fault-by-row", "string-row", "scalar-row"])
+def test_fast_table_verdict_keeps_the_first_fault(tmp_path, capsys, sigma, message):
+    # a row equal to an earlier int row may still hold a float (a bool:
+    # test_malformed_entry_message_names_its_index), and a fault in row 0 is
+    # named before a later row's wrong length
+    n = len(sigma)
+    path = write(tmp_path, "bad.json", {"sigma": sigma, "tau": [list(range(n))] * n})
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+
+
+@pytest.mark.parametrize("field, other", [("sigma", "tau"), ("tau", "sigma")])
+def test_recurring_bad_row_is_named_by_its_first_index(tmp_path, capsys, field, other):
+    # rows are checked once per distinct row; the witness is the first index
+    # in the table, not among the distinct rows
+    ident = [0, 1, 2, 3, 4]
+    rows = [ident, ident, [1, 1, 0, 2, 3], [0, 0, 0, 0, 0], [1, 1, 0, 2, 3]]
+    tables = {field: rows, other: [ident] * 5}
+    path = write(tmp_path, "bad.json", tables)
+    assert main(["verify", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"violation: {field}-row fails at (2,)"]
+    assert yb.validate_tables(tables["sigma"], tables["tau"]) == (f"{field}-row", (2,))
 
 
 def test_axiom_violation_is_a_verdict_only_for_verify(tmp_path, capsys):
@@ -685,8 +735,9 @@ def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brac
     path = write(tmp_path, "sol.json", yb.projection_solution(3).to_dict())
     before = dict(calls)
     assert main(["verify", path]) == 0
+    # a 2-reductive solution's level is read off red1-red4, in closed form
     assert {key: calls[key] - before[key] for key in calls} == {
-        "socle_series": 0, "socle": 0, "kernel_ideals": 0, "multipermutation_level": 1,
+        "socle_series": 0, "socle": 0, "kernel_ideals": 0, "multipermutation_level": 0,
         "is_2reductive": 1, "_brace_law_failure": 0,
     }
 
@@ -709,20 +760,20 @@ def test_brace_request_composes_lambda_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, builds", [
-    (["verify", "s"], 4),
-    (["verify", "big"], 5),
+    (["verify", "s"], 2),
+    (["verify", "big"], 4),
     (["classify", "s", "t"], 4),
     (["brace", "b"], 4),
-    (["brace", "b", "--report", "full"], 6),
+    (["brace", "b", "--report", "full"], 4),
 ], ids=["verify-2-reductive", "verify-not-2-reductive", "classify", "brace", "brace-full"])
 def test_requests_build_few_row_kernels(tmp_path, capsys, monkeypatch, argv, builds):
     # a table owned by a record is encoded once, on it: a group's table
-    # (finite_group, then the brace law), a solution's sigma (the birack
-    # check, then left distributivity) and tau.  The other builds are
-    # tables of their own: the lambdas (brace law), the distinct rows
-    # (is_2reductive, commuting_rows), and tau's columns and the derived
-    # rows (birack check of a table that is not 2-reductive).  The rhos are
-    # gathered entry by entry, with no kernel.
+    # (finite_group, then the brace law) and a solution's sigma (the birack
+    # check).  The other builds are tables of their own: the lambdas (brace
+    # law), the distinct rows (is_2reductive, commuting_rows), and tau's
+    # columns and the derived rows (birack check of a table that is not
+    # 2-reductive).  No report encodes sigma or tau, as its distributivity
+    # lines are red3 and red4, and the rhos are gathered entry by entry.
     s = yb.union_to_solution(yb.enumerate_2reductive(4)[100])
     inputs = {
         "s": s, "t": yb.relabel(s, [3, 1, 0, 2]),

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 import yangbaxter as yb
-from yangbaxter.retraction import relation, partition_from_blocks
-from yangbaxter.solution import validate_tables
+from yangbaxter.retraction import _reductive_level, partition_from_blocks, relation
+from yangbaxter.solution import FiniteSolution, validate_tables
 
 
 def test_relation_on_permutational_solution_is_single_block():
@@ -278,6 +279,52 @@ def test_towers_quotient_by_congruences(small_solutions, census_solutions, brace
         result = yb.multipermutation_level(s)
         assert result.tower_sizes == tuple(sizes)
         assert result.level == (len(sizes) - 1 if current.n == 1 else None)
+
+
+def _report_corpus(small_solutions, census_solutions, brace_catalog):
+    """Solutions a report may be given: the small ones (some not
+    2-reductive), the census with n <= 4, and every catalog brace's
+    solution with its inverse."""
+    braced = [yb.associated_solution(b) for _, b in brace_catalog]
+    return [
+        *small_solutions,
+        *(s for n in range(1, 5) for s in census_solutions[n]),
+        *braced,
+        *map(yb.inverse_solution, braced),
+    ]
+
+
+def test_distributivity_is_red3_and_red4_on_solutions(small_solutions, census_solutions,
+                                                     brace_catalog):
+    # braid identity (i), sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)},
+    # makes left distributivity sigma_{tau_y(x)} = sigma_x, which is red3;
+    # (ii) makes right distributivity red4.  The report prints the identities
+    corpus = _report_corpus(small_solutions, census_solutions, brace_catalog)
+    seen = set()
+    for s in corpus:
+        red = yb.is_2reductive(s)
+        assert yb.is_left_distributive(s) == red.red3, s
+        assert yb.is_right_distributive(s) == red.red4, s
+        seen.add((red.red3, red.red4))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_closed_form_level_equals_the_retraction_tower(small_solutions, census_solutions,
+                                                       brace_catalog):
+    # with red1-red4 the retraction is a projection solution on the approx
+    # classes; that uses no braid relation, so permutational tables whose
+    # rows do not commute, which are no solutions, are covered too
+    perms = list(itertools.permutations(range(3)))
+    tables = [FiniteSolution(3, (f,) * 3, (g,) * 3) for f in perms for g in perms]
+    assert validate_tables(((1, 0, 2),) * 3, ((0, 2, 1),) * 3) is not None
+    corpus = _report_corpus(small_solutions, census_solutions, brace_catalog) + tables
+    towers = set()
+    for s in corpus:
+        if yb.is_2reductive(s).holds:
+            level = _reductive_level(s)
+            assert level == yb.multipermutation_level(s), s
+            towers.add(len(level.tower_sizes))
+    assert towers == {1, 2, 3}
 
 
 def test_permutation_groups_examples():

@@ -220,7 +220,7 @@ def test_block_identification_matches_the_generator_image_oracle():
             for _ in range(3):
                 table = relabel_table(block_table(g.factors), (0, *rng.sample(range(1, m), m - 1)))
                 phi = next(isomorphisms_oracle(g.factors, table))
-                grp, to_canon = _torsor_isomorphism(table)
+                grp, to_canon = _torsor_isomorphism(table, m)
                 assert grp.factors == g.factors, table
                 assert to_canon == tuple(sorted(range(m), key=phi.__getitem__)), table
 
