@@ -29,7 +29,7 @@ from .groups import (
     identity_perm,
     is_normal,
 )
-from .retraction import MultipermutationResult, multipermutation_level
+from .retraction import MultipermutationResult, _reductive_level, multipermutation_level
 from .solution import FiniteSolution, TwoReductivity, VerificationError, Violation
 
 
@@ -300,7 +300,7 @@ class ReductivityProfile(namedtuple(
 
 def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     """The associated solution, its four 2-reductivity identities and its
-    multipermutation level.
+    multipermutation level, in closed form when the four hold.
 
     Each is computed once and on its own.  What they are equivalent to (the
     homomorphism properties of lambda and rho, bi-skewness, the socle
@@ -308,7 +308,8 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     checks those equivalences against their definitions.
     """
     s = associated_solution(b)
-    return ReductivityProfile(s, s.reductivity, multipermutation_level(s))
+    level = _reductive_level if s.reductivity.holds else multipermutation_level
+    return ReductivityProfile(s, s.reductivity, level(s))
 
 
 # ---------------------------------------------------------------------------

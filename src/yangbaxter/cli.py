@@ -178,16 +178,16 @@ def load_payload(path: str):
 # Reports
 
 
-def solution_report(s: FiniteSolution, out: TextIO, mp=None) -> None:
-    """mp is multipermutation_level(s), computed here unless the caller
-    already has it (in closed form with red1-red4); the identities are the
-    ones s holds (reductivity).  As s is a solution, braid identities (i)
-    and (ii) make left distributivity red3 and right distributivity red4."""
+def solution_report(s: FiniteSolution, out: TextIO, mp=None, involutive=None) -> None:
+    """mp is multipermutation_level(s) and involutive is_involutive(s), each
+    computed here unless the caller has it (the level in closed form with
+    red1-red4); the identities are s.reductivity.  As s is a solution, braid
+    identities (i) and (ii) make left and right distributivity red3 and red4."""
     red = s.reductivity
     mp = mp or (_reductive_level(s) if red.holds else multipermutation_level(s))
     lines = [
         ("n", s.n),
-        ("involutive", solutions.is_involutive(s)),
+        ("involutive", solutions.is_involutive(s) if involutive is None else involutive),
         ("square_free", solutions.is_square_free(s)),
         ("permutational", solutions.is_permutational(s)),
         ("projection", solutions.is_projection(s)),
@@ -215,6 +215,7 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.Reducti
     # lambda_x lambda_y and x o y = x . lambda_x(y)), rho one iff red2, lambda
     # an anti-homomorphism iff red3, rho one iff red4; and b is bi-skew iff
     # lambda is an anti-homomorphism (Childs, New York J. Math. 25, 2019).
+    # The associated solution is involutive iff the dot group is abelian.
     # The socle lines are read off Soc(B) = Ker lambda .cap. Ker rho and the
     # retraction tower, which is the socle series as Ret(r_B) is r_{B/Soc(B)}.
     out.write(f"n: {b.n}\n")
@@ -238,7 +239,7 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.Reducti
     out.write(f"two_reductive: {profile.all_four}\n")
     if full:
         out.write("associated_solution:\n")
-        solution_report(profile.solution, out, tower)
+        solution_report(profile.solution, out, tower, b.dot.is_abelian)
     return profile
 
 

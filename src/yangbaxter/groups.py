@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
+from contextlib import suppress
 from functools import cached_property, lru_cache, reduce
 from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -113,6 +114,21 @@ def invert_perm(p: Sequence[int]) -> Perm:
     return tuple(out)
 
 
+def _non_permutation(rows: Sequence[Sequence[int]], n: int) -> Optional[int]:
+    """The index of the first row that is not a permutation of 0..n-1, or
+    None: one C-level pass decides, and only a fault is looked for row by row."""
+    with suppress(TypeError):
+        if set(map(len, rows)) <= {n} and set(map(frozenset, rows)) <= {frozenset(range(n))}:
+            return None
+    return _unsorted(rows, n)
+
+
+def _unsorted(rows: Iterable[Sequence[int]], n: int) -> Optional[int]:
+    """The index of the first row whose sorted entries are not 0..n-1, or None."""
+    perm = list(range(n))
+    return next((i for i, row in enumerate(rows) if sorted(row) != perm), None)
+
+
 # ---------------------------------------------------------------------------
 # Cayley-table groups
 
@@ -150,38 +166,37 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     test) and, when that fails, scanned for the first triple in lex order.
     Inverses are not searched for: a finite monoid whose left translations
     are bijections is a group, so a's inverse is where row a holds the
-    identity.
+    identity, and its columns are bijections too: they are scanned only to
+    name a fault, before the identity or the triple error.
     """
     n = len(table)
     if n == 0:
         raise ValueError("group carrier must be non-empty")
     rows = tuple(tuple(row) for row in table)
-    perm = list(range(n))
-    for i, row in enumerate(rows):
-        if sorted(row) != perm:
-            raise ValueError(f"table row {i} is not a permutation of 0..{n - 1}")
-    cols = tuple(zip(*rows))
-    for j, col in enumerate(cols):
-        if sorted(col) != perm:
-            raise ValueError(f"table column {j} is not a permutation of 0..{n - 1}")
-    ident = next((e for e in range(n) if list(rows[e]) == perm == list(cols[e])), None)
+    if (i := _non_permutation(rows, n)) is not None:
+        raise ValueError(f"table row {i} is not a permutation of 0..{n - 1}")
+    perm = identity_perm(n)
+    ident = next((e for e in range(n) if rows[e] == perm == tuple([r[e] for r in rows])), None)
+    if ident is not None:
+        group = FiniteGroup(n=n, table=rows, id=ident, inv=tuple(row.index(ident) for row in rows))
+        # (ag)c = a(gc) for all a, c and each generator g (_generators) is
+        # associativity, by induction on words in the generators; per g, the
+        # rows row_{ag} joined over a against row_a o row_g
+        enc, maps, then, join, _ = group.table_kernel
+        if all(
+            join([enc[row[g]] for row in rows]) == join(map(then, itertools.repeat(enc[g]), maps))
+            for g in _generators(rows, ident)
+        ):
+            return group
+    if (j := _unsorted(zip(*rows), n)) is not None:
+        raise ValueError(f"table column {j} is not a permutation of 0..{n - 1}")
     if ident is None:
         raise ValueError("table has no identity element")
-    group = FiniteGroup(n=n, table=rows, id=ident, inv=tuple(row.index(ident) for row in rows))
-    # (ag)c = a(gc) for all a, c and each generator g (_generators) is
-    # associativity, by induction on words in the generators; per g, the
-    # rows row_{ag} joined over a against row_a o row_g
-    enc, maps, then, join, _ = group.table_kernel
-    if not all(
-        join([enc[ag] for ag in cols[g]]) == join(map(then, itertools.repeat(enc[g]), maps))
-        for g in _generators(rows, ident)
-    ):
-        # the first triple: per a, row_{ab} joined over b against row_a
-        # composed with every row
-        every = join(enc)
-        pairs = ((join([enc[ab] for ab in row]), then(every, m)) for row, m in zip(rows, maps))
-        raise ValueError(f"associativity fails at triple {_first_triple(pairs, n)}")
-    return group
+    # the first triple: per a, row_{ab} joined over b against row_a composed
+    # with every row
+    every = join(enc)
+    pairs = ((join([enc[ab] for ab in row]), then(every, m)) for row, m in zip(rows, maps))
+    raise ValueError(f"associativity fails at triple {_first_triple(pairs, n)}")
 
 
 def _generators(table: Sequence[Sequence[int]], ident: int) -> Iterator[int]:
@@ -632,12 +647,10 @@ def perm_group_closure(
         if not gens:
             raise ValueError("degree is required when no generators are given")
         degree = len(gens[0])
-    perm = list(range(degree))
-    for g in gens:
-        if len(g) != degree:
-            raise ValueError(f"generator degree {len(g)} does not match {degree}")
-        if sorted(g) != perm:
-            raise ValueError(f"generator {g} is not a permutation")
+    if (i := _non_permutation(gens, degree)) is not None:
+        if len(gens[i]) != degree:
+            raise ValueError(f"generator degree {len(gens[i])} does not match {degree}")
+        raise ValueError(f"generator {gens[i]} is not a permutation")
     ident = identity_perm(degree)
     return PermGroup(degree=degree, generators=tuple(sorted(g for g in gens if g != ident)))
 

@@ -19,6 +19,7 @@ from math import prod
 import pytest
 
 import yangbaxter as yb
+import yangbaxter.groups as groups_module
 import yangbaxter.solution as solution_module
 from oracles import (
     distributive_oracle,
@@ -499,6 +500,37 @@ def test_finite_group_on_every_table_up_to_order_3():
             key = None if expected is None else expected.split()[1]
             seen[key] = seen.get(key, 0) + 1
     assert seen == {"row": 19_479, "column": 206, "has": 9, None: 6}, seen
+
+
+def test_finite_group_scans_columns_only_to_name_a_fault(brace_catalog, monkeypatch):
+    # a valid table is decided by the C-level row pass, its identity and
+    # Light's test: no row is sorted and no column scanned, as a group's
+    # columns are permutations by the monoid theorem.  A bad column with good
+    # rows is still named first, by the scan on the way to the error
+    rng = random.Random(48)
+    heavy = yb.product_brace(yb.z2n_brace(3), yb.trivial_brace(yb.quaternion_group()))
+    phi = rng.sample(range(heavy.n), heavy.n)
+    tables = [
+        *(g.table for _, g in yb.small_groups(8)),
+        *(g.table for _, b in brace_catalog for g in (b.dot, b.circle)),
+        *(relabel_table(g.table, phi) for g in (heavy.dot, heavy.circle)),
+    ]
+    scans = []
+
+    def scan(rows, n, _orig=groups_module._unsorted):
+        rows = list(rows)
+        scans.append(rows)
+        return _orig(rows, n)
+
+    monkeypatch.setattr(groups_module, "_unsorted", scan)
+    for rows in tables:
+        assert finite_group(rows).table == rows
+    assert scans == []
+    rows = ((0, 1, 2), (1, 2, 0), (2, 1, 0))
+    with pytest.raises(ValueError) as exc:
+        finite_group(rows)
+    assert str(exc.value) == group_oracle(rows) == "table column 1 is not a permutation of 0..2"
+    assert scans == [list(zip(*rows))]
 
 
 def test_brace_law_witnesses_match_the_triple_loop(brace_catalog):
