@@ -29,7 +29,7 @@ from .groups import (
     identity_perm,
     is_normal,
 )
-from .retraction import MultipermutationResult, _reductive_level, multipermutation_level
+from .retraction import MultipermutationResult, _reductive_level
 from .solution import FiniteSolution, TwoReductivity, VerificationError, Violation
 
 
@@ -308,8 +308,7 @@ def reductivity_profile(b: SkewBrace) -> ReductivityProfile:
     checks those equivalences against their definitions.
     """
     s = associated_solution(b)
-    level = _reductive_level if s.reductivity.holds else multipermutation_level
-    return ReductivityProfile(s, s.reductivity, level(s))
+    return ReductivityProfile(s, s.reductivity, _reductive_level(s))
 
 
 # ---------------------------------------------------------------------------

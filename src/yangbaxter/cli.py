@@ -20,7 +20,7 @@ from typing import Optional, Sequence, TextIO
 from . import brace as braces
 from . import solution as solutions
 from . import unions
-from .retraction import _reductive_level, multipermutation_level
+from .retraction import _reductive_level
 from .solution import FiniteSolution, VerificationError
 
 EXIT_OK = 0
@@ -184,7 +184,6 @@ def solution_report(s: FiniteSolution, out: TextIO, mp=None, involutive=None) ->
     red1-red4); the identities are s.reductivity.  As s is a solution, braid
     identities (i) and (ii) make left and right distributivity red3 and red4."""
     red = s.reductivity
-    mp = mp or (_reductive_level(s) if red.holds else multipermutation_level(s))
     lines = [
         ("n", s.n),
         ("involutive", solutions.is_involutive(s) if involutive is None else involutive),
@@ -200,7 +199,7 @@ def solution_report(s: FiniteSolution, out: TextIO, mp=None, involutive=None) ->
         ("red4", red.red4),
         ("two_reductive", red.holds),
         ("condition_star", solutions.satisfies_condition_star(s)),
-        ("mp_level", mp.describe()),
+        ("mp_level", (mp or _reductive_level(s)).describe()),
     ]
     for key, value in lines:
         out.write(f"{key}: {value}\n")

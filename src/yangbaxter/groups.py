@@ -55,14 +55,15 @@ class RowKernel(namedtuple("RowKernel", "rows maps then join invert")):
     join: Callable
     invert: Callable
 
-    @cached_property
-    def classes(self) -> tuple[list[int], list[int]]:
-        """(reps, cls): the first index of each distinct row, in order, and
-        each row's position in reps, so rows[x] == rows[reps[cls[x]]]."""
-        first: dict = {}
-        ids = [first.setdefault(row, x) for x, row in enumerate(self.rows)]
-        reps = list(first.values())
-        return reps, list(map(dict(zip(reps, range(len(reps)))).__getitem__, ids))
+
+def _row_classes(rows: Sequence) -> tuple[list[int], list[int]]:
+    """(reps, cls): the first index of each distinct row, in order, and each
+    row's class, its position in reps, so rows[x] == rows[reps[cls[x]]]; the
+    one place that tells equal rows apart (FiniteSolution caches its own)."""
+    first: dict = {}
+    ids = [first.setdefault(row, x) for x, row in enumerate(rows)]
+    reps = list(first.values())
+    return reps, list(map(dict(zip(reps, range(len(reps)))).__getitem__, ids))
 
 
 def _row_kernel(table: Sequence[Sequence[int]]) -> RowKernel:

@@ -32,11 +32,12 @@ class SolutionPartition(namedtuple("SolutionPartition", "n blocks")):
 
 def relation(s: FiniteSolution, kind: str) -> SolutionPartition:
     """The partition by equal sigma rows (kind "sim"), equal tau rows
-    ("cosim"), or both ("approx")."""
-    keys = {"sim": s.sigma, "cosim": s.tau, "approx": zip(s.sigma, s.tau)}
+    ("cosim"), or both ("approx"), read off the rows' classes."""
+    sid, tid = s.sigma_classes[1], s.tau_classes[1]
+    keys = {"sim": sid, "cosim": tid, "approx": zip(sid, tid)}
     if kind not in keys:
         raise ValueError(f"unknown relation kind {kind!r}")
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[object, list[int]] = {}
     for x, key in enumerate(keys[kind]):
         groups.setdefault(key, []).append(x)
     return SolutionPartition(n=s.n, blocks=_sorted_blocks(groups.values()))
@@ -100,18 +101,18 @@ def quotient_solution(s: FiniteSolution, p: SolutionPartition) -> QuotientSoluti
 def _quotient(s: FiniteSolution, p: SolutionPartition) -> QuotientSolution:
     """quotient_solution for a partition known to be a congruence; not
     verified again, as a quotient by a congruence is a solution (a test
-    checks it).  Each distinct sigma- and tau-row of the blocks' first
+    checks it).  Each class of sigma- and tau-rows among the blocks' first
     points is read at those points and mapped to blocks once."""
     blk = p.block_of
     reps = [block[0] for block in p.blocks]
 
-    def mapped(table):
-        rows = [table[a] for a in reps]
-        image = {row: tuple([blk[row[b]] for b in reps]) for row in dict.fromkeys(rows)}
-        return tuple(map(image.__getitem__, rows))
+    def mapped(table, classes):
+        firsts, ids = classes[0], [classes[1][a] for a in reps]
+        image = {c: tuple([blk[table[firsts[c]][b]] for b in reps]) for c in set(ids)}
+        return tuple(map(image.__getitem__, ids))
 
-    quotient = FiniteSolution(n=len(reps), sigma=mapped(s.sigma), tau=mapped(s.tau))
-    return QuotientSolution(solution=quotient, projection=blk)
+    sigma, tau = mapped(s.sigma, s.sigma_classes), mapped(s.tau, s.tau_classes)
+    return QuotientSolution(solution=FiniteSolution(len(reps), sigma, tau), projection=blk)
 
 
 def retraction(s: FiniteSolution) -> QuotientSolution:
@@ -157,11 +158,14 @@ def multipermutation_level(s: FiniteSolution) -> MultipermutationResult:
 
 
 def _reductive_level(s: FiniteSolution) -> MultipermutationResult:
-    """multipermutation_level of tables with red1-red4, using no braid:
-    red1, red4 give sigma_x(y) ~ y and red3, red2 tau_x(y) ~ y, so the
-    retraction is the projection solution on the r approx classes, and r < n
-    for n > 1 (a row moves y into its class, or all rows are the identity)."""
-    sizes = tuple(dict.fromkeys((s.n, len(set(zip(s.sigma, s.tau))), 1)))
+    """multipermutation_level of a solution, in closed form with red1-red4,
+    using no braid: red1, red4 give sigma_x(y) ~ y and red3, red2
+    tau_x(y) ~ y, so the retraction is the projection solution on the r
+    approx classes, and r < n for n > 1 (a row moves y into its class, or
+    all rows are the identity)."""
+    if not s.reductivity.holds:
+        return multipermutation_level(s)
+    sizes = tuple(dict.fromkeys((s.n, len(set(zip(s.sigma_classes[1], s.tau_classes[1]))), 1)))
     return MultipermutationResult(level=len(sizes) - 1, tower_sizes=sizes)
 
 

@@ -15,7 +15,8 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 from .groups import (
-    Perm,
+    RowKernel,
+    _row_classes,
     _row_kernel,
     _table_pair,
     compose,
@@ -49,16 +50,19 @@ class FiniteSolution(namedtuple("FiniteSolution", "n sigma tau")):
     def r(self, x: int, y: int) -> tuple[int, int]:
         return self.sigma[x][y], self.tau[y][x]
 
-    @cached_property
-    def sigma_inv(self) -> tuple[Perm, ...]:
-        return tuple(invert_perm(row) for row in self.sigma)
-
-    @cached_property
-    def tau_inv(self) -> tuple[Perm, ...]:
-        return tuple(invert_perm(row) for row in self.tau)
-
     sigma_kernel = cached_property(lambda self: _row_kernel(self.sigma))
     tau_kernel = cached_property(lambda self: _row_kernel(self.tau))
+    # which rows are equal (groups._row_classes), for every check that asks
+    sigma_classes = cached_property(lambda self: _row_classes(self.sigma))
+    tau_classes = cached_property(lambda self: _row_classes(self.tau))
+
+    @cached_property
+    def class_kernel(self) -> RowKernel:
+        """The row kernel of [the sigma- and tau-rows' classes, the distinct
+        sigma-rows, the distinct tau-rows], for is_2reductive and commuting_rows."""
+        (sig_reps, sid), (tau_reps, tid) = self.sigma_classes, self.tau_classes
+        return _row_kernel([sid, tid, *map(self.sigma.__getitem__, sig_reps),
+                            *map(self.tau.__getitem__, tau_reps)])
 
     @cached_property
     def reductivity(self) -> TwoReductivity:
@@ -77,11 +81,10 @@ class FiniteSolution(namedtuple("FiniteSolution", "n sigma tau")):
         columns in the order g_i(0), g_i(1), ... reads g_j g_i(k).
         """
         n, perm = self.n, list(range(self.n))
-        rows = list(dict.fromkeys(self.sigma + self.tau))
+        (_, _, *rows), (_, _, *maps), then, join, _ = self.class_kernel
         if not all(sorted(row) == perm for row in rows):
             return False
-        enc, maps, then, join, _ = _row_kernel(rows)
-        every = join(enc)
+        every = join(rows)
         cols = [every[k::n] for k in range(n)]
         by_cols = join(cols)
         return all(then(by_cols, m) == join(map(cols.__getitem__, row))
@@ -142,7 +145,7 @@ def _distributes(kernel) -> bool:
     laid out over the n points y by one join.  That is d comparisons of
     n^2-entry rows, made by d(d + 1) compositions."""
     rows, maps, then, join, _ = kernel
-    reps, cls = kernel.classes
+    reps, cls = _row_classes(rows)
     rep_maps, every = [maps[w] for w in reps], join(rows)
     for x in reps:
         after = list(map(then, repeat(rows[x]), rep_maps))
@@ -204,10 +207,11 @@ def _violation(s: FiniteSolution) -> Optional[Violation]:
     if len(ta) != n:
         return Violation("tau-row", ("row count", len(ta), n))
     perm = list(range(n))
-    for check, table in (("sigma-row", sig), ("tau-row", ta)):
-        for row in dict.fromkeys(table):
-            if sorted(row) != perm:
-                return Violation(check, (table.index(row),))
+    for check, table, (reps, _) in (("sigma-row", sig, s.sigma_classes),
+                                    ("tau-row", ta, s.tau_classes)):
+        for x in reps:
+            if sorted(table[x]) != perm:
+                return Violation(check, (x,))
     if s.reductivity.holds and s.commuting_rows:
         return None
     s_kernel, tau_cols = s.sigma_kernel, list(zip(*ta))
@@ -312,10 +316,7 @@ def is_square_free(s: FiniteSolution) -> bool:
 
 
 def is_permutational(s: FiniteSolution) -> bool:
-    return (
-        all(row == s.sigma[0] for row in s.sigma)
-        and all(row == s.tau[0] for row in s.tau)
-    )
+    return len(s.sigma_classes[0]) <= 1 and len(s.tau_classes[0]) <= 1
 
 
 def is_projection(s: FiniteSolution) -> bool:
@@ -345,18 +346,14 @@ def is_2reductive(s: FiniteSolution) -> TwoReductivity:
     """The four identities, each as one comparison of composed rows per
     distinct sigma- or tau-row.
 
-    Give each distinct sigma-row the first index that has it, sid[y], and
-    each tau-row likewise, tid[y].  Then sigma_{sigma_x(y)} = sigma_y for
-    every y says sid o sigma_x = sid, and the other three alike: each
-    identity composes sid or tid with every distinct sigma- or tau-row.
+    With sid[y] the class of sigma_y and tid[y] that of tau_y
+    (FiniteSolution.sigma_classes, tau_classes), sigma_{sigma_x(y)} = sigma_y
+    for every y says sid o sigma_x = sid, and the other three alike: each
+    identity composes sid or tid with every distinct sigma- or tau-row
+    (FiniteSolution.class_kernel).
     """
-    sig_first, tau_first = {}, {}
-    sid = [sig_first.setdefault(row, x) for x, row in enumerate(s.sigma)]
-    tid = [tau_first.setdefault(row, x) for x, row in enumerate(s.tau)]
-    rows, maps, then, *_ = _row_kernel([sid, tid, *sig_first, *tau_first])
-    split = len(sig_first) + 2
-    sid, tid, sid_map, tid_map = rows[0], rows[1], maps[0], maps[1]
-    sigma_rows, tau_rows = rows[2:split], rows[split:]
+    (sid, tid, *rows), (sid_map, tid_map, *_), then, *_ = s.class_kernel
+    sigma_rows, tau_rows = rows[:len(s.sigma_classes[0])], rows[len(s.sigma_classes[0]):]
     return TwoReductivity(
         red1=all(then(row, sid_map) == sid for row in sigma_rows),
         red2=all(then(row, tid_map) == tid for row in tau_rows),

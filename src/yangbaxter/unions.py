@@ -208,7 +208,7 @@ def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
         raise ValueError("solution is not 2-reductive")
     if not s.commuting_rows:
         raise ValueError("tables are not a solution: their rows are not commuting permutations")
-    rows = list(dict.fromkeys(s.sigma + s.tau))
+    _, _, *rows = s.class_kernel.rows       # the distinct sigma- and tau-rows
     reached: dict[int, tuple[int, int]] = {}    # z -> (g, z'): z = rows[g](z')
     orbs, groups, at = [], [], 0
     # each point's element of its block, and its point of the rebuilt carrier

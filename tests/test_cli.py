@@ -767,9 +767,9 @@ def test_brace_request_composes_lambda_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, builds", [
-    (["verify", "s"], 2),
+    (["verify", "s"], 1),
     (["verify", "big"], 4),
-    (["classify", "s", "t"], 4),
+    (["classify", "s", "t"], 2),
     (["brace", "b"], 4),
     (["brace", "b", "--report", "full"], 4),
 ], ids=["verify-2-reductive", "verify-not-2-reductive", "classify", "brace", "brace-full"])
@@ -777,10 +777,11 @@ def test_requests_build_few_row_kernels(tmp_path, capsys, monkeypatch, argv, bui
     # a table owned by a record is encoded once, on it: a group's table
     # (finite_group, then the brace law) and a solution's sigma (the birack
     # check).  The other builds are tables of their own: the lambdas (brace
-    # law), the distinct rows (is_2reductive, commuting_rows), and tau's
-    # columns and the derived rows (birack check of a table that is not
-    # 2-reductive).  No report encodes sigma or tau, as its distributivity
-    # lines are red3 and red4, and the rhos are gathered entry by entry.
+    # law), the row classes and distinct rows (FiniteSolution.class_kernel,
+    # which is_2reductive and commuting_rows share), and tau's columns and
+    # the derived rows (birack check of a table that is not 2-reductive).
+    # No report encodes sigma or tau, as its distributivity lines are red3
+    # and red4, and the rhos are gathered entry by entry.
     s = yb.union_to_solution(yb.enumerate_2reductive(4)[100])
     inputs = {
         "s": s, "t": yb.relabel(s, [3, 1, 0, 2]),
@@ -791,6 +792,20 @@ def test_requests_build_few_row_kernels(tmp_path, capsys, monkeypatch, argv, bui
     calls = _count_calls(monkeypatch, {"_row_kernel": groups._row_kernel})
     assert main(argv) == 0
     assert calls == {"_row_kernel": builds}
+
+
+@pytest.mark.parametrize("argv", [["verify", "s"], ["classify", "s", "t"]],
+                         ids=["verify", "classify"])
+def test_requests_class_each_table_once(tmp_path, capsys, monkeypatch, argv):
+    # equal rows are told apart once per table of each loaded solution: the
+    # input check, red1-red4, the commuting rows, the report's level and the
+    # decomposition all read the solution's record of row classes
+    s = yb.union_to_solution(yb.enumerate_2reductive(4)[100])
+    inputs = {"s": s, "t": yb.relabel(s, [3, 1, 0, 2])}
+    argv = [write(tmp_path, f"{a}.json", inputs[a].to_dict()) if a in inputs else a for a in argv]
+    calls = _count_calls(monkeypatch, {"_row_classes": groups._row_classes})
+    assert main(argv) == 0
+    assert calls == {"_row_classes": 2 * len(argv[1:])}
 
 
 def test_classify_checks_2_reductivity_once_per_file(tmp_path, capsys, monkeypatch):

@@ -60,9 +60,9 @@ CACHED = {
     "AbelianGroup": {"automorphisms", "as_finite_group"},
     "PermGroup": {"elements", "is_abelian"},
     "FiniteGroup": {"table_kernel", "is_abelian"},
-    "RowKernel": {"classes"},
     "FiniteSolution": {
-        "sigma_inv", "tau_inv", "sigma_kernel", "tau_kernel", "reductivity", "commuting_rows",
+        "sigma_kernel", "tau_kernel", "sigma_classes", "tau_classes", "class_kernel",
+        "reductivity", "commuting_rows",
     },
     "SkewBrace": {"lambdas", "rhos"},
 }

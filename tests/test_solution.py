@@ -10,6 +10,7 @@ import pytest
 
 import yangbaxter as yb
 from oracles import class_key, relabel_table, validate_oracle
+from yangbaxter.groups import invert_perm
 from yangbaxter.solution import (
     _braid_mismatch,
     parse_solution_text,
@@ -225,7 +226,7 @@ def test_left_distributivity_five_equivalent_formulations(small_solutions, brace
             for y in range(s.n)
         )
         via_hat_tau = all(
-            inv.tau[x] == s.sigma_inv[x] for x in range(s.n)
+            inv.tau[x] == invert_perm(s.sigma[x]) for x in range(s.n)
         )
         via_aut = all(_is_solution_automorphism(s, s.sigma[x]) for x in range(s.n))
         assert via_identity == via_red3 == via_solbi == via_hat_tau == via_aut
@@ -239,7 +240,7 @@ def test_right_distributivity_equivalent_formulations(small_solutions):
         via_solbir = all(
             s.tau[inv.tau[x][y]] == s.tau[y] for x in range(s.n) for y in range(s.n)
         )
-        via_hat_sigma = all(inv.sigma[x] == s.tau_inv[x] for x in range(s.n))
+        via_hat_sigma = all(inv.sigma[x] == invert_perm(s.tau[x]) for x in range(s.n))
         via_aut = all(_is_solution_automorphism(s, s.tau[x]) for x in range(s.n))
         assert via_identity == via_red4 == via_solbir == via_hat_sigma == via_aut
 
