@@ -22,7 +22,6 @@ from .groups import (
     _row_kernel,
     _table_pair,
     center,
-    compose,
     cyclic_group,
     direct_product_group,
     finite_group,
@@ -54,19 +53,30 @@ class SkewBrace(namedtuple("SkewBrace", "dot circle")):
 
     @cached_property
     def lambdas(self) -> tuple[Perm, ...]:
-        """lambda_a(b) = a^-1 . (a o b); each an automorphism of (B, .)."""
-        dot_rows, circ_rows = self.dot.table, self.circle.table
-        return tuple(compose(dot_rows[ai], circ_rows[a]) for a, ai in enumerate(self.dot.inv))
+        """lambda_a(b) = a^-1 . (a o b), an automorphism of (B, .): circle row
+        a, then dot row a^-1, one kernel call per a."""
+        (_, dot_maps, then, *_), circ = self.dot.table_kernel, self.circle.table_kernel
+        return tuple([tuple(then(circ.rows[a], dot_maps[i])) for a, i in enumerate(self.dot.inv)])
+
+    # built by the brace law in verify_brace, read again by rhos
+    lambda_kernel = cached_property(lambda self: _row_kernel(self.lambdas))
 
     @cached_property
     def rhos(self) -> tuple[Perm, ...]:
-        """rho_y(x) = c o x o y, c the circle inverse of lambda_x(y)
-        (Guarnieri and Vendramin, Math. Comp. 86, 2017): per y, a gather
-        down circle column y, where x o y is read."""
-        ct, lams = self.circle.table, self.lambdas
-        left = [ct[c] for c in self.circle.inv]     # the row of each inverse
-        return tuple(tuple([left[lam[y]][xy] for lam, xy in zip(lams, col)])
-                     for y, col in enumerate(zip(*ct)))
+        """rho_y(x) = v o x o y, v the circle inverse of w = lambda_x(y)
+        (Guarnieri and Vendramin, Math. Comp. 86, 2017).  As x o y = x . w
+        and lambda_v(w) = v^-1 . (v o w) = v^-1, that is v . lambda_v(x . w)
+        = v . lambda_v(x) . v^-1 = (v o x) . v^-1 =: P_w(x): circle row v,
+        then dot column v^-1.  So column x of rho, y -> rho_y(x), is
+        Q_x o lambda_x, with Q_x(w) = P_w(x) column x of P.  Columns are
+        strided slices of rows joined, padded as maps: 2n compositions, on
+        byte or tuple rows."""
+        n, (dot_rows, dot_maps, then, join, _) = self.n, self.dot.table_kernel
+        pad, every, circ_rows = dot_maps[0][n:], join(dot_rows), self.circle.table_kernel.rows
+        right = [every[c::n] + pad for c in self.dot.inv]     # z -> z . c^-1, per c
+        p = join([then(circ_rows[v], right[v]) for v in self.circle.inv])
+        cols = join([then(lam, p[x::n] + pad) for x, lam in enumerate(self.lambda_kernel.rows)])
+        return tuple([tuple(cols[y::n]) for y in range(n)])
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +99,7 @@ def _brace_law_failure(b: SkewBrace) -> Optional[tuple[int, int, int]]:
     b joined over a, and only a failed verdict scans them per a joined over b.
     """
     dot_rows, dot_maps, then, join, _ = b.dot.table_kernel
-    lam_rows, lam_maps, *_ = _row_kernel(b.lambdas)
+    lam_rows, lam_maps, *_ = b.lambda_kernel
     if all(
         join(map(then, repeat(dot_rows[g]), lam_maps))
         == join(map(then, lam_rows, [dot_maps[lam[g]] for lam in lam_rows]))
@@ -259,15 +269,16 @@ class KernelReport(namedtuple(
 
 
 def kernel_ideals(b: SkewBrace) -> KernelReport:
+    """Ker lambda and Ker rho, and whether each is an ideal.
+
+    Ker lambda is normal in (B, o), as lambda's kernel.  For x in it,
+    x o a-bar = x . a-bar, so a o x o a-bar = a . lambda_a(x) . lambda_a(a-bar)
+    = a . lambda_a(x) . a^-1 lies in Ker lambda; when that is normal in
+    (B, .), so does lambda_a(x).  It is an ideal iff it is normal in (B, .)."""
     ident = identity_perm(b.n)
     ker_lam = tuple(a for a in range(b.n) if b.lambdas[a] == ident)
     ker_rho = tuple(a for a in range(b.n) if b.rhos[a] == ident)
-    return KernelReport(
-        ker_lambda=ker_lam,
-        ker_rho=ker_rho,
-        ker_lambda_is_ideal=is_ideal(b, ker_lam),
-        ker_rho_is_ideal=is_ideal(b, ker_rho),
-    )
+    return KernelReport(ker_lam, ker_rho, is_normal(b.dot, ker_lam), is_ideal(b, ker_rho))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Optional, Sequence, TextIO
 from . import brace as braces
 from . import solution as solutions
 from . import unions
+from .groups import _gather
 from .retraction import _reductive_level
 from .solution import FiniteSolution, VerificationError
 
@@ -123,6 +124,20 @@ def _d_lines(run: bytes, d_half: bytes) -> bytes:
     for p, at in enumerate(offsets):
         text[at::size] = digits[p::width]
     return bytes(text)
+
+
+def write_solution(s: FiniteSolution, stream: TextIO) -> None:
+    """json.dumps(s.to_dict()) and a newline, byte for byte, from the strings
+    of 0..n-1 made once; each distinct row (s.sigma_classes, tau_classes) is
+    laid out once, by one gather."""
+    digits = list(map(str, range(s.n)))
+
+    def table(rows, classes) -> str:
+        text = ["[" + ", ".join(_gather(rows[r])(digits)) + "]" for r in classes[0]]
+        return "[" + ", ".join(map(text.__getitem__, classes[1])) + "]"
+
+    sigma, tau = table(s.sigma, s.sigma_classes), table(s.tau, s.tau_classes)
+    stream.write(f'{{"n": {s.n}, "sigma": {sigma}, "tau": {tau}}}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +380,7 @@ def cmd_brace(args) -> int:
         sol_out = stack.enter_context(_create(args.solution_out)) if args.solution_out else None
         profile = brace_report(b, full=args.report == "full", out=sys.stdout)
         if sol_out is not None:
-            sol_out.write(json.dumps(profile.solution.to_dict()) + "\n")
+            write_solution(profile.solution, sol_out)
     return EXIT_OK
 
 

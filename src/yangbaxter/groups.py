@@ -12,7 +12,7 @@ import operator
 from collections import namedtuple
 from contextlib import suppress
 from functools import cached_property, lru_cache, reduce
-from math import prod
+from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -436,6 +436,10 @@ class AbelianGroup(namedtuple("AbelianGroup", "factors")):
         return self.as_finite_group.inv[a]
 
     def generates(self, elems: Iterable[int]) -> bool:
+        """Whether elems generate the group; in Z_m iff their gcd with m is 1 (no table)."""
+        elems = list(elems)
+        if len(self.factors) <= 1 and all(0 <= x < self.n for x in elems):
+            return gcd(self.n, *elems) == 1
         return len(subgroup_generated(self.as_finite_group, elems)) == self.n
 
     @cached_property

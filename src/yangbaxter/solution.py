@@ -372,8 +372,11 @@ def is_right_distributive(s: FiniteSolution) -> bool:
 
 def satisfies_condition_star(s: FiniteSolution) -> bool:
     """Both fixed-point conditions: every x is fixed by some sigma_y and some
-    tau_y, that is, x is in column x of sigma and of tau."""
-    return all(x in col for table in (s.sigma, s.tau) for x, col in enumerate(zip(*table)))
+    tau_y, that is, x is in column x of the distinct sigma- and tau-rows
+    (FiniteSolution.sigma_classes, tau_classes), as equal rows fix the same points."""
+    tables = ((s.sigma, s.sigma_classes), (s.tau, s.tau_classes))
+    return all(x in col for table, (reps, _) in tables
+               for x, col in enumerate(zip(*map(table.__getitem__, reps))))
 
 
 # ---------------------------------------------------------------------------

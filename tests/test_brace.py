@@ -316,14 +316,40 @@ def test_z2n_builders():
 
 
 def test_rhos_at_edge_sizes():
-    # order 1, and order 258, above the 256 points of byte rows: the twisted
-    # Z258 and the almost-trivial dihedral brace, whose 258 lambdas (the
-    # conjugations of a centreless group) are all distinct
-    for b in (yb.trivial_brace(yb.cyclic_group(1)), yb.z2n_brace(129),
+    # order 1; 255 and 256, the largest byte rows, padded by one byte and by
+    # none; 257 and 258, tuple rows: the twisted Z258 and the almost-trivial
+    # dihedral brace, whose 258 lambdas (the conjugations of a centreless
+    # group) are all distinct.  Every group of order 255 or 257 is cyclic,
+    # so those braces are trivial
+    for b in (yb.trivial_brace(yb.cyclic_group(1)), yb.trivial_brace(yb.cyclic_group(255)),
+              yb.almost_trivial_brace(yb.dihedral_group(128)),
+              yb.trivial_brace(yb.cyclic_group(257)), yb.z2n_brace(129),
               yb.almost_trivial_brace(yb.dihedral_group(129))):
         lams, rhos = lambdas_rhos(b.dot.table, b.circle.table)
         assert (b.lambdas, b.rhos) == (lams, rhos), b.n
-        assert all(type(row) is tuple for row in b.rhos), b.n
+        assert all(type(row) is tuple for row in b.lambdas + b.rhos), b.n
+        assert {type(x) for row in b.lambdas + b.rhos for x in row} == {int}, b.n
+
+
+def test_lambdas_and_rhos_match_the_definitions(brace_catalog):
+    # both are composed on row kernels; the oracle reads every entry
+    for name, b in brace_catalog:
+        for side in (b, yb.opposite_brace(b)):
+            lams, rhos = lambdas_rhos(side.dot.table, side.circle.table)
+            assert (side.lambdas, side.rhos) == (lams, rhos), name
+
+
+def test_ker_lambda_is_an_ideal_iff_dot_normal(brace_catalog):
+    # kernel_ideals decides Ker lambda by dot-normality alone (the theorem
+    # in its docstring); is_ideal checks both groups and every lambda_a
+    verdicts = []
+    for name, b in brace_catalog:
+        for side in (b, yb.opposite_brace(b)):
+            kernels = yb.kernel_ideals(side)
+            assert kernels.ker_lambda_is_ideal == yb.is_ideal(side, kernels.ker_lambda), name
+            assert kernels.ker_rho_is_ideal == yb.is_ideal(side, kernels.ker_rho), name
+            verdicts.append(kernels.ker_lambda_is_ideal)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_z2n_dual_is_2reductive():

@@ -637,6 +637,22 @@ def test_brace_report_and_solution_out(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize("n", [1, 10, 11, 100, 101, 258])
+def test_write_solution_is_json_dumps_of_to_dict(n):
+    # one- to three-digit entries, byte rows and tuple rows; relabelled, so
+    # that the rows of one class are not the rows of a block
+    braces = {
+        1: yb.trivial_brace(yb.cyclic_group(1)), 10: yb.z2n_brace(5),
+        11: yb.trivial_brace(yb.cyclic_group(11)),
+        100: yb.almost_trivial_brace(yb.dihedral_group(50)),
+        101: yb.trivial_brace(yb.cyclic_group(101)), 258: yb.z2n_brace(129),
+    }
+    s = yb.relabel(yb.associated_solution(braces[n]), random.Random(n).sample(range(n), n))
+    out = io.StringIO()
+    cli.write_solution(s, out)
+    assert out.getvalue() == json.dumps(s.to_dict()) + "\n"
+
+
 def test_brace_unwritable_solution_out_fails_before_the_report(tmp_path, capsys):
     path = write(tmp_path, "z6.json", yb.z2n_brace(3).to_dict())
     sol_out = str(tmp_path / "missing" / "assoc.json")
@@ -781,7 +797,8 @@ def test_requests_build_few_row_kernels(tmp_path, capsys, monkeypatch, argv, bui
     # which is_2reductive and commuting_rows share), and tau's columns and
     # the derived rows (birack check of a table that is not 2-reductive).
     # No report encodes sigma or tau, as its distributivity lines are red3
-    # and red4, and the rhos are gathered entry by entry.
+    # and red4, and the rhos are composed on the dot, circle and lambda
+    # kernels, building none.
     s = yb.union_to_solution(yb.enumerate_2reductive(4)[100])
     inputs = {
         "s": s, "t": yb.relabel(s, [3, 1, 0, 2]),

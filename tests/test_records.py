@@ -64,7 +64,7 @@ CACHED = {
         "sigma_kernel", "tau_kernel", "sigma_classes", "tau_classes", "class_kernel",
         "reductivity", "commuting_rows",
     },
-    "SkewBrace": {"lambdas", "rhos"},
+    "SkewBrace": {"lambdas", "lambda_kernel", "rhos"},
 }
 
 

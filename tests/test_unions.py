@@ -28,6 +28,7 @@ from oracles import (
     union_tables,
     witness_scan,
 )
+from yangbaxter import cli
 from yangbaxter import groups as groups_module
 from yangbaxter import unions as unions_module
 from yangbaxter.groups import _gather, invert_perm
@@ -831,3 +832,29 @@ def test_union_from_dict_requires_invariant_factor_form():
         yb.union_from_dict({"groups": [[3, 2]], "C": [[1]], "D": [[0]]})
     u = yb.union_from_dict({"groups": [[6]], "C": [[1]], "D": [[0]]})
     assert u.groups[0].factors == (6,)
+
+
+def test_loading_a_cyclic_block_builds_no_table(tmp_path, monkeypatch):
+    # C and D generate Z_m iff their entries' gcd with m is 1: a Z_2000
+    # block loads without its 4,000,000-entry table
+    def spy(block):
+        raise AssertionError(f"{block.label()} table built")
+
+    monkeypatch.setattr(yb.AbelianGroup, "as_finite_group", property(spy))
+    path = tmp_path / "u.json"
+    path.write_text('{"groups": [[2000]], "C": [[1]], "D": [[1]]}')
+    kind, u = cli.load_payload(str(path))
+    assert kind == "union" and u.groups == (yb.abelian_group([2000]),)
+    with pytest.raises(ValueError, match="^C, D: column 0 entries do not generate block 0$"):
+        yb.union_from_dict({"groups": [[2000]], "C": [[2]], "D": [[1000]]})
+
+
+def test_cyclic_generates_by_gcd_matches_the_table():
+    for m in range(1, 31):
+        g = yb.abelian_group([m])
+        table = g.as_finite_group
+        for gens in itertools.chain([()], itertools.product(range(m), repeat=2)):
+            assert g.generates(gens) == (len(yb.subgroup_generated(table, gens)) == m), (m, gens)
+    # an element out of range is refused, as by the table route
+    with pytest.raises(ValueError, match="^element 5 out of range$"):
+        yb.abelian_group([5]).generates([1, 5])
