@@ -273,8 +273,9 @@ def kernel_ideals(b: SkewBrace) -> KernelReport:
 
     Ker lambda is normal in (B, o), as lambda's kernel.  For x in it,
     x o a-bar = x . a-bar, so a o x o a-bar = a . lambda_a(x) . lambda_a(a-bar)
-    = a . lambda_a(x) . a^-1 lies in Ker lambda; when that is normal in
-    (B, .), so does lambda_a(x).  It is an ideal iff it is normal in (B, .)."""
+    = a . lambda_a(x) . a^-1 lies in Ker lambda; when Ker lambda is normal
+    in (B, .), lambda_a(x) lies in it too.  So it is an ideal iff it is
+    normal in (B, .)."""
     ident = identity_perm(b.n)
     ker_lam = tuple(a for a in range(b.n) if b.lambdas[a] == ident)
     ker_rho = tuple(a for a in range(b.n) if b.rhos[a] == ident)
