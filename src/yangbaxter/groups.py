@@ -443,8 +443,21 @@ class AbelianGroup(namedtuple("AbelianGroup", "factors")):
         return len(subgroup_generated(self.as_finite_group, elems)) == self.n
 
     @cached_property
+    def units(self) -> Optional[tuple[int, ...]]:
+        """Of Z_m (at most one factor, so Z1 too) the units mod m; else None."""
+        m = self.n
+        return tuple(u for u in range(m) if gcd(u, m) == 1) if len(self.factors) <= 1 else None
+
+    def scaled(self, u: int) -> Perm:
+        m = self.n
+        return tuple([u * x % m for x in range(m)])
+
+    @cached_property
     def automorphisms(self) -> tuple[Perm, ...]:
-        """All automorphisms, sorted."""
+        """All automorphisms, sorted.  Aut(Z_m) = {x -> u x : gcd(u, m) = 1},
+        sorted by u with no search: psi(0) = 0 and psi(1) = u."""
+        if self.units is not None:
+            return tuple(map(self.scaled, self.units))
         return tuple(sorted(_isomorphisms(self, self.as_finite_group)))
 
     @cached_property

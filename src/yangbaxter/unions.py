@@ -294,10 +294,10 @@ def unions_isomorphic(
     the least automorphism, as a tuple, sending column j of u1 to column
     pi(j) of u2: the first extension of those forced images to the elements
     of A_j in index order.  When the column generates A_j, as it does in
-    every validated union, that psi_j is the only one.
+    every validated union, that psi_j is the only one.  Aut(Z_m) = {x -> u x
+    : gcd(u, m) = 1} and psi(1) = u: a Z_m block takes the least unit that fits.
     """
-    types1 = [g.factors for g in u1.groups]
-    types2 = [g.factors for g in u2.groups]
+    types1, types2 = ([g.factors for g in u.groups] for u in (u1, u2))
     if sorted(types1) != sorted(types2):
         return None
     # the columns of each matrix
@@ -309,7 +309,11 @@ def unions_isomorphic(
             # then every element, so that the first map is the least tuple
             images = [*map(c2[pi[j]].__getitem__, pi), *map(d2[pi[j]].__getitem__, pi)]
             steps = [*c1[j], *d1[j], *range(g.n)]
-            psi = next(_isomorphisms(g, g.as_finite_group, steps, images), None)
+            if g.units is None:
+                psi = next(_isomorphisms(g, g.as_finite_group, steps, images), None)
+            else:
+                fits = (u for u in g.units if all(u * x % g.n == y for x, y in zip(steps, images)))
+                psi = next(map(g.scaled, fits), None)
             if psi is None:
                 break
             psis.append(psi)
@@ -367,10 +371,10 @@ def canonical_form(u: AbelianUnion) -> AbelianUnion:
     position where two images differ lies in one column.  So the least
     (flattened C', flattened D') under pi takes, in each column pi(j), the
     least image under Aut(A_j) of that column's entries read top to bottom,
-    C's then D's: one least-image search per column, the sum of the |Aut|
-    rather than their product.  The least over every pi is the form.
-    Columns repeat across block bijections, so their least images are kept
-    for the rest of the call.
+    C's then D's: one least-image search per column (of Z_m a minimum over
+    the units u, as Aut(Z_m) = {x -> u x : gcd(u, m) = 1}), the sum of the
+    |Aut| rather than their product.  The least over every pi is the form.
+    Columns repeat across block bijections, so their least images are kept.
     """
     k = u.k
     order = sorted(range(k), key=lambda i: _type_key(u.groups[i].factors))
@@ -411,7 +415,10 @@ def canonical_form(u: AbelianUnion) -> AbelianUnion:
 
 def _least_image(g: AbelianGroup, col: tuple[int, ...]) -> tuple[int, ...]:
     """The lexicographically least image of a tuple of elements of g under
-    Aut(g): the images of the first automorphism in that order."""
+    Aut(g), {x -> u x : gcd(u, m) = 1} for Z_m: the first map's images in that order."""
+    if g.units is not None:
+        m = g.n
+        return min(tuple([u * x % m for x in col]) for u in g.units)
     psi = next(_isomorphisms(g, g.as_finite_group, col))
     return tuple(map(psi.__getitem__, col))
 

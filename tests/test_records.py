@@ -57,7 +57,7 @@ def _samples():
 
 SAMPLES = _samples()
 CACHED = {
-    "AbelianGroup": {"automorphisms", "as_finite_group"},
+    "AbelianGroup": {"units", "automorphisms", "as_finite_group"},
     "PermGroup": {"elements", "is_abelian"},
     "FiniteGroup": {"table_kernel", "is_abelian"},
     "FiniteSolution": {

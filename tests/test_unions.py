@@ -252,6 +252,54 @@ def test_decomposition_searches_only_non_cyclic_blocks(monkeypatch):
         assert yb.unions_isomorphic(dec.union, u) is not None
 
 
+def test_forms_and_isomorphisms_search_only_non_cyclic_blocks(monkeypatch):
+    # Aut(Z_m) is x -> u x over the units of m: canonical_form and
+    # unions_isomorphic search no cyclic or trivial block and build no table
+    # for it; a Z2xZ2 block is searched, and its table read, alone
+    z6_z4_z1 = {"groups": [[6], [4], []], "C": [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
+                "D": [[0, 0, 0], [1, 1, 0], [0, 0, 0]]}
+    with_z2_z2 = {"groups": [[6], [4], [2, 2], []],
+                  "C": [[1, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                  "D": [[0, 0, 0, 0], [1, 1, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}
+    rng = random.Random(128)
+    pairs = []
+    for data in (z6_z4_z1, with_z2_z2):
+        u = yb.union_from_dict(data)
+        s = yb.relabel(yb.union_to_solution(u), rng.sample(range(u.n), u.n))
+        pairs.append((yb.solution_to_union(s).union, u))
+    # Z2500+Z2500 and a twin with its columns scaled by the units 7 and 3
+    big = yb.union_from_dict({"groups": [[2500], [2500]], "C": [[1, 0], [0, 1]],
+                              "D": [[1, 0], [0, 1]]})
+    twin = AbelianUnion(groups=big.groups, c=((7, 0), (0, 3)), d=((7, 0), (0, 3)))
+    pairs.append((big, twin))
+    searched, tables = [], []
+
+    def search(source, *args, _orig=unions_module._isomorphisms):
+        searched.append(source.factors)
+        return _orig(source, *args)
+
+    def table(group, _build=vars(yb.AbelianGroup)["as_finite_group"].func):
+        tables.append(group.factors)
+        return _build(group)
+
+    monkeypatch.setattr(unions_module, "_isomorphisms", search)
+    monkeypatch.setattr(yb.AbelianGroup, "as_finite_group", property(table))
+    for (one, other), blocks in zip(pairs, [set(), {(2, 2)}, set()]):
+        searched.clear()
+        tables.clear()
+        assert yb.canonical_form(one) == yb.canonical_form(other)
+        assert yb.unions_isomorphic(one, other) is not None
+        assert set(searched) == set(tables) == blocks, one.orbit_type_label()
+    witness = yb.unions_isomorphic(big, twin)
+    assert witness.pi == (0, 1)
+    assert witness.psis == (big.groups[0].scaled(7), big.groups[1].scaled(3))
+    # 7 * 2143 = 3 * 1667 = 1 mod 2500: the inverse units
+    assert [psi[1] for psi in yb.unions_isomorphic(twin, big).psis] == [2143, 1667]
+    stray = AbelianUnion(groups=big.groups, c=big.c, d=((2, 0), (0, 1)))
+    assert yb.unions_isomorphic(big, stray) is None and not searched and not tables
+    assert yb.canonical_form(big).c == ((1, 0), (0, 1))
+
+
 def test_unions_isomorphic_identity(census):
     for u in census[3]:
         w = yb.unions_isomorphic(u, u)
