@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 from .groups import (
     FiniteGroup,
     Perm,
+    RowKernel,
     _coset_quotient,
     _first_triple,
-    _generators,
     _row_kernel,
     _table_pair,
     center,
@@ -52,14 +52,14 @@ class SkewBrace(namedtuple("SkewBrace", "dot circle")):
         return self.dot.id
 
     @cached_property
-    def lambdas(self) -> tuple[Perm, ...]:
-        """lambda_a(b) = a^-1 . (a o b), an automorphism of (B, .): circle row
-        a, then dot row a^-1, one kernel call per a."""
+    def lambda_kernel(self) -> RowKernel:
+        """The row kernel of the lambdas, lambda_a(b) = a^-1 . (a o b), an
+        automorphism of (B, .): circle row a, then dot row a^-1, one kernel
+        call per a.  Built by the brace law in verify_brace, read by rhos."""
         (_, dot_maps, then, *_), circ = self.dot.table_kernel, self.circle.table_kernel
-        return tuple([tuple(then(circ.rows[a], dot_maps[i])) for a, i in enumerate(self.dot.inv)])
+        return _row_kernel([then(circ.rows[a], dot_maps[i]) for a, i in enumerate(self.dot.inv)])
 
-    # built by the brace law in verify_brace, read again by rhos
-    lambda_kernel = cached_property(lambda self: _row_kernel(self.lambdas))
+    lambdas = cached_property(lambda self: tuple(map(tuple, self.lambda_kernel.rows)))
 
     @cached_property
     def rhos(self) -> tuple[Perm, ...]:
@@ -94,7 +94,7 @@ def _brace_law_failure(b: SkewBrace) -> Optional[tuple[int, int, int]]:
     and a . lambda_a(b) . lambda_a(c), so the law at (a, b, c) says
     lambda_a(b . c) = lambda_a(b) . lambda_a(c): lambda_a o dot_b agrees
     with dot_{lambda_a(b)} o lambda_a at c.  That holds for all b, c once it
-    does for all c and each b in a generating set (groups._generators), by
+    does for all c and each b in the dot group's generating set, by
     induction on words; so the verdict compares the two maps per generator
     b joined over a, and only a failed verdict scans them per a joined over b.
     """
@@ -103,7 +103,7 @@ def _brace_law_failure(b: SkewBrace) -> Optional[tuple[int, int, int]]:
     if all(
         join(map(then, repeat(dot_rows[g]), lam_maps))
         == join(map(then, lam_rows, [dot_maps[lam[g]] for lam in lam_rows]))
-        for g in _generators(b.dot.table, b.id)
+        for g in b.dot._gens
     ):
         return None
     every = join(dot_rows)

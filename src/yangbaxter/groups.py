@@ -115,13 +115,19 @@ def invert_perm(p: Sequence[int]) -> Perm:
     return tuple(out)
 
 
-def _non_permutation(rows: Sequence[Sequence[int]], n: int) -> Optional[int]:
-    """The index of the first row that is not a permutation of 0..n-1, or
-    None: one C-level pass decides, and only a fault is looked for row by row."""
-    with suppress(TypeError):
-        if set(map(len, rows)) <= {n} and set(map(frozenset, rows)) <= {frozenset(range(n))}:
-            return None
-    return _unsorted(rows, n)
+def _non_permutation(rows: Sequence[Sequence[int]], n: int) -> tuple[Optional[int], tuple]:
+    """(i, enc): the first row that is not a permutation of 0..n-1, or None,
+    and the rows as _row_kernel encodes them.  One C-level pass over the
+    encoded rows decides (a byte row of length n is a permutation iff deleting
+    its bytes from 0..n-1 leaves nothing); a fault is looked for row by row."""
+    with suppress(TypeError, ValueError):
+        if n > 256:
+            if set(map(len, rows)) <= {n} and set(map(frozenset, rows)) <= {frozenset(range(n))}:
+                return None, rows
+        elif (set(map(len, enc := tuple(map(bytes, rows)))) <= {n}
+              and not any(map(_BYTE_VALUES[:n].translate, itertools.repeat(None), enc))):
+            return None, enc
+    return _unsorted(rows, n), rows
 
 
 def _unsorted(rows: Iterable[Sequence[int]], n: int) -> Optional[int]:
@@ -146,6 +152,8 @@ class FiniteGroup(namedtuple("FiniteGroup", "n table id inv")):
         return self.table[a][b]
 
     table_kernel = cached_property(lambda self: _row_kernel(self.table))
+    # the greedy generating set (_generators) that Light's test and the brace law read
+    _gens = cached_property(lambda self: tuple(_generators(self.table, self.id)))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -173,20 +181,23 @@ def finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     n = len(table)
     if n == 0:
         raise ValueError("group carrier must be non-empty")
-    rows = tuple(tuple(row) for row in table)
-    if (i := _non_permutation(rows, n)) is not None:
+    rows = tuple(map(tuple, table))
+    i, enc = _non_permutation(rows, n)
+    if i is not None:
         raise ValueError(f"table row {i} is not a permutation of 0..{n - 1}")
     perm = identity_perm(n)
     ident = next((e for e in range(n) if rows[e] == perm == tuple([r[e] for r in rows])), None)
     if ident is not None:
-        group = FiniteGroup(n=n, table=rows, id=ident, inv=tuple(row.index(ident) for row in rows))
-        # (ag)c = a(gc) for all a, c and each generator g (_generators) is
-        # associativity, by induction on words in the generators; per g, the
-        # rows row_{ag} joined over a against row_a o row_g
-        enc, maps, then, join, _ = group.table_kernel
+        # a's inverse is where row a holds the identity, found on the encoded
+        # rows, which are also the group's table kernel; (ag)c = a(gc) for all
+        # a, c and each generator g is associativity, by induction on words in
+        # the generators; per g, the rows row_{ag} joined over a against row_a o row_g
+        inv = tuple(map(operator.methodcaller("index", ident), enc))
+        group = FiniteGroup(n=n, table=rows, id=ident, inv=inv)
+        enc, maps, then, join, _ = vars(group)["table_kernel"] = _row_kernel(enc)
         if all(
             join([enc[row[g]] for row in rows]) == join(map(then, itertools.repeat(enc[g]), maps))
-            for g in _generators(rows, ident)
+            for g in group._gens
         ):
             return group
     if (j := _unsorted(zip(*rows), n)) is not None:
@@ -437,10 +448,10 @@ class AbelianGroup(namedtuple("AbelianGroup", "factors")):
 
     def generates(self, elems: Iterable[int]) -> bool:
         """Whether elems generate the group; in Z_m iff their gcd with m is 1 (no table)."""
-        elems = list(elems)
-        if len(self.factors) <= 1 and all(0 <= x < self.n for x in elems):
-            return gcd(self.n, *elems) == 1
-        return len(subgroup_generated(self.as_finite_group, elems)) == self.n
+        elems, m = list(elems), self.n
+        if len(self.factors) <= 1 and all(0 <= x < m for x in elems):
+            return gcd(m, *elems) == 1
+        return len(subgroup_generated(self.as_finite_group, elems)) == m
 
     @cached_property
     def units(self) -> Optional[tuple[int, ...]]:
@@ -665,7 +676,7 @@ def perm_group_closure(
         if not gens:
             raise ValueError("degree is required when no generators are given")
         degree = len(gens[0])
-    if (i := _non_permutation(gens, degree)) is not None:
+    if (i := _non_permutation(gens, degree)[0]) is not None:
         if len(gens[i]) != degree:
             raise ValueError(f"generator degree {len(gens[i])} does not match {degree}")
         raise ValueError(f"generator {gens[i]} is not a permutation")

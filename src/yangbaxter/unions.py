@@ -99,12 +99,13 @@ def abelian_union(
         raise ValueError("groups: a union needs at least one block")
     cm = tuple(tuple(row) for row in c)
     dm = tuple(tuple(row) for row in d)
+    orders = [g.n for g in groups]
     for name, m in (("C", cm), ("D", dm)):
         if len(m) != k or any(len(row) != k for row in m):
             raise ValueError(f"{name}: must be a {k} x {k} matrix")
         for i in range(k):
             for j in range(k):
-                if not 0 <= m[i][j] < groups[j].n:
+                if not 0 <= m[i][j] < orders[j]:
                     raise ValueError(
                         f"{name}: entry [{i}][{j}] = {m[i][j]} is not an element of block {j}"
                     )
@@ -141,16 +142,16 @@ def union_to_solution(u: AbelianUnion) -> FiniteSolution:
     i, so one sigma-row and one tau-row are built per block and shared by
     its points: over each block j, row c[i][j] (or d[i][j]) of A_j's table,
     y -> y + c[i][j], shifted by block j's offset."""
-    tables = [g.as_finite_group.table for g in u.groups]
+    tables, offsets = [g.as_finite_group.table for g in u.groups], u.offsets
 
     def block_row(m: Matrix, i: int) -> tuple[int, ...]:
-        return tuple(at + y for at, t, e in zip(u.offsets, tables, m[i]) for y in t[e])
+        return tuple(at + y for at, t, e in zip(offsets, tables, m[i]) for y in t[e])
 
     sig, ta = [], []
-    for i, g in enumerate(u.groups):
-        sig += [block_row(u.c, i)] * g.n
-        ta += [block_row(u.d, i)] * g.n
-    return FiniteSolution(n=u.n, sigma=tuple(sig), tau=tuple(ta))
+    for i, t in enumerate(tables):
+        sig += [block_row(u.c, i)] * len(t)
+        ta += [block_row(u.d, i)] * len(t)
+    return FiniteSolution(n=len(sig), sigma=tuple(sig), tau=tuple(ta))
 
 
 class UnionDecomposition(namedtuple("UnionDecomposition", "union blocks carrier_map")):
@@ -308,11 +309,12 @@ def unions_isomorphic(
             # column j of u1 goes to column pi[j] of u2 read over rows pi[i];
             # then every element, so that the first map is the least tuple
             images = [*map(c2[pi[j]].__getitem__, pi), *map(d2[pi[j]].__getitem__, pi)]
-            steps = [*c1[j], *d1[j], *range(g.n)]
+            m = g.n
+            steps = [*c1[j], *d1[j], *range(m)]
             if g.units is None:
                 psi = next(_isomorphisms(g, g.as_finite_group, steps, images), None)
             else:
-                fits = (u for u in g.units if all(u * x % g.n == y for x, y in zip(steps, images)))
+                fits = (u for u in g.units if all(u * x % m == y for x, y in zip(steps, images)))
                 psi = next(map(g.scaled, fits), None)
             if psi is None:
                 break

@@ -400,9 +400,11 @@ def test_brace_serialization(brace_catalog):
 
 def test_verified_brace_carries_the_lambdas_it_was_checked_with():
     z6 = yb.z2n_brace(3)
+    # the brace law reads the lambdas' row kernel, and the lambdas are read off it
     b = yb.verify_brace(z6.dot.table, z6.circle.table)
-    assert "lambdas" in vars(b)
+    assert "lambda_kernel" in vars(b)
     assert b.lambdas == lambdas_rhos(b.dot.table, b.circle.table)[0]
+    assert b.lambdas == tuple(map(tuple, vars(b)["lambda_kernel"].rows))
 
 
 def test_builders_from_groups_pass_verify_brace(brace_catalog):

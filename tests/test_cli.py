@@ -811,6 +811,16 @@ def test_requests_build_few_row_kernels(tmp_path, capsys, monkeypatch, argv, bui
     assert calls == {"_row_kernel": builds}
 
 
+def test_brace_request_generates_each_group_once(tmp_path, capsys, monkeypatch):
+    # one greedy generating set per group, kept on it: Light's test reads the
+    # dot and circle groups' sets in finite_group, and the brace law reads the
+    # dot group's set again, not a third one
+    path = write(tmp_path, "b.json", yb.dihedral_example_brace().to_dict())
+    calls = _count_calls(monkeypatch, {"_generators": groups._generators})
+    assert main(["brace", path, "--report", "full"]) == 0
+    assert calls == {"_generators": 2}
+
+
 @pytest.mark.parametrize("argv", [["verify", "s"], ["classify", "s", "t"]],
                          ids=["verify", "classify"])
 def test_requests_class_each_table_once(tmp_path, capsys, monkeypatch, argv):

@@ -253,6 +253,74 @@ def test_finite_group_rejects_bad_tables():
         ])
 
 
+def _first_line_fault(rows):
+    """finite_group's message for a table that breaks a row or a column, by
+    a plain scan: rows by their sorted entries, then columns; None if none."""
+    n = len(rows)
+    perm = list(range(n))
+    for i, row in enumerate(rows):
+        if sorted(row) != perm:
+            return f"table row {i} is not a permutation of 0..{n - 1}"
+    for j in range(n):
+        if sorted(row[j] for row in rows) != perm:
+            return f"table column {j} is not a permutation of 0..{n - 1}"
+    return None
+
+
+def _put(row, j, value):
+    return row[:j] + (value,) + row[j + 1:]
+
+
+# each case changes row r of Z_n's table, which holds 0 at column j
+_ROW_CHANGES = {
+    "entry-n": lambda row, j, n: _put(row, j, n),
+    "entry-255": lambda row, j, n: _put(row, j, 255),
+    "entry-256": lambda row, j, n: _put(row, j, 256),
+    "entry-minus-1": lambda row, j, n: _put(row, j, -1),
+    "repeated": lambda row, j, n: _put(row, j, row[j - 1]),
+    "short": lambda row, j, n: row[:-1],
+    "long": lambda row, j, n: row + (row[0],),
+    "float": lambda row, j, n: _put(row, j, 0.5),
+    "bool-for-0": lambda row, j, n: _put(row, j, True),
+    # the same values: a bool for each 0 or 1 is an int to both encodings
+    "bool-equal": lambda row, j, n: tuple(bool(x) if x < 2 else x for x in row),
+    # still a permutation, but columns j - 1 and j repeat a value
+    "swapped": lambda row, j, n: _put(_put(row, j, row[j - 1]), (j - 1) % n, row[j]),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+@pytest.mark.parametrize("case", sorted(_ROW_CHANGES))
+def test_permutation_check_names_the_first_fault(n, case):
+    # rows are checked on their encoding, bytes up to n = 256 and tuples
+    # above; either way the first fault is the plain scan's, and a table
+    # whose values are Z_n's is the group Z_n
+    cyclic = [tuple((i + k) % n for k in range(n)) for i in range(n)]
+    r = n // 2
+    rows = cyclic[:]
+    rows[r] = _ROW_CHANGES[case](rows[r], (n - r) % n, n)
+    expected = _first_line_fault(rows)
+    assert (expected is None) == (rows == cyclic)
+    if expected is None:
+        assert finite_group(rows).table == tuple(cyclic)
+        assert yb.perm_group_closure(rows, n).degree == n
+        return
+    with pytest.raises(ValueError) as exc:
+        finite_group(rows)
+    assert str(exc.value) == expected
+    # as generators, the first row that is not a permutation is named
+    bad = next((row for row in rows if sorted(row) != list(range(n))), None)
+    if bad is None:
+        assert yb.perm_group_closure(rows, n).degree == n
+        return
+    with pytest.raises(ValueError) as exc:
+        yb.perm_group_closure(rows, n)
+    assert str(exc.value) == (
+        f"generator degree {len(bad)} does not match {n}" if len(bad) != n
+        else f"generator {bad} is not a permutation"
+    )
+
+
 def test_group_from_perm_generators_composition_convention():
     a = (1, 0, 2)
     b = (0, 2, 1)

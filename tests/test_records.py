@@ -59,7 +59,7 @@ SAMPLES = _samples()
 CACHED = {
     "AbelianGroup": {"units", "automorphisms", "as_finite_group"},
     "PermGroup": {"elements", "is_abelian"},
-    "FiniteGroup": {"table_kernel", "is_abelian"},
+    "FiniteGroup": {"table_kernel", "_gens", "is_abelian"},
     "FiniteSolution": {
         "sigma_kernel", "tau_kernel", "sigma_classes", "tau_classes", "class_kernel",
         "reductivity", "commuting_rows",
