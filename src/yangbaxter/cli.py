@@ -169,8 +169,6 @@ def load_payload(path: str):
             raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
         except (RecursionError, ValueError) as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected a JSON object")
         if "sigma" in data and "tau" in data:
             kind, load = "solution", solutions.solution_from_dict
         elif "dot" in data and "circle" in data:

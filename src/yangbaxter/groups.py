@@ -446,12 +446,23 @@ class AbelianGroup(namedtuple("AbelianGroup", "factors")):
     def neg(self, a: int) -> int:
         return self.as_finite_group.inv[a]
 
+    def translation(self, a: int) -> tuple[int, ...]:
+        """The map y -> y + a, as a tuple."""
+        return self.as_finite_group.table[a]
+
+    def order(self, x: int) -> int:
+        return element_order(self.as_finite_group, x)
+
+    def span(self, elems: Iterable[int]) -> tuple[int, ...]:
+        """The subgroup elems generate, sorted."""
+        return subgroup_generated(self.as_finite_group, elems)
+
     def generates(self, elems: Iterable[int]) -> bool:
         """Whether elems generate the group; in Z_m iff their gcd with m is 1 (no table)."""
         elems, m = list(elems), self.n
         if len(self.factors) <= 1 and all(0 <= x < m for x in elems):
             return gcd(m, *elems) == 1
-        return len(subgroup_generated(self.as_finite_group, elems)) == m
+        return len(self.span(elems)) == m
 
     @cached_property
     def units(self) -> Optional[tuple[int, ...]]:
@@ -465,11 +476,27 @@ class AbelianGroup(namedtuple("AbelianGroup", "factors")):
 
     @cached_property
     def automorphisms(self) -> tuple[Perm, ...]:
-        """All automorphisms, sorted.  Aut(Z_m) = {x -> u x : gcd(u, m) = 1},
-        sorted by u with no search: psi(0) = 0 and psi(1) = u."""
+        """All automorphisms, sorted: automorphisms_sending with no element given."""
+        return tuple(self.automorphisms_sending((), ()))
+
+    def automorphisms_sending(self, elems: Sequence[int], images: Sequence[int]) -> Iterator[Perm]:
+        """The automorphisms psi with each psi(elems[i]) = images[i], lazily and in
+        increasing tuple order: of Z_m the units u that fit, as psi(1) = u, with no
+        search or table; else _isomorphisms with every element after the given ones."""
+        m = self.n
         if self.units is not None:
-            return tuple(map(self.scaled, self.units))
-        return tuple(sorted(_isomorphisms(self, self.as_finite_group)))
+            fits = (u for u in self.units if all(u * x % m == y for x, y in zip(elems, images)))
+            return map(self.scaled, fits)
+        return _isomorphisms(self, self.as_finite_group, [*elems, *range(m)], images)
+
+    def least_image(self, elems: Sequence[int]) -> tuple[int, ...]:
+        """The lexicographically least image of a tuple of elements under
+        Aut, {x -> u x : gcd(u, m) = 1} for Z_m: the first map's images in that order."""
+        if self.units is not None:
+            m = self.n
+            return min(tuple([u * x % m for x in elems]) for u in self.units)
+        psi = next(_isomorphisms(self, self.as_finite_group, elems))
+        return tuple(map(psi.__getitem__, elems))
 
     @cached_property
     def as_finite_group(self) -> FiniteGroup:
@@ -494,12 +521,12 @@ def _isomorphisms(
     """The isomorphisms phi: source -> target, as tuples phi[x] = image of x,
     with phi(elements[i]) = forced[i] for each i < len(forced).
 
-    target must be abelian.  The maps are yielded in lexicographic order of
-    the images of elements followed by source's standard generators, which
-    with no elements is the itertools.product order of generator images.
-    Images are assigned one element at a time, in increasing order, each
-    extending an injective homomorphism phi defined on the span of the
-    elements so far.  An element a already in the span has its image
+    target must be abelian, of source's order.  The maps are yielded in
+    lexicographic order of the images of elements followed by source's
+    standard generators, which with no elements is the itertools.product
+    order of generator images.  Images are assigned one element at a time,
+    in increasing order, each extending an injective homomorphism phi
+    defined on the span of the elements so far.  An element a already in the span has its image
     forced.  Otherwise let c be the least number with c a in the span: an
     image h is admissible iff c h = phi(c a) and no t h with 0 < t < c lies
     in phi(span), and then phi(s + t a) = phi(s) + t h extends phi
@@ -508,8 +535,6 @@ def _isomorphisms(
     dies out.
     """
     n = source.n
-    if target.n != n:
-        return
     if forced:
         # forced images that do not form a partial bijection allow no map
         pairs = set(zip(elements, forced))
@@ -630,6 +655,39 @@ def abelian_groups_of_order(n: int) -> tuple[AbelianGroup, ...]:
         groups.append(_abelian_block(invariant_factors(orders)))
     groups.sort(key=lambda g: (len(g.factors), g.factors))
     return tuple(groups)
+
+
+def _torsor_isomorphism(
+    rows: Iterable[Sequence[int]], m: int,
+) -> tuple[AbelianGroup, tuple[int, ...]]:
+    """Identify an abelian Cayley table, its m rows in order (zero at index
+    0), with its canonical invariant-factor group; returns (group, local
+    index -> canonical index).
+
+    Each x's multiples 0, x, 2x, .. are its row's cycle through 0.  An x of
+    order m makes the table Z_m, and the least one's multiples are the least
+    isomorphism from Z_m, as each is t -> t h for an h of order m; Z_m is
+    listed first among the groups of order m, and no later row is read.
+    Failing that, the number of x with q x = 0, for each divisor q of m,
+    fixes a finite abelian group up to isomorphism; for Z_d1 x ... x Z_dk
+    it is the product of the gcd(q, d_i), so only that candidate is searched.
+    """
+    table, cycles = [], []
+    for row in rows:
+        table.append(row)
+        cycles.append(_cycle(row, 0))
+        if len(cycles[-1]) == m:
+            return abelian_groups_of_order(m)[0], invert_perm(cycles[-1])
+    inv = tuple(c[-1] for c in cycles)     # -x, the last of x's multiples
+    target = FiniteGroup(n=m, table=tuple(map(tuple, table)), id=0, inv=inv)
+    divisors = [q for q in range(1, m + 1) if m % q == 0]
+    counts = [sum(q % len(c) == 0 for c in cycles) for q in divisors]
+    for cand in abelian_groups_of_order(m):
+        if [prod(gcd(q, d) for d in cand.factors) for q in divisors] == counts:
+            phi = next(_isomorphisms(cand, target), None)
+            if phi is not None:
+                return cand, invert_perm(phi)
+    raise AssertionError("orbit translation structure is not an abelian group")
 
 
 # ---------------------------------------------------------------------------

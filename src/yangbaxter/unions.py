@@ -15,24 +15,19 @@ import itertools
 import operator
 import struct
 from collections import namedtuple
-from math import gcd, prod
+from math import prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import (
     AbelianGroup,
-    FiniteGroup,
     Perm,
     _abelian_block,
-    _cycle,
     _gather,
     _int_table,
-    _isomorphisms,
     _partitions,
+    _torsor_isomorphism,
     abelian_groups_of_order,
     compose,
-    element_order,
-    invert_perm,
-    subgroup_generated,
 )
 from .solution import FiniteSolution
 
@@ -140,17 +135,17 @@ def union_from_dict(data: dict) -> AbelianUnion:
 def union_to_solution(u: AbelianUnion) -> FiniteSolution:
     """The solution of a union.  sigma_x and tau_x depend only on x's block
     i, so one sigma-row and one tau-row are built per block and shared by
-    its points: over each block j, row c[i][j] (or d[i][j]) of A_j's table,
-    y -> y + c[i][j], shifted by block j's offset."""
-    tables, offsets = [g.as_finite_group.table for g in u.groups], u.offsets
+    its points: over each block j, A_j's translation y -> y + c[i][j] (or
+    d[i][j]), shifted by block j's offset."""
+    offsets = u.offsets
 
     def block_row(m: Matrix, i: int) -> tuple[int, ...]:
-        return tuple(at + y for at, t, e in zip(offsets, tables, m[i]) for y in t[e])
+        return tuple(at + y for at, g, e in zip(offsets, u.groups, m[i]) for y in g.translation(e))
 
     sig, ta = [], []
-    for i, t in enumerate(tables):
-        sig += [block_row(u.c, i)] * len(t)
-        ta += [block_row(u.d, i)] * len(t)
+    for i, g in enumerate(u.groups):
+        sig += [block_row(u.c, i)] * g.n
+        ta += [block_row(u.d, i)] * g.n
     return FiniteSolution(n=len(sig), sigma=tuple(sig), tau=tuple(ta))
 
 
@@ -158,39 +153,6 @@ class UnionDecomposition(namedtuple("UnionDecomposition", "union blocks carrier_
     union: AbelianUnion
     blocks: tuple[tuple[int, ...], ...]       # orbits of the carrier, sorted
     carrier_map: tuple[int, ...]              # isomorphism onto the rebuilt solution
-
-
-def _torsor_isomorphism(
-    rows: Iterable[Sequence[int]], m: int,
-) -> tuple[AbelianGroup, tuple[int, ...]]:
-    """Identify an abelian Cayley table, its m rows in order (zero at index
-    0), with its canonical invariant-factor group; returns (group, local
-    index -> canonical index).
-
-    Each x's multiples 0, x, 2x, .. are its row's cycle through 0.  An x of
-    order m makes the table Z_m, and the least one's multiples are the least
-    isomorphism from Z_m, as each is t -> t h for an h of order m; Z_m is
-    listed first among the groups of order m, and no later row is read.
-    Failing that, the number of x with q x = 0, for each divisor q of m,
-    fixes a finite abelian group up to isomorphism; for Z_d1 x ... x Z_dk
-    it is the product of the gcd(q, d_i), so only that candidate is searched.
-    """
-    table, cycles = [], []
-    for row in rows:
-        table.append(row)
-        cycles.append(_cycle(row, 0))
-        if len(cycles[-1]) == m:
-            return abelian_groups_of_order(m)[0], invert_perm(cycles[-1])
-    inv = tuple(c[-1] for c in cycles)     # -x, the last of x's multiples
-    target = FiniteGroup(n=m, table=tuple(map(tuple, table)), id=0, inv=inv)
-    divisors = [q for q in range(1, m + 1) if m % q == 0]
-    counts = [sum(q % len(c) == 0 for c in cycles) for q in divisors]
-    for cand in abelian_groups_of_order(m):
-        if [prod(gcd(q, d) for d in cand.factors) for q in divisors] == counts:
-            phi = next(_isomorphisms(cand, target), None)
-            if phi is not None:
-                return cand, invert_perm(phi)
-    raise AssertionError("orbit translation structure is not an abelian group")
 
 
 def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
@@ -293,10 +255,8 @@ def unions_isomorphic(
 
     Block bijections are tried in lexicographic order.  For each, psi_j is
     the least automorphism, as a tuple, sending column j of u1 to column
-    pi(j) of u2: the first extension of those forced images to the elements
-    of A_j in index order.  When the column generates A_j, as it does in
-    every validated union, that psi_j is the only one.  Aut(Z_m) = {x -> u x
-    : gcd(u, m) = 1} and psi(1) = u: a Z_m block takes the least unit that fits.
+    pi(j) of u2 (AbelianGroup.automorphisms_sending).  When the column
+    generates A_j, as it does in every validated union, it is the only one.
     """
     types1, types2 = ([g.factors for g in u.groups] for u in (u1, u2))
     if sorted(types1) != sorted(types2):
@@ -306,16 +266,9 @@ def unions_isomorphic(
     for pi in _block_bijections(types1, types2):
         psis = []
         for j, g in enumerate(u1.groups):
-            # column j of u1 goes to column pi[j] of u2 read over rows pi[i];
-            # then every element, so that the first map is the least tuple
+            # column j of u1 goes to column pi[j] of u2 read over rows pi[i]
             images = [*map(c2[pi[j]].__getitem__, pi), *map(d2[pi[j]].__getitem__, pi)]
-            m = g.n
-            steps = [*c1[j], *d1[j], *range(m)]
-            if g.units is None:
-                psi = next(_isomorphisms(g, g.as_finite_group, steps, images), None)
-            else:
-                fits = (u for u in g.units if all(u * x % m == y for x, y in zip(steps, images)))
-                psi = next(map(g.scaled, fits), None)
+            psi = next(g.automorphisms_sending([*c1[j], *d1[j]], images), None)
             if psi is None:
                 break
             psis.append(psi)
@@ -373,10 +326,10 @@ def canonical_form(u: AbelianUnion) -> AbelianUnion:
     position where two images differ lies in one column.  So the least
     (flattened C', flattened D') under pi takes, in each column pi(j), the
     least image under Aut(A_j) of that column's entries read top to bottom,
-    C's then D's: one least-image search per column (of Z_m a minimum over
-    the units u, as Aut(Z_m) = {x -> u x : gcd(u, m) = 1}), the sum of the
-    |Aut| rather than their product.  The least over every pi is the form.
-    Columns repeat across block bijections, so their least images are kept.
+    C's then D's: one least-image search per column (AbelianGroup.least_image),
+    the sum of the |Aut| rather than their product.  The least over every pi
+    is the form.  Columns repeat across block bijections, so their least
+    images are kept.
     """
     k = u.k
     order = sorted(range(k), key=lambda i: _type_key(u.groups[i].factors))
@@ -402,7 +355,7 @@ def canonical_form(u: AbelianUnion) -> AbelianUnion:
             col = pick(columns[j])
             w = memos[j].get(col)
             if w is None:
-                w = memos[j][col] = _least_image(groups[j], col)
+                w = memos[j][col] = groups[j].least_image(col)
             image += w
         image = to_rows(image)
         if best is None or image < best:
@@ -413,16 +366,6 @@ def canonical_form(u: AbelianUnion) -> AbelianUnion:
         c=tuple(map(best.__getitem__, rows[:k])),
         d=tuple(map(best.__getitem__, rows[k:])),
     )
-
-
-def _least_image(g: AbelianGroup, col: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically least image of a tuple of elements of g under
-    Aut(g), {x -> u x : gcd(u, m) = 1} for Z_m: the first map's images in that order."""
-    if g.units is not None:
-        m = g.n
-        return min(tuple([u * x % m for x in col]) for u in g.units)
-    psi = next(_isomorphisms(g, g.as_finite_group, col))
-    return tuple(map(psi.__getitem__, col))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +436,7 @@ def enumerate_cell(types: tuple[tuple[int, ...], ...]) -> list[CRun]:
     completions = []
     for g, a in zip(groups, auts):
         plain = list(itertools.product(range(g.n), repeat=k))
-        spans = {e: subgroup_generated(g.as_finite_group, e) for e in set(map(frozenset, plain))}
+        spans = {e: g.span(e) for e in set(map(frozenset, plain))}
         cols = [(spans[frozenset(col)], tuple(psi[x] for psi in a for x in col)) for col in plain]
         packed = [bytes(sc) for _, sc in cols]
         subgroups = dict.fromkeys(h for h, _ in cols)
@@ -709,8 +652,8 @@ def injectivity_checks(u: AbelianUnion) -> InjectivityReport:
     for i in range(k):
         for j in range(k):
             gi, gj = u.groups[i], u.groups[j]
-            oj = element_order(gj.as_finite_group, gj.add(u.c[i][j], u.d[i][j]))
-            oi = element_order(gi.as_finite_group, gi.add(u.c[j][i], u.d[j][i]))
+            oj = gj.order(gj.add(u.c[i][j], u.d[i][j]))
+            oi = gi.order(gi.add(u.c[j][i], u.d[j][i]))
             if oj != oi:
                 order_ok = False
     return InjectivityReport(diagonal_ok=diagonal_ok, order_ok=order_ok)

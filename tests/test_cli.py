@@ -131,6 +131,12 @@ def test_verify_unknown_schema_exits_2(tmp_path, capsys):
     path = write(tmp_path, "odd.json", {"foo": 1})
     assert main(["verify", path]) == 2
     assert "unrecognized schema" in capsys.readouterr().err
+    # only text whose first non-blank character is "{" is JSON, and it can
+    # only decode to an object: a JSON array is read as the text format
+    path = write(tmp_path, "array.json", "[1, 2]")
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: expected 2 blocks separated by a blank line, got 1"]
 
 
 PERM2 = [[0, 1], [0, 1]]
@@ -145,6 +151,8 @@ MALFORMED = {
     "scalar-dot": ({"dot": 5, "circle": [[0]]}, "dot"),
     "scalar-block": ({"groups": [2], "C": [[1]], "D": [[0]]}, "groups"),
     "float-constant": ({"groups": [[2]], "C": [[1.5]], "D": [[0]]}, "C"),
+    "no-block": ({"groups": [], "C": [], "D": []}, "groups"),
+    "non-square-matrix": ({"groups": [[2], [3]], "C": [[1, 0], [0]], "D": [[0, 0], [0, 1]]}, "C"),
     "ragged-text": ("0 1\n0\n\n0 1\n0 1\n", "sigma"),
     "non-integer-text": ("0 1\n0 1\n\n0 1\n0 x\n", "tau"),
     "empty-carrier": ({"sigma": [], "tau": []}, "sigma"),
@@ -566,6 +574,13 @@ def test_classify_non_2reductive_brute_force(tmp_path, capsys):
     assert "phi=" in capsys.readouterr().out
     p3 = write(tmp_path, "proj.json", yb.projection_solution(6).to_dict())
     assert main(["classify", p1, p3]) == 1
+    # neither 2-reductive, one size: the brute-force search finds no map
+    other = yb.associated_solution(yb.almost_trivial_brace(yb.symmetric_group(3)))
+    assert not yb.is_2reductive(other).holds and other.n == s.n
+    capsys.readouterr()
+    p4 = write(tmp_path, "other.json", other.to_dict())
+    assert main(["classify", p1, p4]) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
 
 
 def test_classify_large_non_2reductive_exits_2(tmp_path, capsys):
@@ -865,16 +880,24 @@ def test_brace_command_rejects_solution_file(tmp_path, capsys):
 
 
 def test_brace_law_violation_exits_1(tmp_path, capsys):
-    # brace and verify both take a brace's violation as their verdict
+    # brace and verify both take a brace's violation as their verdict: the
+    # brace law, a dot table that is no group, two neutral elements
     s3 = yb.symmetric_group(3)
     z6 = yb.cyclic_group(6)
-    path = write(tmp_path, "bad.json", {"n": 6, "dot": [list(r) for r in s3.table],
-                                        "circle": [list(r) for r in z6.table]})
-    for command in ("brace", "verify"):
-        assert main([command, path]) == 1, command
-        captured = capsys.readouterr()
-        assert captured.out == "", command
-        assert captured.err.splitlines() == ["violation: brace-law fails at (1, 1, 1)"], command
+    cases = [
+        ({"n": 6, "dot": [list(r) for r in s3.table], "circle": [list(r) for r in z6.table]},
+         "brace-law fails at (1, 1, 1)"),
+        ({"dot": [[0, 0], [1, 1]], "circle": [[0, 1], [1, 0]]},
+         "dot-group fails at ('table row 0 is not a permutation of 0..1',)"),
+        ({"dot": [[0, 1], [1, 0]], "circle": [[1, 0], [0, 1]]}, "neutral-element fails at (0, 1)"),
+    ]
+    for data, message in cases:
+        path = write(tmp_path, "bad.json", data)
+        for command in ("brace", "verify"):
+            assert main([command, path]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert captured.err.splitlines() == [f"violation: {message}"], command
 
 
 def _child_env():

@@ -1,6 +1,6 @@
 """Cyclic blocks by their units: Aut(Z_m) = {x -> u x : gcd(u, m) = 1}.
 
-AbelianGroup.automorphisms, unions._least_image and the psi_j that
+AbelianGroup.automorphisms, AbelianGroup.least_image and the psi_j that
 unions_isomorphic picks for a Z_m block are read off the units of m; here
 each is checked against the generic search groups._isomorphisms on Z_m's
 Cayley table, for Z1 and every Z_m with m <= 64.  The module needs only
@@ -15,7 +15,7 @@ import random
 
 import yangbaxter as yb
 from yangbaxter.groups import _isomorphisms
-from yangbaxter.unions import AbelianUnion, UnionIsomorphism, _least_image
+from yangbaxter.unions import AbelianUnion, UnionIsomorphism
 
 
 def _columns(rng: random.Random, m: int) -> list[list[int]]:
@@ -42,7 +42,7 @@ def test_cyclic_closed_forms_match_the_search():
         cols = _columns(rng, m)
         for key in cols + [cols[0][:1], cols[0] + cols[2][:3]]:
             first = next(_isomorphisms(g, table, key))
-            assert _least_image(g, tuple(key)) == tuple(map(first.__getitem__, key)), (m, key)
+            assert g.least_image(tuple(key)) == tuple(map(first.__getitem__, key)), (m, key)
         for col in cols:
             # forced images: a unit's, a unit's with one entry moved, and random
             u = rng.choice(units)

@@ -107,9 +107,38 @@ def test_automorphisms_match_the_generator_image_oracle():
     for n in range(1, 33):
         for g in yb.abelian_groups_of_order(n):
             if g.factors not in skipped:
-                assert sorted(g.automorphisms) == sorted(automorphisms(g.factors)), g.factors
+                assert g.automorphisms == automorphisms(g.factors), g.factors
                 checked += 1
     assert checked == 55 - len(skipped)
+
+
+def test_block_queries_match_the_oracle_on_non_cyclic_blocks():
+    # least_image and automorphisms_sending, as unions calls them, against
+    # the oracle's sorted automorphisms filtered by hand: every non-cyclic
+    # type of order <= 16 but Z2^4 (20,160 automorphisms), random tuples of
+    # elements sent to their images under a random automorphism (the maps
+    # that fit are a coset of a stabiliser) and to random images (mostly none)
+    rng = random.Random(1616)
+    types, fits = [], {True: 0, False: 0}
+    for n in range(1, 17):
+        for g in yb.abelian_groups_of_order(n):
+            if len(g.factors) < 2 or g.factors == (2, 2, 2, 2):
+                continue
+            types.append(g.factors)
+            auts = automorphisms(g.factors)
+            assert list(g.automorphisms_sending((), ())) == list(auts), g.factors
+            for size in (1, 1, 2, 2, 3, 5):
+                elems = [rng.randrange(n) for _ in range(size)]
+                least = min(tuple(psi[x] for x in elems) for psi in auts)
+                assert g.least_image(tuple(elems)) == least, (g.factors, elems)
+                psi = rng.choice(auts)
+                for images in ([psi[x] for x in elems], [rng.randrange(n) for _ in elems]):
+                    want = [phi for phi in auts if all(phi[x] == y for x, y in zip(elems, images))]
+                    got = list(g.automorphisms_sending(elems, images))
+                    assert got == want, (g.factors, elems, images)
+                    fits[bool(got)] += 1
+    assert types == [(2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 4)]
+    assert min(fits.values()) > 30, fits
 
 
 def test_perm_group_closure_examples():

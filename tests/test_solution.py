@@ -101,6 +101,8 @@ def test_violation_reports():
     assert v.check.startswith("birack:")
     with pytest.raises(yb.VerificationError):
         yb.verify(((1, 0), (0, 1)), ((0, 1), (0, 1)))
+    v = validate_tables([[0, 1], [0, 1]], [[0, 1]])
+    assert (v.check, v.witness) == ("tau-row", ("row count", 1, 2))
 
 
 def test_violation_minimal_witness():
@@ -341,6 +343,7 @@ def test_solutions_isomorphic_finds_relabelings(small_solutions):
         found = yb.solutions_isomorphic(s, t)
         assert found is not None
         assert yb.relabel(s, found) == t
+        assert yb.solutions_isomorphic(s, yb.projection_solution(s.n + 1)) is None
 
 
 # the last two sort like 0..2, but a bool or a float is not an int label

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import inspect
 import itertools
 import operator
 import random
+import re
 import signal
 import tracemalloc
 from math import prod
@@ -31,12 +33,11 @@ from oracles import (
 from yangbaxter import cli
 from yangbaxter import groups as groups_module
 from yangbaxter import unions as unions_module
-from yangbaxter.groups import _gather, invert_perm
+from yangbaxter.groups import _gather, _torsor_isomorphism, invert_perm
 from yangbaxter.solution import FiniteSolution, validate_tables
 from yangbaxter.unions import (
     AbelianUnion,
     _cell_positions,
-    _torsor_isomorphism,
     cell_keys,
     census_cells,
     census_keys,
@@ -231,11 +232,11 @@ def test_decomposition_searches_only_non_cyclic_blocks(monkeypatch):
     # only the Z2xZ2 block runs the isomorphism search, once
     calls = {"_isomorphisms": 0, "element_order": 0}
     for name in calls:
-        def counted(*args, _name=name, _orig=getattr(unions_module, name)):
+        def counted(*args, _name=name, _orig=getattr(groups_module, name)):
             calls[_name] += 1
             return _orig(*args)
 
-        monkeypatch.setattr(unions_module, name, counted)
+        monkeypatch.setattr(groups_module, name, counted)
     z6_z4_z1 = {"groups": [[6], [4], []], "C": [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
                 "D": [[0, 0, 0], [1, 1, 0], [0, 0, 0]]}
     with_z2_z2 = {"groups": [[6], [4], [2, 2], []],
@@ -250,6 +251,17 @@ def test_decomposition_searches_only_non_cyclic_blocks(monkeypatch):
         assert calls == {"_isomorphisms": searches, "element_order": 0}
         assert yb.relabel(s, dec.carrier_map) == yb.union_to_solution(dec.union)
         assert yb.unions_isomorphic(dec.union, u) is not None
+
+
+def test_unions_asks_every_block_question_of_abelian_group():
+    # the Z_m closed forms, the isomorphism search and the Cayley tables sit
+    # behind AbelianGroup and groups._torsor_isomorphism: unions binds none
+    # of their helpers and reads no table, unit or scaling itself
+    helpers = {"_isomorphisms", "_cycle", "FiniteGroup", "element_order",
+               "subgroup_generated", "invert_perm", "gcd"}
+    assert not helpers & set(vars(unions_module))
+    source = inspect.getsource(unions_module)
+    assert not re.findall(r"\.(as_finite_group|units|scaled)\b", source)
 
 
 def test_forms_and_isomorphisms_search_only_non_cyclic_blocks(monkeypatch):
@@ -274,7 +286,7 @@ def test_forms_and_isomorphisms_search_only_non_cyclic_blocks(monkeypatch):
     pairs.append((big, twin))
     searched, tables = [], []
 
-    def search(source, *args, _orig=unions_module._isomorphisms):
+    def search(source, *args, _orig=groups_module._isomorphisms):
         searched.append(source.factors)
         return _orig(source, *args)
 
@@ -282,7 +294,7 @@ def test_forms_and_isomorphisms_search_only_non_cyclic_blocks(monkeypatch):
         tables.append(group.factors)
         return _build(group)
 
-    monkeypatch.setattr(unions_module, "_isomorphisms", search)
+    monkeypatch.setattr(groups_module, "_isomorphisms", search)
     monkeypatch.setattr(yb.AbelianGroup, "as_finite_group", property(table))
     for (one, other), blocks in zip(pairs, [set(), {(2, 2)}, set()]):
         searched.clear()
