@@ -61,7 +61,7 @@ def _row_classes(rows: Sequence) -> tuple[list[int], list[int]]:
     row's class, its position in reps, so rows[x] == rows[reps[cls[x]]]; the
     one place that tells equal rows apart (FiniteSolution caches its own)."""
     first: dict = {}
-    ids = [first.setdefault(row, x) for x, row in enumerate(rows)]
+    ids = list(map(first.setdefault, rows, range(len(rows))))
     reps = list(first.values())
     return reps, list(map(dict(zip(reps, range(len(reps)))).__getitem__, ids))
 
@@ -152,6 +152,8 @@ class FiniteGroup(namedtuple("FiniteGroup", "n table id inv")):
         return self.table[a][b]
 
     table_kernel = cached_property(lambda self: _row_kernel(self.table))
+    # each element's cycle through the identity (_cycle), for _isomorphisms
+    cycles = cached_property(lambda self: [_cycle(row, self.id) for row in self.table])
     # the greedy generating set (_generators) that Light's test and the brace law read
     _gens = cached_property(lambda self: tuple(_generators(self.table, self.id)))
 
@@ -234,7 +236,7 @@ def _int_table(value, field: str, n: Optional[int] = None) -> tuple[tuple[int, .
 
     Bools and floats are not ints here; any other shape or entry raises
     ValueError("field: reason"); the rows are walked for the first fault
-    only when C-level passes over row types, row lengths and entry types fail.
+    only when C-level passes over row types, row lengths and a count of int entries fail.
     """
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{field}: expected a list of rows, got {type(value).__name__}")
@@ -243,7 +245,7 @@ def _int_table(value, field: str, n: Optional[int] = None) -> tuple[tuple[int, .
         raise ValueError(f"{field}: has {len(value)} rows, expected {size}")
     if (set(map(type, value)) <= {list, tuple}
             and set(map(len, rows := tuple(map(tuple, value)))) <= {size}
-            and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
+            and operator.countOf(map(type, itertools.chain(*rows)), int) == size * size):
         return rows
     for i, row in enumerate(value):
         if not isinstance(row, (list, tuple)):
@@ -540,26 +542,21 @@ def _isomorphisms(
         pairs = set(zip(elements, forced))
         if len(pairs) != len(dict(pairs)) or len(pairs) != len({y: x for x, y in pairs}):
             return
-    src, table = source.as_finite_group.table, target.table
+    src, table, cycles = source.as_finite_group.table, target.table, target.cycles
     # then the standard generators: in mixed-radix order e_i = prod(factors[i + 1:])
     steps, weight = [*elements], n
     for d in source.factors:
         weight //= d
         steps.append(weight)
-    points = range(n)
-    by_multiple: dict[tuple[int, int], list[tuple[int, list[tuple[int, ...]]]]] = {}
+    by_multiple: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
 
-    def candidates(c: int, back: int) -> list[tuple[int, list[tuple[int, ...]]]]:
-        """Each h with c h = back, increasing, with the table rows of h, 2h,
-        .., (c - 1)h."""
+    def candidates(c: int, back: int) -> list[tuple[int, list[int]]]:
+        """Each h with c h = back, increasing, with h, 2h, .., (c - 1)h, all
+        read off h's cycle through the identity; an h of order below c is
+        left out, as some t h with 0 < t < c is then 0."""
         if (c, back) not in by_multiple:
-            by_multiple[c, back] = out = []
-            for h in points:
-                rows = [table[h]]
-                for _ in range(c - 2):
-                    rows.append(table[rows[-1][h]])
-                if rows[-1][h] == back:
-                    out.append((h, rows))
+            by_multiple[c, back] = [(h, cyc[1:c]) for h, cyc in enumerate(cycles)
+                                    if len(cyc) >= c and cyc[c % len(cyc)] == back]
         return by_multiple[c, back]
 
     # the span so far is keys, in the order it grew: key p is at where[p]
@@ -583,7 +580,7 @@ def _isomorphisms(
             mults.append(x)
         options = candidates(len(mults) + 1, images[where[x]])
         if i < len(forced):
-            options = [(h, hrows) for h, hrows in options if h == forced[i]]
+            options = [(h, hmults) for h, hmults in options if h == forced[i]]
         # phi(s + t a) = phi(s) + t h for 0 < t < c
         keys2 = keys + [row[s] for row in map(src.__getitem__, mults) for s in keys]
         where2 = dict(zip(keys2, range(n)))
@@ -591,9 +588,9 @@ def _isomorphisms(
             # the span is all of source: every later image is forced
             as_tuple = operator.itemgetter(*sorted(range(n), key=keys2.__getitem__))
         hit = set(images)
-        for h, hrows in options:
+        for h, hmults in options:
             # phi(s) + t h lies in phi(span) iff t h does
-            ys = [row[y] for row in hrows for y in images]
+            ys = [table[t][y] for t in hmults for y in images]
             if not hit.isdisjoint(ys):
                 continue
             images2 = images + ys
@@ -680,6 +677,7 @@ def _torsor_isomorphism(
             return abelian_groups_of_order(m)[0], invert_perm(cycles[-1])
     inv = tuple(c[-1] for c in cycles)     # -x, the last of x's multiples
     target = FiniteGroup(n=m, table=tuple(map(tuple, table)), id=0, inv=inv)
+    vars(target)["cycles"] = cycles
     divisors = [q for q in range(1, m + 1) if m % q == 0]
     counts = [sum(q % len(c) == 0 for c in cycles) for q in divisors]
     for cand in abelian_groups_of_order(m):

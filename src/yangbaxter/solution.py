@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .groups import (
     RowKernel,
+    _non_permutation,
     _row_classes,
     _row_kernel,
     _table_pair,
@@ -57,12 +58,18 @@ class FiniteSolution(namedtuple("FiniteSolution", "n sigma tau")):
     tau_classes = cached_property(lambda self: _row_classes(self.tau))
 
     @cached_property
+    def distinct_rows(self) -> tuple[Optional[int], tuple]:
+        """(i, rows): the first distinct sigma- then tau-row that is not a permutation
+        of 0..n-1, or None, and those rows as the class kernel encodes them (_non_permutation)."""
+        (sig_reps, _), (tau_reps, _) = self.sigma_classes, self.tau_classes
+        return _non_permutation([*map(self.sigma.__getitem__, sig_reps),
+                                 *map(self.tau.__getitem__, tau_reps)], self.n)
+
+    @cached_property
     def class_kernel(self) -> RowKernel:
         """The row kernel of [the sigma- and tau-rows' classes, the distinct
         sigma-rows, the distinct tau-rows], for is_2reductive and commuting_rows."""
-        (sig_reps, sid), (tau_reps, tid) = self.sigma_classes, self.tau_classes
-        return _row_kernel([sid, tid, *map(self.sigma.__getitem__, sig_reps),
-                            *map(self.tau.__getitem__, tau_reps)])
+        return _row_kernel([self.sigma_classes[1], self.tau_classes[1], *self.distinct_rows[1]])
 
     @cached_property
     def reductivity(self) -> TwoReductivity:
@@ -80,10 +87,10 @@ class FiniteSolution(namedtuple("FiniteSolution", "n sigma tau")):
         composing g_i after them reads g_i g_j(k) there, and joining the
         columns in the order g_i(0), g_i(1), ... reads g_j g_i(k).
         """
-        n, perm = self.n, list(range(self.n))
-        (_, _, *rows), (_, _, *maps), then, join, _ = self.class_kernel
-        if not all(sorted(row) == perm for row in rows):
+        if self.distinct_rows[0] is not None:
             return False
+        n = self.n
+        (_, _, *rows), (_, _, *maps), then, join, _ = self.class_kernel
         every = join(rows)
         cols = [every[k::n] for k in range(n)]
         by_cols = join(cols)
@@ -142,14 +149,15 @@ def _distributes(kernel) -> bool:
     p_x p_y = p_{p_x(y)} p_x.  The identity depends on x only through p_x,
     so x runs over one point per distinct row: p_x composed with every row
     at once against the d compositions p_w p_x, w over the d distinct rows,
-    laid out over the n points y by one join.  That is d comparisons of
-    n^2-entry rows, made by d(d + 1) compositions."""
+    laid out over the n points y by one join (when d = n, a point is its own
+    class).  That is d comparisons of n^2-entry rows, by d(d + 1) compositions."""
     rows, maps, then, join, _ = kernel
     reps, cls = _row_classes(rows)
     rep_maps, every = [maps[w] for w in reps], join(rows)
     for x in reps:
         after = list(map(then, repeat(rows[x]), rep_maps))
-        if then(every, maps[x]) != join(map(after.__getitem__, map(cls.__getitem__, rows[x]))):
+        ids = rows[x] if len(reps) == len(rows) else map(cls.__getitem__, rows[x])
+        if then(every, maps[x]) != join(map(after.__getitem__, ids)):
             return False
     return True
 
@@ -202,16 +210,16 @@ def _braids(s_kernel, tau_cols, r_kernel) -> bool:
 
 def _violation(s: FiniteSolution) -> Optional[Violation]:
     """validate_tables of tables held as a FiniteSolution of tuple rows;
-    each distinct row is checked once, and its first index is the witness."""
+    each distinct row is checked once (FiniteSolution.distinct_rows), and
+    its first index is the witness."""
     n, sig, ta = s
     if len(ta) != n:
         return Violation("tau-row", ("row count", len(ta), n))
-    perm = list(range(n))
-    for check, table, (reps, _) in (("sigma-row", sig, s.sigma_classes),
-                                    ("tau-row", ta, s.tau_classes)):
-        for x in reps:
-            if sorted(table[x]) != perm:
-                return Violation(check, (x,))
+    if (i := s.distinct_rows[0]) is not None:
+        sig_reps = s.sigma_classes[0]
+        if i < len(sig_reps):
+            return Violation("sigma-row", (sig_reps[i],))
+        return Violation("tau-row", (s.tau_classes[0][i - len(sig_reps)],))
     if s.reductivity.holds and s.commuting_rows:
         return None
     s_kernel, tau_cols = s.sigma_kernel, list(zip(*ta))
@@ -350,7 +358,8 @@ def is_2reductive(s: FiniteSolution) -> TwoReductivity:
     (FiniteSolution.sigma_classes, tau_classes), sigma_{sigma_x(y)} = sigma_y
     for every y says sid o sigma_x = sid, and the other three alike: each
     identity composes sid or tid with every distinct sigma- or tau-row
-    (FiniteSolution.class_kernel).
+    (FiniteSolution.class_kernel).  It takes n x n tables with entries in 0..n-1,
+    permutations or not; an entry outside 0..255 raises the bytes encoding's ValueError.
     """
     (sid, tid, *rows), (sid_map, tid_map, *_), then, *_ = s.class_kernel
     sigma_rows, tau_rows = rows[:len(s.sigma_classes[0])], rows[len(s.sigma_classes[0]):]

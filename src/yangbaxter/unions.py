@@ -27,7 +27,6 @@ from .groups import (
     _partitions,
     _torsor_isomorphism,
     abelian_groups_of_order,
-    compose,
 )
 from .solution import FiniteSolution
 
@@ -161,17 +160,20 @@ def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
     The blocks are the orbits of the permutation group, which acts on each
     regularly, as an abelian group.  Each orbit is walked once from its
     least point e over the distinct sigma- and tau-rows: a point z first
-    reached as g(z') gets t_z = g o t_z', the one element taking e to z, and
-    row z of the orbit's translation table is t_z read on the orbit.
+    reached as g(z') gets t_z = g o t_z', the one element taking e to z,
+    composed by the class kernel, and row z of the orbit's translation
+    table is t_z read on the orbit.
 
     Raises ValueError on tables that are not a 2-reductive solution,
     decided as validate_tables does, so unverified tables are decided too.
     """
-    if not s.reductivity.holds:
+    # red1-red4 are read only off permutation rows; other rows fail commuting_rows
+    if s.distinct_rows[0] is None and not s.reductivity.holds:
         raise ValueError("solution is not 2-reductive")
     if not s.commuting_rows:
         raise ValueError("tables are not a solution: their rows are not commuting permutations")
-    _, _, *rows = s.class_kernel.rows       # the distinct sigma- and tau-rows
+    # the distinct sigma- and tau-rows, encoded, and their maps
+    (_, _, *rows), (_, _, *maps), then, *_ = s.class_kernel
     reached: dict[int, tuple[int, int]] = {}    # z -> (g, z'): z = rows[g](z')
     orbs, groups, at = [], [], 0
     # each point's element of its block, and its point of the rebuilt carrier
@@ -179,32 +181,32 @@ def solution_to_union(s: FiniteSolution) -> UnionDecomposition:
     for e in range(s.n):
         if e in reached:
             continue
+        # a row acts on e's orbit as the element taking e to its image: one
+        # row per image other than e generates the group there
+        gens = list({row[e]: g for g, row in enumerate(rows) if row[e] != e}.values())
         walk, reached[e] = [e], (0, e)          # e's entry is never read
         for z in walk:
-            for g, row in enumerate(rows):
-                if row[z] not in reached:
-                    reached[row[z]] = (g, z)
-                    walk.append(row[z])
-        orb = tuple(sorted(walk))
-        index_of = {x: i for i, x in enumerate(orb)}
-        # t_z and the rows on the orbit, as maps of local indices
-        on_orb = [[index_of[row[x]] for x in orb] for row in rows]
-        t = {e: tuple(range(len(orb)))}
-
-        def t_of(z):    # composed when first read, along z's walk back to e
-            path = [z]
-            while path[-1] not in t:
-                path.append(reached[path[-1]][1])
-            for y in reversed(path[:-1]):
-                t[y] = compose(on_orb[reached[y][0]], t[reached[y][1]])
-            return t[z]
-
-        grp, to_canon = _torsor_isomorphism(map(t_of, orb), len(orb))
-        for x, i in index_of.items():
-            local[x], carrier_map[x] = to_canon[i], at + to_canon[i]
+            for g in gens:
+                if (y := rows[g][z]) not in reached:
+                    reached[y] = (g, z)
+                    walk.append(y)
+        orb, size = tuple(sorted(walk)), len(walk)
+        grp, to_canon = _abelian_block(()), (0,)     # a one-point orbit is Z1
+        if size > 1:
+            # t_z on the orbit's points, encoded as kernel rows: then(t_z', maps[g]) is
+            # g o t_z'; to_index, a map as then reads one, sends a point to its index
+            t = {e: type(rows[0])(orb)}
+            for z in walk[1:]:      # z' comes before z in the walk
+                t[z] = then(t[reached[z][1]], maps[reached[z][0]])
+            to_index = (bytes.maketrans(t[e], bytes(range(size))) if isinstance(t[e], bytes)
+                        else dict(zip(orb, range(size))))
+            on_orb = map(then, map(t.__getitem__, orb), itertools.repeat(to_index))
+            grp, to_canon = _torsor_isomorphism(on_orb, size)
+        for x, i in zip(orb, to_canon):
+            local[x], carrier_map[x] = i, at + i
         orbs.append(orb)
         groups.append(grp)
-        at += len(orb)
+        at += size
     # each column generates its block: the group acts regularly on the orbit
     firsts = [orb[0] for orb in orbs]
     c, d = (tuple(tuple(local[m[a][b]] for b in firsts) for a in firsts) for m in (s.sigma, s.tau))

@@ -206,6 +206,31 @@ def test_malformed_entry_message_names_its_index(tmp_path, capsys):
         ], argv
 
 
+Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+UNION = {"groups": [[2], [3]], "C": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"dot": Z3, "circle": [[0, 1, 2], [1, 2, 0], [2, 0, True]]},
+     "circle: entry [2][2] = True is not an integer"),
+    ({"dot": Z3, "circle": [[0, 1, 2], [1, 2, 0], [2, 0, 1.5]]},
+     "circle: entry [2][2] = 1.5 is not an integer"),
+    ({"dot": Z3, "circle": [[0, 1, 2], [1, 2, 0], [2, 0]]},
+     "circle: row 2 has 2 entries, expected 3"),
+    ({**UNION, "D": [[0, 0], [0, True]]}, "D: entry [1][1] = True is not an integer"),
+    ({**UNION, "D": [[0, 0], [0, 1.5]]}, "D: entry [1][1] = 1.5 is not an integer"),
+    ({**UNION, "D": [[0, 0], [0]]}, "D: row 1 has 1 entries, expected 2"),
+], ids=["circle-late-bool", "circle-late-float", "circle-short-row",
+        "union-late-bool", "union-late-float", "union-short-row"])
+def test_every_loader_names_the_first_bad_entry(tmp_path, capsys, payload, message):
+    # the brace and union loaders share the solution's table check: a bool
+    # or a float past [0][0], or a short last row, is named by its index
+    path = write(tmp_path, "bad.json", payload)
+    for argv in (["verify", path], ["classify", path, path], ["brace", path]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"], argv
+
+
 @pytest.mark.parametrize("sigma, message", [
     ([[1, 0], [1.0, 0]], "sigma: entry [1][0] = 1.0 is not an integer"),
     ([[0, 1.5, 2], [0, 1, 2], [0, 1]], "sigma: entry [0][1] = 1.5 is not an integer"),

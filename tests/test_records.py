@@ -59,10 +59,10 @@ SAMPLES = _samples()
 CACHED = {
     "AbelianGroup": {"units", "automorphisms", "as_finite_group"},
     "PermGroup": {"elements", "is_abelian"},
-    "FiniteGroup": {"table_kernel", "_gens", "is_abelian"},
+    "FiniteGroup": {"table_kernel", "_gens", "cycles", "is_abelian"},
     "FiniteSolution": {
-        "sigma_kernel", "tau_kernel", "sigma_classes", "tau_classes", "class_kernel",
-        "reductivity", "commuting_rows",
+        "sigma_kernel", "tau_kernel", "sigma_classes", "tau_classes", "distinct_rows",
+        "class_kernel", "reductivity", "commuting_rows",
     },
     "SkewBrace": {"lambdas", "lambda_kernel", "rhos"},
 }

@@ -130,6 +130,17 @@ def test_decomposition_rejects_tables_that_are_not_a_solution(sigma_row, tau_row
             decompose(s)
 
 
+@pytest.mark.parametrize("sigma_row", [(0, 300), (0, -1)], ids=["above-255", "negative"])
+def test_decomposition_rejects_entries_out_of_range(sigma_row):
+    # red1-red4 cannot be read off these rows: the permutation check comes
+    # first, so both entry points name the tables, not the bytes encoding
+    s = FiniteSolution(n=2, sigma=(sigma_row,) * 2, tau=((0, 1),) * 2)
+    assert str(validate_tables(s.sigma, s.tau)) == "sigma-row fails at (0,)"
+    for decompose in (yb.solution_to_union, yb.injectivity_necessary_checks):
+        with pytest.raises(ValueError, match="^tables are not a solution"):
+            decompose(FiniteSolution(*s))
+
+
 def test_round_trip_with_carrier_map(census, small_solutions):
     for n in (2, 3, 4):
         for u in census[n]:
