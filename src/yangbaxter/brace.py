@@ -10,22 +10,22 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Optional, Sequence
 
 from .groups import (
     FiniteGroup,
-    Perm,
     RowKernel,
     _coset_quotient,
     _first_triple,
+    _into,
+    _row_classes,
     _row_kernel,
     _table_pair,
     center,
     cyclic_group,
     direct_product_group,
     finite_group,
-    identity_perm,
     is_normal,
 )
 from .retraction import MultipermutationResult, _reductive_level
@@ -60,9 +60,10 @@ class SkewBrace(namedtuple("SkewBrace", "dot circle")):
         return _row_kernel([then(circ.rows[a], dot_maps[i]) for a, i in enumerate(self.dot.inv)])
 
     lambdas = cached_property(lambda self: tuple(map(tuple, self.lambda_kernel.rows)))
+    rhos = cached_property(lambda self: tuple(map(tuple, self.rho_rows)))
 
     @cached_property
-    def rhos(self) -> tuple[Perm, ...]:
+    def rho_rows(self) -> tuple:
         """rho_y(x) = v o x o y, v the circle inverse of w = lambda_x(y)
         (Guarnieri and Vendramin, Math. Comp. 86, 2017).  As x o y = x . w
         and lambda_v(w) = v^-1 . (v o w) = v^-1, that is v . lambda_v(x . w)
@@ -70,13 +71,13 @@ class SkewBrace(namedtuple("SkewBrace", "dot circle")):
         then dot column v^-1.  So column x of rho, y -> rho_y(x), is
         Q_x o lambda_x, with Q_x(w) = P_w(x) column x of P.  Columns are
         strided slices of rows joined, padded as maps: 2n compositions, on
-        byte or tuple rows."""
+        byte or tuple rows, kept encoded (rhos holds them as tuples)."""
         n, (dot_rows, dot_maps, then, join, _) = self.n, self.dot.table_kernel
         pad, every, circ_rows = dot_maps[0][n:], join(dot_rows), self.circle.table_kernel.rows
         right = [every[c::n] + pad for c in self.dot.inv]     # z -> z . c^-1, per c
         p = join([then(circ_rows[v], right[v]) for v in self.circle.inv])
         cols = join([then(lam, p[x::n] + pad) for x, lam in enumerate(self.lambda_kernel.rows)])
-        return tuple([tuple(cols[y::n]) for y in range(n)])
+        return tuple([cols[y::n] for y in range(n)])
 
     def to_dict(self) -> dict:
         return {
@@ -147,9 +148,15 @@ def associated_solution(b: SkewBrace) -> FiniteSolution:
     """The solution (B, lambda, rho); involutive exactly for abelian dot.
 
     Built without verification: the map of a skew brace is a solution
-    (Guarnieri and Vendramin, Math. Comp. 86, 2017).
+    (Guarnieri and Vendramin, Math. Comp. 86, 2017), so its rows are
+    permutations; its row classes are seeded from lambda's and rho's bytes.
     """
-    return FiniteSolution(n=b.n, sigma=b.lambdas, tau=b.rhos)
+    s = FiniteSolution(n=b.n, sigma=b.lambdas, tau=b.rhos)
+    lam, rho = b.lambda_kernel.rows, b.rho_rows
+    sig_cls, tau_cls = _row_classes(lam), _row_classes(rho)
+    distinct = [*map(lam.__getitem__, sig_cls[0]), *map(rho.__getitem__, tau_cls[0])]
+    vars(s).update(sigma_classes=sig_cls, tau_classes=tau_cls, distinct_rows=(None, distinct))
+    return s
 
 
 def opposite_brace(b: SkewBrace) -> SkewBrace:
@@ -181,12 +188,15 @@ class Ideal(namedtuple("Ideal", "brace elements")):
 
 
 def is_ideal(b: SkewBrace, elements: Sequence[int]) -> bool:
-    """Normal in both groups and stable under every lambda_a, checked once
-    per distinct lambda_a."""
+    """Normal in both groups and stable under lambda_a for a in the circle
+    group's generating set: the a with lambda_a(I) .subset. I are closed
+    under o, as lambda_{a o c} = lambda_a lambda_c, so they are all of the
+    finite group (B, o) once they hold its generators."""
     elems = set(elements)
     if not is_normal(b.dot, elems) or not is_normal(b.circle, elems):
         return False
-    return all(elems.issuperset([lam[x] for x in elems]) for lam in dict.fromkeys(b.lambdas))
+    lam = b.lambda_kernel
+    return len(elems) in (1, b.n) or _into(lam, elems, map(lam.maps.__getitem__, b.circle._gens))
 
 
 def socle(b: SkewBrace) -> Ideal:
@@ -275,10 +285,13 @@ def kernel_ideals(b: SkewBrace) -> KernelReport:
     x o a-bar = x . a-bar, so a o x o a-bar = a . lambda_a(x) . lambda_a(a-bar)
     = a . lambda_a(x) . a^-1 lies in Ker lambda; when Ker lambda is normal
     in (B, .), lambda_a(x) lies in it too.  So it is an ideal iff it is
-    normal in (B, .)."""
-    ident = identity_perm(b.n)
-    ker_lam = tuple(a for a in range(b.n) if b.lambdas[a] == ident)
-    ker_rho = tuple(a for a in range(b.n) if b.rhos[a] == ident)
+    normal in (B, .), which is_normal decides by the dot generators; Ker rho
+    goes through is_ideal (by the dot and circle generators, as their
+    docstrings prove).  Each kernel is the encoded rows equal to lambda_id
+    or rho_id, as the identity need not be 0."""
+    lam, rho = b.lambda_kernel.rows, b.rho_rows
+    ker_lam = tuple(compress(range(b.n), map(lam[b.id].__eq__, lam)))
+    ker_rho = tuple(compress(range(b.n), map(rho[b.id].__eq__, rho)))
     return KernelReport(ker_lam, ker_rho, is_normal(b.dot, ker_lam), is_ideal(b, ker_rho))
 
 

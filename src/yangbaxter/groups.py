@@ -159,7 +159,11 @@ class FiniteGroup(namedtuple("FiniteGroup", "n table id inv")):
 
     @cached_property
     def is_abelian(self) -> bool:
-        return len(center(self)) == self.n
+        """Each generator's row is its column (a stride of the joined rows):
+        the centre is a subgroup, so it is all once it holds the generators."""
+        rows, _, _, join, _ = self.table_kernel
+        every = join(rows)
+        return all(every[g::self.n] == rows[g] for g in self._gens)
 
     def opposite(self) -> "FiniteGroup":
         """The group with reversed multiplication, a *op b = b * a: the
@@ -317,33 +321,41 @@ def _closure(ident, gens: Sequence, mul: Callable) -> set:
     return elems
 
 
+def _into(kernel: RowKernel, elems: set[int], maps: Iterable) -> bool:
+    """Whether every map, encoded as kernel's are, sends elems into elems: a
+    translate of elems' bytes per map, then one deletion of them from the images
+    joined.  Tuple maps are read by _gather (then returns an int for one index)."""
+    if type(kernel.rows[0]) is bytes:
+        k = bytes(elems)
+        return not b"".join(map(k.translate, maps)).translate(None, k)
+    read = _gather(tuple(elems))
+    return all(elems.issuperset(read(m)) for m in maps)
+
+
 def is_subgroup(g: FiniteGroup, s: Iterable[int]) -> bool:
+    """Non-empty, in range, with the identity, and aS in S for each a in S (_into)."""
     ss = set(s)
-    if not ss or any(not 0 <= x < g.n for x in ss):
+    if not ss or not all(map(range(g.n).__contains__, ss)) or g.id not in ss:
         return False
-    rows = g.table
-    return g.id in ss and all(ss.issuperset([rows[a][b] for b in ss]) for a in ss)
+    maps = g.table_kernel.maps
+    return len(ss) in (1, g.n) or _into(g.table_kernel, ss, map(maps.__getitem__, ss))
 
 
 def is_normal(g: FiniteGroup, s: Iterable[int]) -> bool:
-    """True iff s is a subgroup with aS = Sa for every element a.
+    """True iff s is a subgroup S with tSt^-1 = S for every element t.
 
-    One a per left coset is checked, as sets of |S| products: if aS = Sa,
-    then for s in S, (as)S = aS and S(as) = (Sa)s = (aS)s = aS, so every
-    element of aS passes with a.
+    Checked for t in g._gens, x -> txt^-1 being row t, then column t^-1 (a
+    stride of the joined rows): the t with tSt^-1 .subset. S are closed under
+    products, as (tu)S(tu)^-1 = t(uSu^-1)t^-1, so in a finite group they are
+    a subgroup, all of g once they hold the generators; equality is by size.
     """
     ss = set(s)
-    if not is_subgroup(g, ss):
-        return False
-    rows, seen = g.table, set()
-    for a in range(g.n):
-        if a not in seen:
-            row_a = rows[a]
-            left = {row_a[x] for x in ss}
-            if left != {rows[x][a] for x in ss}:
-                return False
-            seen |= left
-    return True
+    if not (sub := is_subgroup(g, ss)) or len(ss) in (1, g.n):
+        return sub
+    n, (rows, maps, then, join, _) = g.n, g.table_kernel
+    every, pad = join(rows), maps[0][n:]
+    return _into(g.table_kernel, ss, [then(rows[t], every[g.inv[t]::n] + pad) + pad
+                                      for t in g._gens])
 
 
 def center(g: FiniteGroup) -> tuple[int, ...]:

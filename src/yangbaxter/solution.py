@@ -320,7 +320,8 @@ def is_involutive(s: FiniteSolution) -> bool:
 
 
 def is_square_free(s: FiniteSolution) -> bool:
-    return all(s.r(x, x) == (x, x) for x in range(s.n))
+    """r(x, x) = (x, x) for every x; n x n tables of any entries."""
+    return all(sig[x] == x == ta[x] for x, sig, ta in zip(range(s.n), s.sigma, s.tau))
 
 
 def is_permutational(s: FiniteSolution) -> bool:
@@ -328,13 +329,24 @@ def is_permutational(s: FiniteSolution) -> bool:
 
 
 def is_projection(s: FiniteSolution) -> bool:
+    """Every row is the identity; n x n tables of tuple rows of any entries."""
     ident = identity_perm(s.n)
     return all(row == ident for row in s.sigma) and all(row == ident for row in s.tau)
 
 
 def has_lri(s: FiniteSolution) -> bool:
-    ident = identity_perm(s.n)
-    return all(compose(s.sigma[x], s.tau[x]) == ident for x in range(s.n))
+    """tau_x = sigma_x^-1 for every x; n x n tables with entries in 0..n-1.
+    Tables with LRI have permutation rows, so a row that is not one
+    (distinct_rows) fails with no kernel.  Otherwise it holds iff it holds
+    at the first point of each sigma-class and tau's class is a function of
+    sigma's there: one inverse per sigma-class on the class kernel, then one
+    list of class ids."""
+    if s.distinct_rows[0] is not None:
+        return False
+    (_, _, *rows), _, _, _, invert = s.class_kernel
+    (reps, sid), tid = s.sigma_classes, s.tau_classes[1]
+    return (all(invert(rows[c]) == rows[len(reps) + tid[x]] for c, x in enumerate(reps))
+            and [tid[reps[c]] for c in sid] == tid)
 
 
 class TwoReductivity(namedtuple("TwoReductivity", "red1 red2 red3 red4")):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from math import prod
 
 # ---------------------------------------------------------------------------
@@ -96,6 +97,16 @@ def relabel_table(table, phi):
     for a, p in enumerate(phi):
         inv[p] = a
     return tuple(tuple(phi[table[a][b]] for b in inv) for a in inv)
+
+
+def moving_perm(n, ident, seed):
+    """A seeded bijection of 0..n-1 that sends ident to a point other than 0
+    when n > 1."""
+    phi = random.Random(seed).sample(range(n), n)
+    if n > 1 and phi[ident] == 0:
+        k = (ident + 1) % n
+        phi[ident], phi[k] = phi[k], phi[ident]
+    return phi
 
 
 def class_key(sigma, tau):

@@ -16,6 +16,7 @@ import tracemalloc
 import pytest
 
 import yangbaxter as yb
+from oracles import moving_perm
 from yangbaxter import brace as brace_module
 from yangbaxter import cli, groups, unions
 from yangbaxter.cli import main
@@ -762,6 +763,31 @@ def test_brace_report_makes_no_call_per_pair(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
     cli.brace_report(b, full=True, out=io.StringIO())
     assert calls["mul"] <= b.n and calls["r"] <= b.n, calls
+
+
+def test_relabelled_brace_reports_are_the_reports_moved(tmp_path, capsys, brace_catalog):
+    # a brace moved along phi, its identity off 0, reports the original's
+    # lines with each element list mapped through phi and sorted, and
+    # --solution-out writes the associated solution moved along phi (the
+    # socle_series_sizes list holds sizes, not elements)
+    lists = re.compile(r"^(socle|ker_lambda|ker_rho): \[([0-9, ]*)\]", re.M)
+    out = str(tmp_path / "assoc.json")
+    for seed, (name, b) in enumerate(brace_catalog):
+        phi = moving_perm(b.n, b.id, seed)
+        inv = [phi.index(u) for u in range(b.n)]
+        data = {key: [[phi[t[x][y]] for y in inv] for x in inv]
+                for key, t in (("dot", b.dot.table), ("circle", b.circle.table))}
+        path = write(tmp_path, "b.json", data)
+        report = io.StringIO()
+        cli.brace_report(b, full=True, out=report)
+        expected, lines = lists.subn(
+            lambda m: f"{m[1]}: {sorted(phi[int(x)] for x in m[2].split(', ') if x)}",
+            report.getvalue())
+        assert lines == 3, name
+        assert main(["brace", path, "--report", "full", "--solution-out", out]) == 0
+        assert capsys.readouterr().out == expected, name
+        with open(out) as fh:
+            assert json.load(fh) == yb.relabel(yb.associated_solution(b), phi).to_dict(), name
 
 
 def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brace_catalog):

@@ -28,6 +28,7 @@ from oracles import (
     is_permutation,
     isomorphisms_oracle,
     lambdas_rhos,
+    moving_perm,
     relabel_table,
     two_reductive_oracle,
     validate_oracle,
@@ -694,6 +695,69 @@ def test_subgroup_normal_and_ideal_match_the_element_loops(brace_catalog):
     # non-normal subgroups, normal sets that are no ideal, proper ideals
     assert all(seen.values()), seen
     assert not is_subgroup(yb.cyclic_group(4), {0, 4})
+
+
+def _moved(b, seed):
+    """b along a seeded bijection of its carrier that sends the identity
+    off 0, its tables moved by the oracle's relabel_table."""
+    phi = moving_perm(b.n, b.id, seed)
+    return SkewBrace(finite_group(relabel_table(b.dot.table, phi)),
+                     finite_group(relabel_table(b.circle.table, phi)))
+
+
+def kernels_oracle(dot, circ):
+    """kernel_ideals from the definitions: the a with lambda_a = id and the
+    y with rho_y = id, each with ideal_oracle's verdict."""
+    lams, rhos = lambdas_rhos(dot, circ)
+    ident = tuple(range(len(dot)))
+    ker_lam = tuple(a for a, lam in enumerate(lams) if lam == ident)
+    ker_rho = tuple(y for y, rho in enumerate(rhos) if rho == ident)
+    return ker_lam, ker_rho, ideal_oracle(dot, circ, ker_lam), ideal_oracle(dot, circ, ker_rho)
+
+
+def commutative_oracle(table):
+    n = len(table)
+    return all(table[a][b] == table[b][a] for a in range(n) for b in range(n))
+
+
+def test_kernel_ideals_and_abelianness_match_the_element_loops(brace_catalog):
+    # kernels read off the encoded rows equal to the identity's, verdicts
+    # from generators, and a group abelian when its generators are central;
+    # as built and relabelled with the identity off 0
+    braces = [side for _, b in brace_catalog for side in (b, yb.opposite_brace(b))]
+    braces += [f(n) for n in range(1, 22, 2) for f in (yb.z2n_brace, yb.z2n_dual_brace)]
+    braces.append(yb.product_brace(yb.z2n_brace(3), yb.trivial_brace(yb.quaternion_group())))
+    seen = set()
+    for seed, b in enumerate(braces):
+        for side in (b, _moved(b, seed)):
+            dot, circ = side.dot.table, side.circle.table
+            expected = kernels_oracle(dot, circ)
+            assert yb.kernel_ideals(side) == expected, (seed, side.id)
+            assert side.dot.is_abelian == commutative_oracle(dot), (seed, side.id)
+            assert side.circle.is_abelian == commutative_oracle(circ), (seed, side.id)
+            seen.add((side.id != 0, *expected[2:], side.dot.is_abelian))
+    # every verdict both ways, on braces whose identity is 0 and is not
+    for flag in range(4):
+        assert {key[flag] for key in seen} == {False, True}, seen
+
+
+def test_subsets_above_256_points_match_the_element_loops():
+    # tuple rows: the kernel's then would read a one-element subset as a
+    # bare int, so subsets are read by _gather; proper subgroups, normal or
+    # not, and subsets that are not closed, in a dihedral group of order 258
+    g = yb.dihedral_group(129)
+    subsets = [set(yb.subgroup_generated(g, gens)) for gens in ([1], [129], [2], [3, 130])]
+    subsets += [{g.id, 5}, {g.id}, {5}, set(range(g.n))]
+    verdicts = set()
+    for s in subsets:
+        sub, normal = subgroup_oracle(g.table, s), normal_oracle(g.table, s)
+        assert (is_subgroup(g, s), yb.is_normal(g, s)) == (sub, normal), sorted(s)[:4]
+        verdicts.add((sub, normal))
+    assert verdicts == {(False, False), (True, False), (True, True)}
+    for b in (yb.z2n_brace(129), yb.almost_trivial_brace(g)):
+        for side in (b, _moved(b, b.n)):
+            assert yb.kernel_ideals(side) == kernels_oracle(side.dot.table, side.circle.table)
+            assert side.dot.is_abelian == commutative_oracle(side.dot.table)
 
 
 def test_coset_quotient_matches_the_coset_loop():

@@ -64,7 +64,7 @@ CACHED = {
         "sigma_kernel", "tau_kernel", "sigma_classes", "tau_classes", "distinct_rows",
         "class_kernel", "reductivity", "commuting_rows",
     },
-    "SkewBrace": {"lambdas", "lambda_kernel", "rhos"},
+    "SkewBrace": {"lambdas", "lambda_kernel", "rhos", "rho_rows"},
 }
 
 

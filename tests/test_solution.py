@@ -192,6 +192,51 @@ def test_square_free_iff_zero_diagonals(census):
         )
 
 
+def predicates_oracle(s):
+    """(has_lri, is_projection, is_square_free) as plain loops over x, y."""
+    n, sigma, tau = s
+    pairs = list(itertools.product(range(n), repeat=2))
+    return (all(sigma[x][tau[x][y]] == y for x, y in pairs),
+            all(sigma[x][y] == y == tau[x][y] for x, y in pairs),
+            all(sigma[x][x] == x == tau[x][x] for x in range(n)))
+
+
+def test_predicates_match_the_loops_on_every_2_point_table_and_random_3_point_ones():
+    # the predicates read row classes and the class kernel; permutation
+    # rows or not, entries in 0..n-1
+    rows2 = list(itertools.product(range(2), repeat=2))
+    tables = [(2, sig, ta) for sig in itertools.product(rows2, repeat=2)
+              for ta in itertools.product(rows2, repeat=2)]
+    rng, perms3 = random.Random(3), list(itertools.permutations(range(3)))
+    for _ in range(300):
+        pool = perms3 if rng.random() < 0.7 else list(itertools.product(range(3), repeat=3))
+        sig = tuple(rng.choice(pool) for _ in range(3))
+        # tau_x = sigma_x^-1 for some x, so some tables have LRI
+        tables.append((3, sig, tuple(invert_perm(row) if rng.random() < 0.8 and row in perms3
+                                     else rng.choice(perms3) for row in sig)))
+    seen = set()
+    for n, sig, ta in tables:
+        s = yb.FiniteSolution(n, sig, ta)
+        expected = predicates_oracle(s)
+        assert (yb.has_lri(s), yb.is_projection(s), yb.is_square_free(s)) == expected, s
+        seen.add(expected)
+    assert {flags[i] for flags in seen for i in range(3)} == {False, True}
+
+
+@pytest.mark.parametrize("s, expected", [
+    # an entry above 255 or below 0 is no permutation row; the bytes
+    # encoding would raise ValueError on either
+    (yb.FiniteSolution(2, ((0, 300), (1, 0)), ((0, 1), (0, 1))), (False, False, False)),
+    (yb.FiniteSolution(2, ((0, -1), (1, 0)), ((0, 1), (0, 1))), (False, False, False)),
+    # -1 is no point, though sigma_0[-1] reads as sigma_0(1) = 1
+    (yb.FiniteSolution(2, ((0, 1), (0, 1)), ((0, -1), (0, 1))), (False, False, True)),
+    # the empty record holds every identity vacuously
+    (yb.FiniteSolution(0, (), ()), (True, True, True)),
+], ids=["above-255", "negative-sigma", "negative-tau", "empty"])
+def test_predicates_keep_their_contract_on_unverified_records(s, expected):
+    assert (yb.has_lri(s), yb.is_projection(s), yb.is_square_free(s)) == expected
+
+
 def test_2reductive_breakdown_of_z6_brace():
     s = yb.associated_solution(yb.z2n_brace(3))
     red = yb.is_2reductive(s)
