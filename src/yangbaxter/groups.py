@@ -753,20 +753,15 @@ def perm_group_closure(
 
 
 def orbits(g: PermGroup) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition: each orbit sorted, orbits sorted by minimum element.
-    An orbit is the closure of a point under the generators' images."""
+    """Orbit partition: each orbit sorted, orbits sorted by minimum element,
+    as each is the closure of the least point no earlier orbit holds under
+    the generators' images."""
     blocks, seen = [], set()
     for x in range(g.degree):
         if x not in seen:
             blocks.append(_closure(x, g.generators, lambda a, p: p[a]))
             seen |= blocks[-1]
-    return _sorted_blocks(blocks)
-
-
-def _sorted_blocks(blocks: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Disjoint blocks in canonical order: each sorted, the blocks by their
-    least element; empty blocks are dropped."""
-    return tuple(sorted(tuple(sorted(b)) for b in blocks if b))
+    return tuple(tuple(sorted(b)) for b in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,124 +1,48 @@
-"""Equivalences on a solution, congruences, quotient solutions, retraction
-towers, multipermutation level, and the three permutation groups."""
+"""Retraction towers, multipermutation level, and the three permutation
+groups of a solution."""
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
-from typing import Optional, Sequence
+from typing import Optional
 
-from .groups import PermGroup, _row_kernel, _sorted_blocks, perm_group_closure
+from .groups import PermGroup, _row_classes, perm_group_closure
 from .solution import FiniteSolution
-
-
-class SolutionPartition(namedtuple("SolutionPartition", "n blocks")):
-    """A partition of a solution's carrier, canonically sorted."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def block_of(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                out[x] = i
-        return tuple(out)
-
-    def is_trivial(self) -> bool:
-        """All singletons."""
-        return len(self.blocks) == self.n
-
-
-def relation(s: FiniteSolution, kind: str) -> SolutionPartition:
-    """The partition by equal sigma rows (kind "sim"), equal tau rows
-    ("cosim"), or both ("approx"), read off the rows' classes."""
-    sid, tid = s.sigma_classes[1], s.tau_classes[1]
-    keys = {"sim": sid, "cosim": tid, "approx": zip(sid, tid)}
-    if kind not in keys:
-        raise ValueError(f"unknown relation kind {kind!r}")
-    groups: dict[object, list[int]] = {}
-    for x, key in enumerate(keys[kind]):
-        groups.setdefault(key, []).append(x)
-    return SolutionPartition(n=s.n, blocks=_sorted_blocks(groups.values()))
-
-
-def partition_from_blocks(s: FiniteSolution, blocks: Sequence[Sequence[int]]) -> SolutionPartition:
-    seen: set[int] = set()
-    for block in blocks:
-        for x in block:
-            if not 0 <= x < s.n or x in seen:
-                raise ValueError(f"blocks are not a partition of 0..{s.n - 1}")
-            seen.add(x)
-    if len(seen) != s.n:
-        raise ValueError("blocks do not cover the carrier")
-    return SolutionPartition(n=s.n, blocks=_sorted_blocks(blocks))
-
-
-def is_congruence(s: FiniteSolution, p: SolutionPartition) -> bool:
-    """Compatibility of the partition with sigma, tau and their inverses.
-
-    Each row is mapped through the block map once, as a whole: the mapped
-    rows of a block's points must equal its first point's, and each mapped
-    row must not change when its argument moves to its block's first point,
-    that is, it must be constant on every block.  The inverses need no
-    check: a bijection of a finite carrier mapping blocks into blocks
-    permutes them, so its inverse maps blocks by the inverse block map.
-    A partition of another carrier is not a congruence.
-    """
-    n = s.n
-    if p.n != n:
-        return False
-    blk = p.block_of
-    first = [p.blocks[b][0] for b in blk]
-    tables = (s.sigma, s.tau)
-    rows, maps, then, *_ = _row_kernel([blk, first, *itertools.chain(*tables)])
-    to_block, to_first = maps[0], rows[1]
-    for t in range(len(tables)):
-        at = 2 + t * n
-        mapped = [then(rows[at + x], to_block) for x in range(n)]
-        for x in range(n):
-            if mapped[x] != mapped[first[x]]:
-                return False
-            if then(then(to_first, maps[at + x]), to_block) != mapped[x]:
-                return False
-    return True
 
 
 class QuotientSolution(namedtuple("QuotientSolution", "solution projection")):
     solution: FiniteSolution
-    projection: tuple[int, ...]  # carrier point -> block index
+    projection: tuple[int, ...]  # carrier point -> class index
 
 
-def quotient_solution(s: FiniteSolution, p: SolutionPartition) -> QuotientSolution:
-    """Solution induced on the blocks, re-indexed by their minima; raises
-    ValueError for a partition that is not a congruence."""
-    if not is_congruence(s, p):
-        raise ValueError(f"partition {p.blocks} is not a congruence")
-    return _quotient(s, p)
+def _approx_classes(s: FiniteSolution) -> tuple[list[int], list[int]]:
+    """(reps, cls) of the approx relation, x ~ y iff sigma_x = sigma_y and
+    tau_x = tau_y: the least point of each class in increasing order, and
+    each point's class, its position in reps."""
+    return _row_classes(list(zip(s.sigma_classes[1], s.tau_classes[1])))
 
 
-def _quotient(s: FiniteSolution, p: SolutionPartition) -> QuotientSolution:
-    """quotient_solution for a partition known to be a congruence; not
-    verified again, as a quotient by a congruence is a solution (a test
-    checks it).  Each class of sigma- and tau-rows among the blocks' first
-    points is read at those points and mapped to blocks once."""
-    blk = p.block_of
-    reps = [block[0] for block in p.blocks]
+def _quotient(s: FiniteSolution, classes: tuple[list[int], list[int]]) -> QuotientSolution:
+    """The solution induced on the (reps, cls) classes of a congruence, each
+    class indexed by its position in reps; not verified again, as a
+    quotient by a congruence is a solution (a test checks it).  Each class
+    of sigma- and tau-rows among the reps is read at those points and
+    mapped to classes once."""
+    reps, blk = classes
 
-    def mapped(table, classes):
-        firsts, ids = classes[0], [classes[1][a] for a in reps]
+    def mapped(table, row_classes):
+        firsts, ids = row_classes[0], [row_classes[1][a] for a in reps]
         image = {c: tuple([blk[table[firsts[c]][b]] for b in reps]) for c in set(ids)}
         return tuple(map(image.__getitem__, ids))
 
     sigma, tau = mapped(s.sigma, s.sigma_classes), mapped(s.tau, s.tau_classes)
-    return QuotientSolution(solution=FiniteSolution(len(reps), sigma, tau), projection=blk)
+    return QuotientSolution(solution=FiniteSolution(len(reps), sigma, tau), projection=tuple(blk))
 
 
 def retraction(s: FiniteSolution) -> QuotientSolution:
-    """Quotient by the approx relation, built without the congruence check:
-    it is always a congruence (a test checks it)."""
-    return _quotient(s, relation(s, "approx"))
+    """Quotient by the approx relation, classes indexed by their least
+    points; it is always a congruence (a test checks it)."""
+    return _quotient(s, _approx_classes(s))
 
 
 class MultipermutationResult(namedtuple("MultipermutationResult", "level tower_sizes")):
@@ -146,12 +70,12 @@ class MultipermutationResult(namedtuple("MultipermutationResult", "level tower_s
 
 def multipermutation_level(s: FiniteSolution) -> MultipermutationResult:
     """Retract until one point is left or the approx relation is trivial;
-    each step is retraction(), without a congruence check.  The loop ends,
-    as each step quotients by a relation with a block of two or more
-    points and so strictly shrinks the carrier."""
+    each step is retraction().  The loop ends, as each step quotients by a
+    relation with a class of two or more points and so strictly shrinks
+    the carrier."""
     sizes, current = [s.n], s
-    while current.n > 1 and not (p := relation(current, "approx")).is_trivial():
-        current = _quotient(current, p).solution
+    while current.n > 1 and len((classes := _approx_classes(current))[0]) < current.n:
+        current = _quotient(current, classes).solution
         sizes.append(current.n)
     level = len(sizes) - 1 if current.n == 1 else None
     return MultipermutationResult(level=level, tower_sizes=tuple(sizes))
@@ -165,7 +89,7 @@ def _reductive_level(s: FiniteSolution) -> MultipermutationResult:
     all rows are the identity)."""
     if not s.reductivity.holds:
         return multipermutation_level(s)
-    sizes = tuple(dict.fromkeys((s.n, len(set(zip(s.sigma_classes[1], s.tau_classes[1]))), 1)))
+    sizes = tuple(dict.fromkeys((s.n, len(_approx_classes(s)[0]), 1)))
     return MultipermutationResult(level=len(sizes) - 1, tower_sizes=sizes)
 
 

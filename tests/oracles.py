@@ -90,6 +90,55 @@ def two_reductive_oracle(sigma, tau):
     )
 
 
+def invert(row):
+    """The inverse of the permutation row."""
+    inv = [0] * len(row)
+    for x, y in enumerate(row):
+        inv[y] = x
+    return tuple(inv)
+
+
+def classes_by_key(keys):
+    """The block map of the partition of 0..n-1 into points with equal keys,
+    the blocks numbered by their least points in increasing order."""
+    number = {}
+    return [number.setdefault(key, len(number)) for key in keys]
+
+
+def least_points(block_of):
+    """{block: its least point} of the partition with block map block_of."""
+    least = {}
+    for x, blk in enumerate(block_of):
+        least.setdefault(blk, x)
+    return least
+
+
+def congruence_oracle(sigma, tau, block_of):
+    """Whether the partition with block map block_of is compatible with
+    sigma, tau and their inverses, element by element: m_x(y) and
+    m_x0(y0) lie in one block for every map m, x in the block of x0 and y in
+    the block of y0, x0 and y0 the least points of their blocks."""
+    n, least = len(sigma), least_points(block_of)
+    first = [least[blk] for blk in block_of]
+    maps = (sigma, [invert(row) for row in sigma], tau, [invert(row) for row in tau])
+    return all(
+        block_of[m[x][y]] == block_of[m[first[x]][first[y]]]
+        for m in maps for x in range(n) for y in range(n)
+    )
+
+
+def quotient_oracle(sigma, tau, block_of):
+    """The tables induced on the blocks of a congruence, numbered as in
+    block_of: block i sends block j to the block of m_x(y), x and y the
+    least points of blocks i and j."""
+    least = least_points(block_of)
+    reps = [least[i] for i in range(len(least))]
+    return tuple(
+        tuple(tuple(block_of[table[x][y]] for y in reps) for x in reps)
+        for table in (sigma, tau)
+    )
+
+
 def relabel_table(table, phi):
     """The table moved along the bijection phi: entry (phi(a), phi(b)) is
     phi(table[a][b])."""
@@ -306,6 +355,12 @@ def lambdas_rhos(dot, circ):
         tuple(circ[circ[cinv[lams[x][y]]][x]][y] for x in range(n)) for y in range(n)
     )
     return lams, rhos
+
+
+def socle_oracle(dot, circ):
+    """Soc(B) = {a : a o b = a . b = b . a for all b}, in increasing order."""
+    n = len(dot)
+    return [a for a in range(n) if all(circ[a][b] == dot[a][b] == dot[b][a] for b in range(n))]
 
 
 def family_flags_oracle(dot, circ, fam):

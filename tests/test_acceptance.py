@@ -241,7 +241,9 @@ def test_criterion_3_completeness_oracle(small_solutions):
         details.append(f"n={n}: brute force {len(classes)}, census {census}")
         ok = ok and len(classes) == census
     # A search that uses no library code finds the same classes, with the
-    # same orbit types and involutive and square-free subcounts.
+    # same orbit types and involutive and square-free subcounts.  As the
+    # census has as many entries as the scan has keys, its keys are
+    # pairwise distinct: its entries are pairwise non-isomorphic.
     for n in range(1, 5):
         scanned = _scan_2reductive(n)
         census = yb.enumerate_2reductive(n)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 import yangbaxter as yb
-from oracles import lambdas_rhos
+from oracles import classes_by_key, congruence_oracle, lambdas_rhos, quotient_oracle
 from yangbaxter.brace import BraceError, BraceViolation
 from yangbaxter.groups import identity_perm
 from yangbaxter.solution import VerificationError, Violation, validate_tables
@@ -168,11 +168,10 @@ def test_biskew_left_retract_is_quotient_by_ker_lambda():
     b = yb.z2n_brace(3)
     assert yb.is_biskew(b)
     s = yb.associated_solution(b)
-    sim = yb.relation(s, "sim")
-    assert yb.is_congruence(s, sim)
-    lret = yb.quotient_solution(s, sim).solution
-    quotient, _ = yb.quotient_brace(b, yb.kernel_ideals(b).ker_lambda)
-    assert lret == yb.associated_solution(quotient)
+    sim = classes_by_key(s.sigma)
+    assert congruence_oracle(s.sigma, s.tau, sim)
+    quotient = yb.associated_solution(yb.quotient_brace(b, yb.kernel_ideals(b).ker_lambda)[0])
+    assert quotient_oracle(s.sigma, s.tau, sim) == (quotient.sigma, quotient.tau)
 
 
 def test_quotient_brace_validates_ideal():

@@ -727,26 +727,20 @@ def test_reports_do_not_validate_what_they_derive(
     tmp_path, capsys, monkeypatch, brace_catalog, small_solutions
 ):
     # input is validated once, when it is loaded; quotients, opposites and
-    # inverses built from it are not checked again, nor is the approx
-    # relation of each retraction step, which is always a congruence
+    # inverses built from it are not checked again
     paths = [write(tmp_path, f"s{i}.json", s.to_dict()) for i, s in enumerate(small_solutions)]
     calls = _count_calls(
         monkeypatch,
-        {
-            "verify_brace": yb.verify_brace, "finite_group": finite_group, "verify": yb.verify,
-            "is_congruence": yb.is_congruence,
-        },
+        {"verify_brace": yb.verify_brace, "finite_group": finite_group, "verify": yb.verify},
     )
     for _, b in brace_catalog:
         cli.brace_report(b, full=True, out=io.StringIO())
     for s in small_solutions:
         yb.multipermutation_level(s)
-    assert calls == {"verify_brace": 0, "finite_group": 0, "verify": 0, "is_congruence": 0}
+    assert calls == {"verify_brace": 0, "finite_group": 0, "verify": 0}
     for path in paths:
         assert main(["verify", path]) == 0
-    assert calls == {
-        "verify_brace": 0, "finite_group": 0, "verify": len(paths), "is_congruence": 0,
-    }
+    assert calls == {"verify_brace": 0, "finite_group": 0, "verify": len(paths)}
 
 
 def test_brace_report_makes_no_call_per_pair(monkeypatch):
@@ -887,18 +881,19 @@ def test_brace_request_generates_each_group_once(tmp_path, capsys, monkeypatch):
     assert calls == {"_generators": 2}
 
 
-@pytest.mark.parametrize("argv", [["verify", "s"], ["classify", "s", "t"]],
+@pytest.mark.parametrize("argv, classings", [(["verify", "s"], 3), (["classify", "s", "t"], 4)],
                          ids=["verify", "classify"])
-def test_requests_class_each_table_once(tmp_path, capsys, monkeypatch, argv):
+def test_requests_class_each_table_once(tmp_path, capsys, monkeypatch, argv, classings):
     # equal rows are told apart once per table of each loaded solution: the
-    # input check, red1-red4, the commuting rows, the report's level and the
-    # decomposition all read the solution's record of row classes
+    # input check, red1-red4, the commuting rows and the decomposition all
+    # read the solution's record of row classes; verify's level classes the
+    # pairs of those records once more, the approx relation
     s = yb.union_to_solution(yb.enumerate_2reductive(4)[100])
     inputs = {"s": s, "t": yb.relabel(s, [3, 1, 0, 2])}
     argv = [write(tmp_path, f"{a}.json", inputs[a].to_dict()) if a in inputs else a for a in argv]
     calls = _count_calls(monkeypatch, {"_row_classes": groups._row_classes})
     assert main(argv) == 0
-    assert calls == {"_row_classes": 2 * len(argv[1:])}
+    assert calls == {"_row_classes": classings}
 
 
 def test_classify_checks_2_reductivity_once_per_file(tmp_path, capsys, monkeypatch):

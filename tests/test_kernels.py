@@ -30,6 +30,7 @@ from oracles import (
     lambdas_rhos,
     moving_perm,
     relabel_table,
+    socle_oracle,
     two_reductive_oracle,
     validate_oracle,
 )
@@ -821,13 +822,13 @@ def skew_braces_by_definition(n):
 def check_report_by_definitions(dot, circ):
     """brace_report's derived lines vs definitions on the tables: lambda
     and rho by definition, which the brace's must equal, and their hom and
-    antihom flags from the loop over pairs;
-    bi_skew vs the swapped brace law; the socle, socle_series_sizes and
-    nilpotency lines, read off the kernels and the retraction tower, vs
-    socle and socle_series of b; and two_reductive, the two-sided identity,
-    level <= 2, class <= 2 (from socle_series) and the class of the
-    opposite brace (dot table transposed) <= 2, all equal.  Returns (red1,
-    ..., red4)."""
+    antihom flags from the loop over pairs; bi_skew and is_biskew vs the
+    swapped brace law; the socle line, read off the kernels, and socle vs
+    the socle by definition; the socle_series_sizes and nilpotency lines,
+    read off the retraction tower, vs socle_series of b; and two_reductive,
+    the two-sided identity, level <= 2, class <= 2 (from socle_series) and
+    the class of the opposite brace (dot table transposed) <= 2, all equal.
+    Returns (red1, ..., red4)."""
     b = yb.verify_brace(dot, circ)
     lams, rhos = lambdas_rhos(dot, circ)
     assert (b.lambdas, b.rhos) == (lams, rhos), (dot, circ)
@@ -837,11 +838,13 @@ def check_report_by_definitions(dot, circ):
     assert report["lambda_hom"] == (
         f"hom={lam[0]} antihom={lam[1]} rho_hom={rho[0]} rho_antihom={rho[1]}"
     ), (dot, circ)
-    assert report["bi_skew"] == str(brace_law_oracle(circ, dot) is None), (dot, circ)
+    biskew, soc = brace_law_oracle(circ, dot) is None, socle_oracle(dot, circ)
+    assert report["bi_skew"] == str(yb.is_biskew(b)) == str(biskew), (dot, circ)
     series = yb.socle_series(b)
     assert (report["socle"], report["socle_series_sizes"], report["nilpotency"]) == (
-        str(list(yb.socle(b).elements)), str([q.n for q in series.quotients]), series.describe()
+        str(soc), str([q.n for q in series.quotients]), series.describe()
     ), (dot, circ)
+    assert list(yb.socle(b).elements) == soc, (dot, circ)
     opposite = yb.verify_brace(tuple(zip(*dot)), circ)
     five = {
         report["two_reductive"] == "True",
@@ -857,6 +860,18 @@ def check_report_by_definitions(dot, circ):
 def test_family_flags_match_the_pair_loop(brace_catalog):
     for _, b in brace_catalog:
         check_report_by_definitions(b.dot.table, b.circle.table)
+
+
+def test_reports_of_retracting_products_match_the_definitions():
+    # no catalog brace that fails red1-red4 retracts at all; the products of
+    # Z6 with Z2 and with Q8 do, in one and two steps, as built and moved
+    z6 = yb.z2n_brace(3)
+    for g, sizes in ((yb.cyclic_group(2), (12, 6)), (yb.quaternion_group(), (48, 24, 6))):
+        b = yb.product_brace(z6, yb.trivial_brace(g))
+        assert yb.multipermutation_level(yb.associated_solution(b)).tower_sizes == sizes
+        for phi in (range(b.n), moving_perm(b.n, b.id, b.n)):
+            check_report_by_definitions(*(relabel_table(t, phi)
+                                          for t in (b.dot.table, b.circle.table)))
 
 
 # every skew brace of orders 1..8 by its dot group (Guarnieri and Vendramin,

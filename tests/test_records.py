@@ -12,12 +12,7 @@ import pytest
 
 import yangbaxter as yb
 from yangbaxter import brace, cli, groups, solution, unions
-from yangbaxter.retraction import (
-    multipermutation_level,
-    permutation_groups,
-    quotient_solution,
-    relation,
-)
+from yangbaxter.retraction import multipermutation_level, permutation_groups, retraction
 
 
 def _samples():
@@ -26,7 +21,6 @@ def _samples():
     s = unions.union_to_solution(unions.enumerate_2reductive(3)[-1])
     b = yb.z2n_brace(3)
     u = unions.solution_to_union(s).union
-    p = relation(s, "sim")
     census = cli.build_census(3)
     return [
         groups.cyclic_group(3),
@@ -36,8 +30,7 @@ def _samples():
         solution.Violation("sigma-row", (0,)),
         s,
         solution.is_2reductive(s),
-        p,
-        quotient_solution(s, p),
+        retraction(s),
         multipermutation_level(s),
         permutation_groups(s),
         u,

@@ -1,43 +1,33 @@
-"""Relations, congruences, quotients, towers, permutation groups."""
+"""Row classes, congruences, quotients, towers, permutation groups."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-import pytest
-
 import yangbaxter as yb
-from yangbaxter.groups import invert_perm
-from yangbaxter.retraction import _reductive_level, partition_from_blocks, relation
+from oracles import classes_by_key, congruence_oracle, moving_perm, quotient_oracle
+from yangbaxter.retraction import _approx_classes, _reductive_level
 from yangbaxter.solution import FiniteSolution, validate_tables
 
 
 def test_relation_on_permutational_solution_is_single_block():
     s = yb.permutational_solution((1, 2, 0), (1, 2, 0))
-    for kind in ("sim", "cosim", "approx"):
-        assert relation(s, kind).blocks == ((0, 1, 2),)
-
-
-def test_relation_unknown_kind():
-    s = yb.projection_solution(2)
-    with pytest.raises(ValueError):
-        relation(s, "weird")
+    assert s.sigma_classes == s.tau_classes == _approx_classes(s) == ([0], [0, 0, 0])
 
 
 def test_z6_brace_solution_relations():
     s = yb.associated_solution(yb.z2n_brace(3))
-    assert relation(s, "sim").blocks == ((0, 2, 4), (1, 3, 5))
+    assert s.sigma_classes[1] == [0, 1, 0, 1, 0, 1]
     # x cosim y iff 2x = 2y mod 6, i.e. x = y mod 3
-    assert relation(s, "cosim").blocks == ((0, 3), (1, 4), (2, 5))
-    assert relation(s, "approx").is_trivial()
+    assert s.tau_classes[1] == [0, 1, 2, 0, 1, 2]
+    assert _approx_classes(s) == (list(range(6)), list(range(6)))
 
 
 def test_approx_is_meet_of_sim_and_cosim(small_solutions):
     for s in small_solutions:
-        sim = relation(s, "sim").block_of
-        cosim = relation(s, "cosim").block_of
-        approx = relation(s, "approx").block_of
+        sim, cosim, approx = s.sigma_classes[1], s.tau_classes[1], _approx_classes(s)[1]
+        assert approx == classes_by_key(zip(s.sigma, s.tau))
         for x in range(s.n):
             for y in range(s.n):
                 both = sim[x] == sim[y] and cosim[x] == cosim[y]
@@ -46,137 +36,34 @@ def test_approx_is_meet_of_sim_and_cosim(small_solutions):
 
 def test_approx_is_always_a_congruence(small_solutions):
     for s in small_solutions:
-        assert yb.is_congruence(s, relation(s, "approx"))
+        assert congruence_oracle(s.sigma, s.tau, classes_by_key(zip(s.sigma, s.tau)))
 
 
 def test_single_block_partition_is_congruence(small_solutions):
     for s in small_solutions[:10]:
-        p = partition_from_blocks(s, [list(range(s.n))])
-        assert yb.is_congruence(s, p)
+        assert congruence_oracle(s.sigma, s.tau, [0] * s.n)
 
 
 def test_cosim_of_z6_brace_solution_is_not_a_congruence():
-    # cosim is not a congruence here, nor is a partition of a smaller or a
-    # larger carrier
-    s, p3 = yb.associated_solution(yb.z2n_brace(3)), yb.projection_solution(3)
-    cases = [(s, relation(s, "cosim"))] + [
-        (p3, partition_from_blocks(yb.projection_solution(m), [range(m)])) for m in (2, 4)
-    ]
-    for target, p in cases:
-        assert not yb.is_congruence(target, p)
-        with pytest.raises(ValueError, match="is not a congruence"):
-            yb.quotient_solution(target, p)
-
-
-def _congruence_by_elements(s, p):
-    """The element-by-element congruence test: rows of a block's points
-    agree under the block map, and each row is constant on every block."""
-    blk = p.block_of
-    maps = (s.sigma, tuple(map(invert_perm, s.sigma)), s.tau, tuple(map(invert_perm, s.tau)))
-    for block in p.blocks:
-        x0 = block[0]
-        for x in block[1:]:
-            for m in maps:
-                r0, r1 = m[x0], m[x]
-                if any(blk[r0[y]] != blk[r1[y]] for y in range(s.n)):
-                    return False
-    for x in range(s.n):
-        for m in maps:
-            row = m[x]
-            for block in p.blocks:
-                b0 = blk[row[block[0]]]
-                if any(blk[row[y]] != b0 for y in block[1:]):
-                    return False
-    return True
-
-
-def _random_partitions(s, rng, count):
-    """Relations, their coarsenings, and random partitions of s's carrier."""
-    out = [relation(s, kind) for kind in ("sim", "cosim", "approx")]
-    for _ in range(count):
-        base = rng.choice(out[:3]).blocks
-        labels = [rng.randrange(len(base)) for _ in base]
-        merged = {}
-        for label, block in zip(labels, base):
-            merged.setdefault(label, []).extend(block)
-        out.append(partition_from_blocks(s, list(merged.values())))
-        parts = rng.randrange(1, s.n + 1)
-        by_label = {}
-        for x in range(s.n):
-            by_label.setdefault(rng.randrange(parts), []).append(x)
-        out.append(partition_from_blocks(s, list(by_label.values())))
-    return out
-
-
-def test_congruence_agrees_with_the_element_test(small_solutions, census_solutions, brace_catalog):
-    rng = random.Random(2039)
-    solutions = (
-        small_solutions
-        + census_solutions[4][::7]
-        + [yb.associated_solution(b) for _, b in brace_catalog]
-    )
-    verdicts = []
-    for s in solutions:
-        for p in _random_partitions(s, rng, 3):
-            verdict = yb.is_congruence(s, p)
-            assert verdict == _congruence_by_elements(s, p), (s, p.blocks)
-            verdicts.append(verdict)
-    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
-
-
-def test_congruence_reads_sigma_and_tau_only(small_solutions, census_solutions):
-    # a row mapping blocks into blocks permutes them, so its inverse need not
-    # be checked: the verdicts are the element test's, which checks both
-    rng = random.Random(4417)
-    cases = [
-        (s, p)
-        for s in small_solutions + census_solutions[4][::5]
-        for p in _random_partitions(s, rng, 3)
-    ]
-    expected = [_congruence_by_elements(s, p) for s, p in cases]
-    assert [yb.is_congruence(s, p) for s, p in cases] == expected
-    assert True in expected and False in expected
-
-
-def test_congruence_above_256_points():
-    # past 256 points rows are tuples and composed in Python.  In each Z130
-    # block the row of x adds an entry of C or D whose parity depends only
-    # on x's block: the even cosets of each block form a congruence; the
-    # parity classes across both blocks are unions of them, but rows of
-    # the two blocks disagree on them; a pair {0, 1} is not moved as a whole
-    z130 = yb.abelian_group([130])
-    u = yb.abelian_union([z130, z130], [[1, 5], [0, 2]], [[3, 1], [0, 2]])
-    s = yb.union_to_solution(u)
-    cosets, parity = {}, {}
-    for x in range(s.n):
-        cosets.setdefault((x // 130, x % 2), []).append(x)
-        parity.setdefault(x % 2, []).append(x)
-    partitions = [
-        partition_from_blocks(s, list(cosets.values())),
-        partition_from_blocks(s, list(parity.values())),
-        partition_from_blocks(s, [[0, 1]] + [[x] for x in range(2, s.n)]),
-    ] + _random_partitions(s, random.Random(521), 1)
-    verdicts = [yb.is_congruence(s, p) for p in partitions]
-    assert verdicts == [_congruence_by_elements(s, p) for p in partitions]
-    assert verdicts[:3] == [True, False, False]
-    # a partition of one point fewer or more is not a congruence
-    for m in (s.n - 1, s.n + 1):
-        assert not yb.is_congruence(s, yb.SolutionPartition(m, tuple((x,) for x in range(m))))
+    # sim is a congruence here (Z6 is left distributive); cosim is not
+    s = yb.associated_solution(yb.z2n_brace(3))
+    assert congruence_oracle(s.sigma, s.tau, classes_by_key(s.sigma))
+    assert not congruence_oracle(s.sigma, s.tau, classes_by_key(s.tau))
 
 
 def test_left_distributive_implies_sim_congruence(small_solutions):
     for s in small_solutions:
         if yb.is_left_distributive(s):
-            assert yb.is_congruence(s, relation(s, "sim"))
+            assert congruence_oracle(s.sigma, s.tau, classes_by_key(s.sigma))
         if yb.is_right_distributive(s):
-            assert yb.is_congruence(s, relation(s, "cosim"))
+            assert congruence_oracle(s.sigma, s.tau, classes_by_key(s.tau))
 
 
 def test_2reductive_implies_sim_and_cosim_congruences(census):
     for u in census[3] + census[4]:
         s = yb.union_to_solution(u)
-        assert yb.is_congruence(s, relation(s, "sim"))
-        assert yb.is_congruence(s, relation(s, "cosim"))
+        assert congruence_oracle(s.sigma, s.tau, classes_by_key(s.sigma))
+        assert congruence_oracle(s.sigma, s.tau, classes_by_key(s.tau))
 
 
 def test_retraction_of_2reductive_is_projection(census):
@@ -236,7 +123,7 @@ def test_multipermutation_level_is_isomorphism_invariant(small_solutions):
 
 
 def test_retraction_tower_quotients_are_solutions(small_solutions, census_solutions):
-    # quotient_solution builds its tables without verification: the quotient
+    # retraction builds its tables without verification: the quotient
     # of a solution by a congruence is a solution
     corpus = small_solutions + [s for n in range(1, 5) for s in census_solutions[n]]
     for s in corpus:
@@ -252,28 +139,38 @@ def test_retraction_tower_quotients_are_solutions(small_solutions, census_soluti
 
 
 def test_towers_quotient_by_congruences(small_solutions, census_solutions, brace_catalog):
-    # retraction and multipermutation_level quotient by the approx relation
-    # without checking that it is a congruence; here every step is checked,
-    # and the tower is rebuilt through quotient_solution, the checked path
+    # retraction and multipermutation_level quotient by the approx classes
+    # without checking that they are a congruence; here every step is
+    # checked by the element test and compared with the quotient built from
+    # the definitions.  The products of Z6 with Z2 and with Q8 retract in
+    # one and two steps without reaching one point
+    z6 = yb.z2n_brace(3)
+    products = [yb.product_brace(z6, yb.trivial_brace(g))
+                for g in (yb.cyclic_group(2), yb.quaternion_group())]
     corpus = [
         *small_solutions,
         *(s for n in range(1, 5) for s in census_solutions[n]),
         *(yb.associated_solution(b) for _, b in brace_catalog),
+        *map(yb.associated_solution, products),
     ]
     for s in corpus:
         sizes, current = [s.n], s
         while current.n > 1:
-            p = relation(current, "approx")
-            assert yb.is_congruence(current, p)
-            if p.is_trivial():
+            approx = classes_by_key(zip(current.sigma, current.tau))
+            assert congruence_oracle(current.sigma, current.tau, approx)
+            if max(approx) == current.n - 1:
                 break
-            q = yb.quotient_solution(current, p)
-            assert q == yb.retraction(current)
+            q = yb.retraction(current)
+            assert q.projection == tuple(approx)
+            assert (q.solution.sigma, q.solution.tau) == quotient_oracle(
+                current.sigma, current.tau, approx)
             current = q.solution
             sizes.append(current.n)
         result = yb.multipermutation_level(s)
         assert result.tower_sizes == tuple(sizes)
         assert result.level == (len(sizes) - 1 if current.n == 1 else None)
+    assert [yb.multipermutation_level(s).tower_sizes for s in corpus[-2:]] == [
+        (12, 6), (48, 24, 6)]
 
 
 def _report_corpus(small_solutions, census_solutions, brace_catalog):
@@ -355,27 +252,23 @@ def test_sim_blocks_match_equal_c_rows(census):
             row_of.extend([i] * g.n)
         c_key = [tuple(u.c[row_of[x]]) for x in range(s.n)]
         d_key = [tuple(u.d[row_of[x]]) for x in range(s.n)]
-        sim = relation(s, "sim").block_of
-        cosim = relation(s, "cosim").block_of
+        sim, cosim = s.sigma_classes[1], s.tau_classes[1]
         for x in range(s.n):
             for y in range(s.n):
                 assert (sim[x] == sim[y]) == (c_key[x] == c_key[y])
                 assert (cosim[x] == cosim[y]) == (d_key[x] == d_key[y])
 
 
-def test_partition_validation():
-    s = yb.projection_solution(3)
-    with pytest.raises(ValueError):
-        partition_from_blocks(s, [[0, 1]])  # does not cover
-    with pytest.raises(ValueError):
-        partition_from_blocks(s, [[0, 1], [1, 2]])  # overlap
-    p = partition_from_blocks(s, [[2, 0], [1]])
-    assert p.blocks == ((0, 2), (1,))
-
-
-def test_quotient_solution_reindexes_by_block_minimum(census):
-    u = census[4][0]
-    s = yb.union_to_solution(u)
-    q = yb.quotient_solution(s, relation(s, "approx"))
-    assert q.solution.n == len(relation(s, "approx").blocks)
-    assert len(q.projection) == s.n
+def test_retraction_reindexes_by_block_minimum(census):
+    # the classes are numbered by their least points, on census solutions
+    # moved so that some classes interleave
+    moved = [yb.relabel(yb.union_to_solution(u), moving_perm(4, 0, seed))
+             for seed, u in enumerate(census[4])]
+    interleaved = 0
+    for s in moved:
+        approx = classes_by_key(zip(s.sigma, s.tau))
+        q = yb.retraction(s)
+        assert q.solution.n == max(approx) + 1
+        assert q.projection == tuple(approx)
+        interleaved += approx != sorted(approx)
+    assert interleaved
