@@ -233,7 +233,7 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.Reducti
     out.write(f"n: {b.n}\n")
     out.write(f"dot_abelian: {b.dot.is_abelian}\n")
     out.write(f"bi_skew: {profile.red3}\n")
-    out.write(f"socle: {sorted(set(kernels.ker_lambda).intersection(kernels.ker_rho))}\n")
+    out.write(f"socle: {list(kernels.socle)}\n")
     out.write(f"socle_series_sizes: {list(tower.tower_sizes)}\n")
     out.write(f"nilpotency: {braces._describe_nilpotency(tower.level, tower.tower_sizes[-1])}\n")
     out.write(f"ker_lambda: {list(kernels.ker_lambda)} ideal: {kernels.ker_lambda_is_ideal}\n")

@@ -358,12 +358,6 @@ def is_normal(g: FiniteGroup, s: Iterable[int]) -> bool:
                                       for t in g._gens])
 
 
-def center(g: FiniteGroup) -> tuple[int, ...]:
-    """The elements whose table row equals their table column."""
-    columns = tuple(zip(*g.table))
-    return tuple(a for a in range(g.n) if g.table[a] == columns[a])
-
-
 def quotient(g: FiniteGroup, s: Iterable[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient by a normal subgroup; raises ValueError for any other subset.
 
@@ -633,8 +627,6 @@ def abelian_group(orders: Iterable[int]) -> AbelianGroup:
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
     out = []
 
     def rec(remaining: int, cap: int, acc: list[int]):
@@ -718,19 +710,6 @@ class PermGroup(namedtuple("PermGroup", "degree generators")):
     def elements(self) -> tuple[Perm, ...]:
         return tuple(sorted(_closure(identity_perm(self.degree), self.generators, compose)))
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(
-            compose(a, b) == compose(b, a)
-            for i, a in enumerate(gens)
-            for b in gens[i + 1:]
-        )
-
 
 def perm_group_closure(
     generators: Iterable[Sequence[int]],
@@ -750,18 +729,6 @@ def perm_group_closure(
         raise ValueError(f"generator {gens[i]} is not a permutation")
     ident = identity_perm(degree)
     return PermGroup(degree=degree, generators=tuple(sorted(g for g in gens if g != ident)))
-
-
-def orbits(g: PermGroup) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition: each orbit sorted, orbits sorted by minimum element,
-    as each is the closure of the least point no earlier orbit holds under
-    the generators' images."""
-    blocks, seen = [], set()
-    for x in range(g.degree):
-        if x not in seen:
-            blocks.append(_closure(x, g.generators, lambda a, p: p[a]))
-            seen |= blocks[-1]
-    return tuple(tuple(sorted(b)) for b in blocks)
 
 
 # ---------------------------------------------------------------------------

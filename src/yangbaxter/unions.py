@@ -640,10 +640,6 @@ class InjectivityReport(namedtuple("InjectivityReport", "diagonal_ok order_ok"))
         return self.diagonal_ok and self.order_ok
 
 
-def injectivity_necessary_checks(s: FiniteSolution) -> InjectivityReport:
-    return injectivity_checks(solution_to_union(s).union)
-
-
 def injectivity_checks(u: AbelianUnion) -> InjectivityReport:
     """Two necessary conditions for injectivity, on the constant matrices."""
     k = u.k

@@ -236,6 +236,41 @@ def element_orders(table):
     return orders
 
 
+def center(table):
+    """The elements whose table row equals their table column, increasing."""
+    n = len(table)
+    return [a for a in range(n) if all(table[a][b] == table[b][a] for b in range(n))]
+
+
+def perms_commute(perms):
+    """Whether the permutations commute pairwise, entry by entry."""
+    return all(p[q[x]] == q[p[x]] for p in perms for q in perms for x in range(len(p)))
+
+
+def orbits(degree, perms):
+    """The orbits of the group the permutations generate: the connected
+    components of their functional graphs, each sorted, ordered by least
+    point."""
+    adj = {x: set() for x in range(degree)}
+    for p in perms:
+        for x in range(degree):
+            adj[x].add(p[x])
+            adj[p[x]].add(x)
+    seen, comps = set(), []
+    for x in range(degree):
+        if x in seen:
+            continue
+        comp, stack = [], [x]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                comp.append(v)
+                stack.extend(adj[v])
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
 def isomorphisms_oracle(factors, table):
     """The isomorphisms of the block onto the abelian group of table, as
     phi[x] = image of x: the generator of each factor d goes to an element

@@ -27,6 +27,7 @@ from oracles import (
     family_flags_oracle,
     involutive_oracle,
     lambdas_rhos,
+    perms_commute,
     two_reductive_oracle,
     validate_oracle,
 )
@@ -306,7 +307,7 @@ def test_criterion_5_retraction_properties():
             tag = f"n={n} entry {idx}"
             if not yb.is_projection(yb.retraction(s).solution):
                 violations.append(f"{tag}: retraction not a projection")
-            if not yb.permutation_groups(s).full.is_abelian:
+            if not perms_commute(yb.permutation_groups(s).full.generators):
                 violations.append(f"{tag}: permutation group not abelian")
             level = yb.multipermutation_level(s).level
             expected = 0 if s.n == 1 else (1 if yb.is_permutational(s) else 2)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 import yangbaxter as yb
-from oracles import classes_by_key, congruence_oracle, lambdas_rhos, quotient_oracle
+from oracles import center, classes_by_key, congruence_oracle, lambdas_rhos, quotient_oracle
 from yangbaxter.brace import BraceError, BraceViolation
 from yangbaxter.groups import identity_perm
 from yangbaxter.solution import VerificationError, Violation, validate_tables
@@ -129,7 +129,7 @@ def test_socle_examples():
     z4 = yb.cyclic_group(4)
     assert yb.socle(yb.trivial_brace(z4)).elements == (0, 1, 2, 3)
     q8 = yb.quaternion_group()
-    assert set(yb.socle(yb.almost_trivial_brace(q8)).elements) == set(yb.center(q8))
+    assert list(yb.socle(yb.almost_trivial_brace(q8)).elements) == center(q8.table)
 
 
 def test_socle_series_examples():
@@ -240,7 +240,7 @@ def test_brace_theorems_on_catalog(brace_catalog):
         soc = yb.socle(b).elements
         ident = identity_perm(n)
         ker_lam = {a for a in range(n) if lams[a] == ident}
-        assert set(soc) == ker_lam & set(yb.center(dot)), name
+        assert set(soc) == ker_lam & set(center(dot.table)), name
         assert yb.is_ideal(b, soc), name
         # the dot cosets of an ideal are its circle cosets, and the quotient
         # by an ideal is a brace onto which both groups project
@@ -422,5 +422,5 @@ def test_2reductive_brace_has_class_at_most_2_dot_group(brace_catalog):
     for name, b in brace_catalog:
         if not yb.is_2reductive(yb.associated_solution(b)).holds:
             continue
-        quotient, _ = yb.quotient(b.dot, yb.center(b.dot))
+        quotient, _ = yb.quotient(b.dot, center(b.dot.table))
         assert quotient.is_abelian, name

@@ -4,8 +4,9 @@ Each digest is the sha256 of a deterministic serialization: the census
 JSON-lines bytes, the decompositions of relabelled census solutions (union
 and carrier map), the isomorphism witnesses found for them, the full brace
 reports of the brace catalog, the socle-series quotients of each catalog
-brace and of its opposite, and the retraction towers of the small
-solutions.  The witnesses pin the order in which automorphisms and torsor
+brace and of its opposite, the retraction towers of the small solutions,
+and a corpus of command-line runs with their exit codes, output and
+written files.  The witnesses pin the order in which automorphisms and torsor
 isomorphisms are tried, since the first match found is the one returned.
 """
 
@@ -19,7 +20,8 @@ import random
 import pytest
 
 import yangbaxter as yb
-from yangbaxter.cli import brace_report, build_census, write_census
+from test_cli import MALFORMED
+from yangbaxter.cli import brace_report, build_census, main, write_census
 
 CENSUS_SHA256 = {
     1: "6dad408ba364a74b4b93653c088d089d9ffbe0cc584fd7dd24f02feb16651f52",
@@ -38,6 +40,8 @@ BRACE_REPORT_SHA256 = "1ddf1bb52cf9496875893282e17f1e1fde35f1452bb6490e276fae035
 SOCLE_SERIES_SHA256 = "0b848501724b84c06e8988ef7a8a48c77386b5036faa2e9eb91e1d38dd551c41"
 RETRACTION_TOWER_SHA256 = "32abf8017810cf690404e2c6654a7514be9d98dd9ac6ab718e9721b6999a5e37"
 RELABEL_SEED = 20261018
+# the CLI runs of test_cli_digest
+CLI_SHA256 = "a5cab2da5fd41b6e79d720def6f4e8a2bbce11af0d52e6bbd4f22cd5f28bb6ee"
 
 
 def _sha256(records) -> str:
@@ -144,3 +148,70 @@ def test_retraction_tower_digest(small_solutions):
             current = q.solution
         records.append([s.to_dict(), mp.level, list(mp.tower_sizes), tower])
     assert _sha256(records) == RETRACTION_TOWER_SHA256
+
+
+def _cli_corpus(census, brace_catalog):
+    """(argv, files to write first) of every CLI run the digest covers, with
+    "{tmp}" standing for the run's temporary directory."""
+    rng = random.Random(RELABEL_SEED)
+    runs, files = [], {}
+
+    def put(name, payload):
+        files[name] = payload if isinstance(payload, str) else json.dumps(payload)
+        return "{tmp}/" + name
+
+    def relabelled(s):
+        phi = list(range(s.n))
+        rng.shuffle(phi)
+        return yb.relabel(s, phi)
+
+    for n in range(1, 4):
+        for i, u in enumerate(census[n]):
+            runs.append(["verify", put(f"u{n}-{i}.json", u.to_dict())])
+            s = relabelled(yb.union_to_solution(u))
+            runs.append(["verify", put(f"s{n}-{i}.json", s.to_dict())])
+    for i, (_, b) in enumerate(brace_catalog):
+        for side, sb in (("b", b), ("op", yb.opposite_brace(b))):
+            path = put(f"{side}{i}.json", sb.to_dict())
+            runs += [["verify", path],
+                     ["brace", path, "--report", "full", "--solution-out", f"{{tmp}}/{side}{i}.out"],
+                     ["brace", path, "--report", "summary"]]
+    z6 = yb.associated_solution(yb.z2n_brace(3))
+    z10 = yb.associated_solution(yb.z2n_brace(5))
+    pairs = [
+        (census[3][5].to_dict(), relabelled(yb.union_to_solution(census[3][5])).to_dict()),
+        (census[3][5].to_dict(), census[3][6].to_dict()),
+        (yb.union_to_solution(census[3][7]).to_dict(), census[3][8].to_dict()),
+        (z6.to_dict(), relabelled(z6).to_dict()),
+        (z6.to_dict(), yb.inverse_solution(z6).to_dict()),
+        (z6.to_dict(), yb.union_to_solution(census[3][0]).to_dict()),
+        (yb.associated_solution(yb.dihedral_example_brace()).to_dict(),
+         yb.associated_solution(yb.trivial_brace(yb.quaternion_group())).to_dict()),
+        (z10.to_dict(), relabelled(z10).to_dict()),
+        (brace_catalog[0][1].to_dict(), census[1][0].to_dict()),
+    ]
+    for i, (one, other) in enumerate(pairs):
+        runs.append(["classify", put(f"c{i}a.json", one), put(f"c{i}b.json", other)])
+    runs.append(["enumerate", "3", "--out", "{tmp}/census3.jsonl"])
+    for case, (payload, _) in sorted(MALFORMED.items()):
+        name = f"bad-{case}." + ("txt" if isinstance(payload, str) else "json")
+        path = put(name, payload)
+        runs += [["verify", path], ["classify", path, path], ["brace", path]]
+    return runs, files
+
+
+def test_cli_digest(tmp_path, capsys, census, brace_catalog):
+    # every run's argv, exit code, stdout, stderr and written files, with
+    # the temporary directory replaced by "{tmp}"
+    runs, files = _cli_corpus(census, brace_catalog)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    tmp, records = str(tmp_path), []
+    for argv in runs:
+        code = main([arg.replace("{tmp}", tmp) for arg in argv])
+        out, err = capsys.readouterr()
+        outs = [tmp_path / arg.removeprefix("{tmp}/") for arg in argv
+                if arg.startswith("{tmp}/") and arg.removeprefix("{tmp}/") not in files]
+        written = [path.read_text() if path.exists() else None for path in outs]
+        records.append([argv, code, out.replace(tmp, "{tmp}"), err.replace(tmp, "{tmp}"), written])
+    assert _sha256(records) == CLI_SHA256

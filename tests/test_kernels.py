@@ -51,6 +51,7 @@ from yangbaxter.solution import (
     _braid_mismatch,
     _braids,
     _derived_rows,
+    _distributes,
     _pair_collision,
     validate_tables,
 )
@@ -263,10 +264,10 @@ def test_validate_tables_and_distributivity_match_the_triple_loop(brace_catalog)
     def check(sigma, tau, right=True):
         v = validate_tables(sigma, tau)
         assert v == validate_oracle(sigma, tau), (sigma, tau)
-        t = FiniteSolution(n=len(sigma), sigma=sigma, tau=tau)
-        assert yb.is_left_distributive(t) == distributive_oracle(sigma)
+        # on tables of any permutation rows, where it is not red3 or red4
+        assert _distributes(_row_kernel(sigma)) == distributive_oracle(sigma)
         if right:
-            assert yb.is_right_distributive(t) == distributive_oracle(tau)
+            assert _distributes(_row_kernel(tau)) == distributive_oracle(tau)
         kind = None if v is None else v.check.split(":")[0]
         seen.add(kind)
         # the witness's first pair (or triple) lies past row x = 0

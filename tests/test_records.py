@@ -51,11 +51,11 @@ def _samples():
 SAMPLES = _samples()
 CACHED = {
     "AbelianGroup": {"units", "automorphisms", "as_finite_group"},
-    "PermGroup": {"elements", "is_abelian"},
+    "PermGroup": {"elements"},
     "FiniteGroup": {"table_kernel", "_gens", "cycles", "is_abelian"},
     "FiniteSolution": {
-        "sigma_kernel", "tau_kernel", "sigma_classes", "tau_classes", "distinct_rows",
-        "class_kernel", "reductivity", "commuting_rows",
+        "sigma_classes", "tau_classes", "distinct_rows", "class_kernel", "reductivity",
+        "commuting_rows",
     },
     "SkewBrace": {"lambdas", "lambda_kernel", "rhos", "rho_rows"},
 }

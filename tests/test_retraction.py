@@ -6,7 +6,15 @@ import itertools
 import random
 
 import yangbaxter as yb
-from oracles import classes_by_key, congruence_oracle, moving_perm, quotient_oracle
+from oracles import (
+    classes_by_key,
+    congruence_oracle,
+    distributive_oracle,
+    moving_perm,
+    orbits,
+    perms_commute,
+    quotient_oracle,
+)
 from yangbaxter.retraction import _approx_classes, _reductive_level
 from yangbaxter.solution import FiniteSolution, validate_tables
 
@@ -195,8 +203,8 @@ def test_distributivity_is_red3_and_red4_on_solutions(small_solutions, census_so
     seen = set()
     for s in corpus:
         red = yb.is_2reductive(s)
-        assert yb.is_left_distributive(s) == red.red3, s
-        assert yb.is_right_distributive(s) == red.red4, s
+        assert distributive_oracle(s.sigma) == red.red3, s
+        assert distributive_oracle(s.tau) == red.red4, s
         seen.add((red.red3, red.red4))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -222,7 +230,7 @@ def test_closed_form_level_equals_the_retraction_tower(small_solutions, census_s
 def test_permutation_groups_examples():
     proj = yb.projection_solution(3)
     groups = yb.permutation_groups(proj)
-    assert groups.left.order == groups.right.order == groups.full.order == 1
+    assert [len(g.elements) for g in groups] == [1, 1, 1]
 
     u = yb.abelian_union(
         [yb.abelian_group([2]), yb.abelian_group([])],
@@ -231,15 +239,15 @@ def test_permutation_groups_examples():
     )
     s = yb.union_to_solution(u)
     groups = yb.permutation_groups(s)
-    assert groups.full.order == 2 and groups.full.is_abelian
-    assert yb.orbits(groups.full) == ((0, 1), (2,))
+    assert len(groups.full.elements) == 2 and perms_commute(groups.full.generators)
+    assert orbits(3, groups.full.generators) == ((0, 1), (2,))
 
 
 def test_permutation_group_abelianness_by_identity_pairs(small_solutions):
     for s in small_solutions:
         red = yb.is_2reductive(s)
         if red.red1 and red.red3:
-            assert yb.permutation_groups(s).left.is_abelian
+            assert perms_commute(yb.permutation_groups(s).left.generators)
 
 
 def test_sim_blocks_match_equal_c_rows(census):

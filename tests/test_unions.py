@@ -23,6 +23,7 @@ from oracles import (
     canonical_union,
     generates,
     isomorphisms_oracle,
+    orbits,
     relabel_table,
     span,
     transform,
@@ -124,20 +125,18 @@ def test_decomposition_rejects_tables_that_are_not_a_solution(sigma_row, tau_row
     s = FiniteSolution(n=n, sigma=(sigma_row,) * n, tau=(tau_row,) * n)
     assert yb.is_2reductive(s).holds
     assert str(validate_tables(s.sigma, s.tau)) == violation
-    for decompose in (yb.solution_to_union, yb.injectivity_necessary_checks):
-        with _within(5), pytest.raises(ValueError, match="^tables are not a solution"):
-            decompose(s)
+    with _within(5), pytest.raises(ValueError, match="^tables are not a solution"):
+        yb.solution_to_union(s)
 
 
 @pytest.mark.parametrize("sigma_row", [(0, 300), (0, -1)], ids=["above-255", "negative"])
 def test_decomposition_rejects_entries_out_of_range(sigma_row):
     # red1-red4 cannot be read off these rows: the permutation check comes
-    # first, so both entry points name the tables, not the bytes encoding
+    # first, so the decomposition names the tables, not the bytes encoding
     s = FiniteSolution(n=2, sigma=(sigma_row,) * 2, tau=((0, 1),) * 2)
     assert str(validate_tables(s.sigma, s.tau)) == "sigma-row fails at (0,)"
-    for decompose in (yb.solution_to_union, yb.injectivity_necessary_checks):
-        with pytest.raises(ValueError, match="^tables are not a solution"):
-            decompose(FiniteSolution(*s))
+    with pytest.raises(ValueError, match="^tables are not a solution"):
+        yb.solution_to_union(s)
 
 
 def test_round_trip_with_carrier_map(census, small_solutions):
@@ -380,7 +379,7 @@ def test_census_soundness(census):
         for u in census[n]:
             s = yb.union_to_solution(u)
             groups = yb.permutation_groups(s)
-            orbit_sizes = sorted(len(o) for o in yb.orbits(groups.full))
+            orbit_sizes = sorted(len(o) for o in orbits(s.n, groups.full.generators))
             assert orbit_sizes == sorted(g.n for g in u.groups)
 
 
