@@ -21,7 +21,7 @@ from . import brace as braces
 from . import solution as solutions
 from . import unions
 from .groups import _gather
-from .retraction import _reductive_level
+from .retraction import multipermutation_level
 from .solution import FiniteSolution, VerificationError
 
 EXIT_OK = 0
@@ -212,7 +212,7 @@ def solution_report(s: FiniteSolution, out: TextIO, mp=None, involutive=None) ->
         ("red4", red.red4),
         ("two_reductive", red.holds),
         ("condition_star", solutions.satisfies_condition_star(s)),
-        ("mp_level", (mp or _reductive_level(s)).describe()),
+        ("mp_level", (mp or multipermutation_level(s)).describe()),
     ]
     for key, value in lines:
         out.write(f"{key}: {value}\n")
@@ -221,7 +221,7 @@ def solution_report(s: FiniteSolution, out: TextIO, mp=None, involutive=None) ->
 def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.ReductivityProfile:
     """Writes the report of b; returns the profile it is rendered from."""
     profile = braces.reductivity_profile(b)
-    tower, kernels = profile.multipermutation, braces.kernel_ideals(b)
+    red, tower, kernels = profile.reductivity, profile.multipermutation, braces.kernel_ideals(b)
     # The lambda_hom and bi_skew lines are read off the identities, by theorems:
     # lambda is a dot homomorphism iff red1 (from lambda_{x o y} =
     # lambda_x lambda_y and x o y = x . lambda_x(y)), rho one iff red2, lambda
@@ -232,7 +232,7 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.Reducti
     # retraction tower, which is the socle series as Ret(r_B) is r_{B/Soc(B)}.
     out.write(f"n: {b.n}\n")
     out.write(f"dot_abelian: {b.dot.is_abelian}\n")
-    out.write(f"bi_skew: {profile.red3}\n")
+    out.write(f"bi_skew: {red.red3}\n")
     out.write(f"socle: {list(kernels.socle)}\n")
     out.write(f"socle_series_sizes: {list(tower.tower_sizes)}\n")
     out.write(f"nilpotency: {braces._describe_nilpotency(tower.level, tower.tower_sizes[-1])}\n")
@@ -240,15 +240,13 @@ def brace_report(b: braces.SkewBrace, full: bool, out: TextIO) -> braces.Reducti
     out.write(f"ker_rho: {list(kernels.ker_rho)} ideal: {kernels.ker_rho_is_ideal}\n")
     out.write(
         "reductivity: "
-        f"red1={profile.red1} red2={profile.red2} "
-        f"red3={profile.red3} red4={profile.red4}\n"
+        f"red1={red.red1} red2={red.red2} red3={red.red3} red4={red.red4}\n"
     )
     out.write(
         "lambda_hom: "
-        f"hom={profile.red1} antihom={profile.red3} "
-        f"rho_hom={profile.red2} rho_antihom={profile.red4}\n"
+        f"hom={red.red1} antihom={red.red3} rho_hom={red.red2} rho_antihom={red.red4}\n"
     )
-    out.write(f"two_reductive: {profile.all_four}\n")
+    out.write(f"two_reductive: {red.holds}\n")
     if full:
         out.write("associated_solution:\n")
         solution_report(profile.solution, out, tower, b.dot.is_abelian)
@@ -390,7 +388,10 @@ class _Parser(argparse.ArgumentParser):
         raise _Exit(EXIT_USAGE, f"error: {self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main runs once per
+    request when the library serves several in one process."""
     parser = _Parser(
         prog="yangbaxter",
         description=(
@@ -425,16 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built once per process: main runs once per
-    request when the library serves several in one process."""
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _Exit as exc:
         code, message = exc.args

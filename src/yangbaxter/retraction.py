@@ -69,28 +69,23 @@ class MultipermutationResult(namedtuple("MultipermutationResult", "level tower_s
 
 
 def multipermutation_level(s: FiniteSolution) -> MultipermutationResult:
-    """Retract until one point is left or the approx relation is trivial;
-    each step is retraction().  The loop ends, as each step quotients by a
-    relation with a class of two or more points and so strictly shrinks
-    the carrier."""
+    """Retract until one point is left or the approx relation is trivial,
+    for a solution s.  With red1-red4 that is closed form, using no braid:
+    red1, red4 give sigma_x(y) ~ y and red3, red2 tau_x(y) ~ y, so the
+    retraction is the projection solution on the r approx classes, and
+    r < n for n > 1 (a row moves y into its class, or all rows are the
+    identity).  Otherwise each step is retraction(); the loop ends, as each
+    step quotients by a relation with a class of two or more points and so
+    strictly shrinks the carrier."""
+    if s.reductivity.holds:
+        sizes = tuple(dict.fromkeys((s.n, len(_approx_classes(s)[0]), 1)))
+        return MultipermutationResult(level=len(sizes) - 1, tower_sizes=sizes)
     sizes, current = [s.n], s
     while current.n > 1 and len((classes := _approx_classes(current))[0]) < current.n:
         current = _quotient(current, classes).solution
         sizes.append(current.n)
     level = len(sizes) - 1 if current.n == 1 else None
     return MultipermutationResult(level=level, tower_sizes=tuple(sizes))
-
-
-def _reductive_level(s: FiniteSolution) -> MultipermutationResult:
-    """multipermutation_level of a solution, in closed form with red1-red4,
-    using no braid: red1, red4 give sigma_x(y) ~ y and red3, red2
-    tau_x(y) ~ y, so the retraction is the projection solution on the r
-    approx classes, and r < n for n > 1 (a row moves y into its class, or
-    all rows are the identity)."""
-    if not s.reductivity.holds:
-        return multipermutation_level(s)
-    sizes = tuple(dict.fromkeys((s.n, len(_approx_classes(s)[0]), 1)))
-    return MultipermutationResult(level=len(sizes) - 1, tower_sizes=sizes)
 
 
 class PermutationGroups(namedtuple("PermutationGroups", "left right full")):

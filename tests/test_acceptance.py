@@ -366,7 +366,7 @@ def test_criterion_6_brace_catalog(brace_catalog):
         red = two_reductive_oracle(sig, tau)
         homs = (lam[0], rho[0], lam[1], rho[1])
         two_sided = lam[2] and rho[2]
-        fields = (prof.red1, prof.red2, prof.red3, prof.red4)
+        fields = tuple(prof.reductivity)
         if red != homs or red != fields:
             violations.append(f"{name}: (f) identities {red} vs homs {homs}")
         # the class of b and of its opposite, each from its own socle series
@@ -375,7 +375,8 @@ def test_criterion_6_brace_catalog(brace_catalog):
             for side in (b, yb.opposite_brace(b))
         )
         if not (
-            all(red) == prof.all_four == two_sided == prof.multipermutation_le2
+            all(red) == prof.reductivity.holds == two_sided
+            == (prof.multipermutation.level in (0, 1, 2))
             == class_le2 == opposite_class_le2
         ):
             violations.append(f"{name}: (f) five-way equivalence")

@@ -7,6 +7,7 @@ import pytest
 
 import yangbaxter as yb
 from oracles import center, classes_by_key, congruence_oracle, lambdas_rhos, quotient_oracle
+from yangbaxter import brace as brace_module
 from yangbaxter.brace import BraceError, BraceViolation
 from yangbaxter.groups import identity_perm
 from yangbaxter.solution import VerificationError, Violation, validate_tables
@@ -146,6 +147,20 @@ def test_socle_series_examples():
     assert "not nilpotent" in series.describe()
 
 
+def test_socle_series_decides_no_ideal(monkeypatch, brace_catalog):
+    # each socle is Ker lambda .cap. Ker rho, an ideal by theorem: the series
+    # reads the two kernels and runs no normality or ideal check on them
+    expected = {name: yb.socle_series(b) for name, b in brace_catalog}
+
+    def refuse(*args):
+        raise AssertionError("ideal verdict in socle_series")
+
+    for name in ("is_normal", "is_ideal", "kernel_ideals"):
+        monkeypatch.setattr(brace_module, name, refuse)
+    for name, b in brace_catalog:
+        assert yb.socle_series(b) == expected[name], name
+
+
 def test_kernel_ideals_z6():
     b = yb.z2n_brace(3)
     report = yb.kernel_ideals(b)
@@ -206,18 +221,18 @@ def test_reductivity_profiles():
     q8 = yb.quaternion_group()
     b = yb.almost_trivial_brace(q8)
     prof = yb.reductivity_profile(b)
-    assert prof.all_four and prof.multipermutation_le2
+    assert prof.reductivity.holds and prof.multipermutation.level == 2
     assert yb.socle_series(b).nilpotency_class == 2
 
     prof = yb.reductivity_profile(yb.z2n_brace(3))
-    assert (prof.red1, prof.red2, prof.red3, prof.red4) == (True, False, True, False)
+    assert prof.reductivity == (True, False, True, False)
 
     # trivial brace on S3: lambda = id makes red1, red3, red4 hold; red2 needs
     # conjugation classes mod the center, which fails for S3
     b = yb.trivial_brace(yb.symmetric_group(3))
     prof = yb.reductivity_profile(b)
-    assert (prof.red1, prof.red2, prof.red3, prof.red4) == (True, False, True, True)
-    assert not prof.multipermutation_le2
+    assert prof.reductivity == (True, False, True, True)
+    assert prof.multipermutation.level is None
     assert yb.socle_series(b).nilpotency_class is None
 
 

@@ -789,9 +789,9 @@ def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brac
     # report renders those, and its socle lines too: the socle is Ker lambda
     # .cap. Ker rho, from the kernels, and the socle series is the
     # retraction tower.  The hom flags and bi-skew are read off the
-    # identities, so no brace law is checked again; a 2-reductive brace's
-    # level is read off red1-red4, in closed form, and the associated
-    # solution is involutive iff the dot group is abelian
+    # identities, so no brace law is checked again; the level is one
+    # multipermutation_level call, in closed form for a 2-reductive brace,
+    # and the associated solution is involutive iff the dot group is abelian
     functions = {
         "socle_series": yb.socle_series,
         "socle": yb.socle,
@@ -808,19 +808,19 @@ def test_reports_compute_each_invariant_once(tmp_path, capsys, monkeypatch, brac
             before = dict(calls)
             profile = cli.brace_report(b, full=full, out=io.StringIO())
             ran = {key: calls[key] - before[key] for key in calls}
-            reductive += profile.all_four
+            reductive += profile.reductivity.holds
             assert ran == {
                 "socle_series": 0, "socle": 0, "kernel_ideals": 1,
-                "multipermutation_level": 0 if profile.all_four else 1, "is_2reductive": 1,
+                "multipermutation_level": 1, "is_2reductive": 1,
                 "is_involutive": 0, "_brace_law_failure": 0,
             }, (name, full)
     assert 0 < reductive < 2 * len(brace_catalog)
     path = write(tmp_path, "sol.json", yb.projection_solution(3).to_dict())
     before = dict(calls)
     assert main(["verify", path]) == 0
-    # a 2-reductive solution's level is read off red1-red4, in closed form
+    # a 2-reductive solution's level is one call, in closed form
     assert {key: calls[key] - before[key] for key in calls} == {
-        "socle_series": 0, "socle": 0, "kernel_ideals": 0, "multipermutation_level": 0,
+        "socle_series": 0, "socle": 0, "kernel_ideals": 0, "multipermutation_level": 1,
         "is_2reductive": 1, "is_involutive": 1, "_brace_law_failure": 0,
     }
 

@@ -6,7 +6,8 @@ and carrier map), the isomorphism witnesses found for them, the full brace
 reports of the brace catalog, the socle-series quotients of each catalog
 brace and of its opposite, the retraction towers of the small solutions,
 and a corpus of command-line runs with their exit codes, output and
-written files.  The witnesses pin the order in which automorphisms and torsor
+written files, also with more verify inputs and one digest per command.
+The witnesses pin the order in which automorphisms and torsor
 isomorphisms are tried, since the first match found is the one returned.
 """
 
@@ -22,6 +23,7 @@ import pytest
 import yangbaxter as yb
 from test_cli import MALFORMED
 from yangbaxter.cli import brace_report, build_census, main, write_census
+from yangbaxter.solution import solution_to_text
 
 CENSUS_SHA256 = {
     1: "6dad408ba364a74b4b93653c088d089d9ffbe0cc584fd7dd24f02feb16651f52",
@@ -42,6 +44,13 @@ RETRACTION_TOWER_SHA256 = "32abf8017810cf690404e2c6654a7514be9d98dd9ac6ab718e972
 RELABEL_SEED = 20261018
 # the CLI runs of test_cli_digest
 CLI_SHA256 = "a5cab2da5fd41b6e79d720def6f4e8a2bbce11af0d52e6bbd4f22cd5f28bb6ee"
+# the CLI runs of test_cli_digest_by_command, by command
+CLI_COMMAND_SHA256 = {
+    "verify": "1e463ec78bc50d8e65045bc38269588da799ba80499cb34cf277f651dc901f9a",
+    "classify": "4e0291602e52a2e4347393e43f70e50bf3ef7d1f6c352bfbd0ec9b55d4c12eae",
+    "brace": "8712b8c091a4c12077278c393a883000d7409fdd171e930fdcfc49b8f224d9e3",
+    "enumerate": "8434c55178c0a99237ce615cafc83f2b8475e04ea081556b489e7d0c822ee631",
+}
 
 
 def _sha256(records) -> str:
@@ -200,10 +209,9 @@ def _cli_corpus(census, brace_catalog):
     return runs, files
 
 
-def test_cli_digest(tmp_path, capsys, census, brace_catalog):
-    # every run's argv, exit code, stdout, stderr and written files, with
-    # the temporary directory replaced by "{tmp}"
-    runs, files = _cli_corpus(census, brace_catalog)
+def _cli_records(runs, files, tmp_path, capsys):
+    """Each run's argv, exit code, stdout, stderr and written files, with
+    the temporary directory replaced by "{tmp}"."""
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     tmp, records = str(tmp_path), []
@@ -214,4 +222,32 @@ def test_cli_digest(tmp_path, capsys, census, brace_catalog):
                 if arg.startswith("{tmp}/") and arg.removeprefix("{tmp}/") not in files]
         written = [path.read_text() if path.exists() else None for path in outs]
         records.append([argv, code, out.replace(tmp, "{tmp}"), err.replace(tmp, "{tmp}"), written])
-    assert _sha256(records) == CLI_SHA256
+    return records
+
+
+def test_cli_digest(tmp_path, capsys, census, brace_catalog):
+    runs, files = _cli_corpus(census, brace_catalog)
+    assert _sha256(_cli_records(runs, files, tmp_path, capsys)) == CLI_SHA256
+
+
+def test_cli_digest_by_command(tmp_path, capsys, census, brace_catalog, small_solutions):
+    # test_cli_digest's corpus, plus verify of every small solution as JSON
+    # and as text, and of the census at n = 4 as unions and as relabelled
+    # solutions; one digest per command, so a change names its command
+    runs, files = _cli_corpus(census, brace_catalog)
+    rng = random.Random(RELABEL_SEED)
+    extra = {}
+    for i, s in enumerate(small_solutions):
+        extra[f"small{i}.json"] = json.dumps(s.to_dict())
+        extra[f"small{i}.txt"] = solution_to_text(s)
+    for i, u in enumerate(census[4]):
+        phi = list(range(4))
+        rng.shuffle(phi)
+        s = yb.relabel(yb.union_to_solution(u), phi)
+        extra[f"u4-{i}.json"] = json.dumps(u.to_dict())
+        extra[f"s4-{i}.json"] = json.dumps(s.to_dict())
+    runs += [["verify", "{tmp}/" + name] for name in extra]
+    by_command = {command: [] for command in CLI_COMMAND_SHA256}
+    for record in _cli_records(runs, files | extra, tmp_path, capsys):
+        by_command[record[0][0]].append(record)
+    assert {c: _sha256(records) for c, records in by_command.items()} == CLI_COMMAND_SHA256

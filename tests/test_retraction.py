@@ -15,7 +15,7 @@ from oracles import (
     perms_commute,
     quotient_oracle,
 )
-from yangbaxter.retraction import _approx_classes, _reductive_level
+from yangbaxter.retraction import _approx_classes
 from yangbaxter.solution import FiniteSolution, validate_tables
 
 
@@ -209,22 +209,41 @@ def test_distributivity_is_red3_and_red4_on_solutions(small_solutions, census_so
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def _tower_oracle(sigma, tau):
+    """The retraction tower's sizes by the definitions: points with equal
+    (sigma-row, tau-row) pairs merged, until one point is left or no two
+    points merge."""
+    sizes = [len(sigma)]
+    while sizes[-1] > 1:
+        block_of = classes_by_key(zip(sigma, tau))
+        if len(set(block_of)) == sizes[-1]:
+            break
+        sigma, tau = quotient_oracle(sigma, tau, block_of)
+        sizes.append(len(sigma))
+    return tuple(sizes)
+
+
 def test_closed_form_level_equals_the_retraction_tower(small_solutions, census_solutions,
                                                        brace_catalog):
     # with red1-red4 the retraction is a projection solution on the approx
     # classes; that uses no braid relation, so permutational tables whose
-    # rows do not commute, which are no solutions, are covered too
+    # rows do not commute, which are no solutions, are covered too.  The
+    # solutions that fail red1-red4 check the loop route: towers that
+    # stabilize at once or, for Z6-twist x Triv(Z2), after one step, and
+    # Triv(D16)'s and Triv(D32)'s, of levels 3 and 4
     perms = list(itertools.permutations(range(3)))
     tables = [FiniteSolution(3, (f,) * 3, (g,) * 3) for f in perms for g in perms]
     assert validate_tables(((1, 0, 2),) * 3, ((0, 2, 1),) * 3) is not None
-    corpus = _report_corpus(small_solutions, census_solutions, brace_catalog) + tables
-    towers = set()
-    for s in corpus:
-        if yb.is_2reductive(s).holds:
-            level = _reductive_level(s)
-            assert level == yb.multipermutation_level(s), s
-            towers.add(len(level.tower_sizes))
-    assert towers == {1, 2, 3}
+    looping = [yb.product_brace(yb.z2n_brace(3), yb.trivial_brace(yb.cyclic_group(2)))]
+    looping += [yb.trivial_brace(yb.dihedral_group(k)) for k in (8, 16)]
+    solutions = _report_corpus(small_solutions, census_solutions, brace_catalog)
+    solutions += map(yb.associated_solution, looping)
+    towers, looped = set(), set()
+    for s in solutions + [t for t in tables if yb.is_2reductive(t).holds]:
+        mp, sizes = yb.multipermutation_level(s), _tower_oracle(s.sigma, s.tau)
+        assert mp == (len(sizes) - 1 if sizes[-1] == 1 else None, sizes), s
+        (towers if yb.is_2reductive(s).holds else looped).add(len(sizes))
+    assert towers == {1, 2, 3} and looped == {1, 2, 4, 5}
 
 
 def test_permutation_groups_examples():
