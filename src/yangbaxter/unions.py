@@ -48,11 +48,7 @@ class AbelianUnion(namedtuple("AbelianUnion", "groups c d")):
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for g in self.groups:
-            out.append(acc)
-            acc += g.n
-        return tuple(out)
+        return tuple(itertools.accumulate((g.n for g in self.groups), initial=0))[:-1]
 
     def orbit_type(self) -> tuple[tuple[int, ...], ...]:
         """Multiset of block invariant factors, in canonical block order."""
@@ -91,8 +87,7 @@ def abelian_union(
     k = len(groups)
     if k == 0:
         raise ValueError("groups: a union needs at least one block")
-    cm = tuple(tuple(row) for row in c)
-    dm = tuple(tuple(row) for row in d)
+    cm, dm = (tuple(map(tuple, m)) for m in (c, d))
     orders = [g.n for g in groups]
     for name, m in (("C", cm), ("D", dm)):
         if len(m) != k or any(len(row) != k for row in m):
@@ -103,9 +98,8 @@ def abelian_union(
                     raise ValueError(
                         f"{name}: entry [{i}][{j}] = {m[i][j]} is not an element of block {j}"
                     )
-    for j in range(k):
-        col = [cm[i][j] for i in range(k)] + [dm[i][j] for i in range(k)]
-        if not groups[j].generates(col):
+    for j, (g, c_col, d_col) in enumerate(zip(groups, zip(*cm), zip(*dm))):
+        if not g.generates(c_col + d_col):
             raise ValueError(f"C, D: column {j} entries do not generate block {j}")
     return AbelianUnion(groups=tuple(groups), c=cm, d=dm)
 
@@ -224,29 +218,51 @@ class UnionIsomorphism(namedtuple("UnionIsomorphism", "pi psis")):
 
 
 def _block_bijections(
-    types1: Sequence[tuple[int, ...]], types2: Sequence[tuple[int, ...]]
+    types1: Sequence[tuple[int, ...]], types2: Sequence[tuple[int, ...]], ties: Sequence = ()
 ) -> Iterator[tuple[int, ...]]:
     """Block bijections pi with types2[pi[i]] == types1[i], lazily and in
     lexicographic order.  The two type lists must be equal as multisets;
-    then every partial choice extends to a bijection."""
+    then every partial choice extends to a bijection.
+
+    Targets j that share a key ties[j] other than None are interchangeable:
+    they are taken in increasing order, so of the bijections that differ
+    only by permuting them only the lexicographically first is yielded.
+    canonical_form and unions_isomorphic tie trivial blocks with equal
+    (C-row, D-row), which is exact: a trivial block's column is zero, so
+    swapping two such blocks maps a union to itself, with identity
+    automorphisms.  So the two bijections give canonical_form the same
+    image, and unions_isomorphic succeeds with given psis under one exactly
+    when it does under the other; the first success in lexicographic order
+    takes the two in increasing order, so every form and witness is the
+    one the whole walk finds.  _cell_positions ties every trivial block.
+    """
     k = len(types1)
+    if not k:
+        yield ()
+        return
     options = [[j for j in range(k) if types2[j] == t] for t in types1]
-    pi: list[int] = []
-    used = [False] * k
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        if len(pi) == k:
-            yield tuple(pi)
-            return
-        for j in options[len(pi)]:
-            if not used[j]:
-                used[j] = True
+    # before[j]: the target with j's key before j, to be taken first; or k,
+    # which counts as taken
+    taken, before, last = [False] * k + [True], [k] * k, {}
+    for j, key in enumerate(ties):
+        if key is not None:
+            before[j], last[key] = last.get(key, k), j
+    # pi's choices so far, and the targets left to try at each and the next
+    pi, tries = [], [iter(options[0])]
+    while tries:
+        for j in tries[-1]:
+            if not taken[j] and taken[before[j]]:
+                if len(pi) == k - 1:
+                    yield (*pi, j)
+                    continue
+                taken[j] = True
                 pi.append(j)
-                yield from extend()
-                pi.pop()
-                used[j] = False
-
-    yield from extend()
+                tries.append(iter(options[len(pi)]))
+                break
+        else:
+            tries.pop()
+            if pi:
+                taken[pi.pop()] = False
 
 
 def unions_isomorphic(
@@ -265,7 +281,9 @@ def unions_isomorphic(
         return None
     # the columns of each matrix
     c1, d1, c2, d2 = (list(zip(*m)) for m in (u1.c, u1.d, u2.c, u2.d))
-    for pi in _block_bijections(types1, types2):
+    # u2's trivial blocks with equal rows are interchangeable
+    ties = [None if t else r for t, r in zip(types2, zip(u2.c, u2.d))] if () in types2 else ()
+    for pi in _block_bijections(types1, types2, ties):
         psis = []
         for j, g in enumerate(u1.groups):
             # column j of u1 goes to column pi[j] of u2 read over rows pi[i]
@@ -275,7 +293,7 @@ def unions_isomorphic(
                 break
             psis.append(psi)
         else:
-            return UnionIsomorphism(pi=tuple(pi), psis=tuple(psis))
+            return UnionIsomorphism(pi=pi, psis=tuple(psis))
     return None
 
 
@@ -291,22 +309,21 @@ def _cell_positions(
     of M[0..k-1][j].  The gather of (pi, psis) lists, for each entry of the
     flattened M' with M'[pi(i)][pi(j)] = psi_j(M[i][j]), the spread index
     it is read from.  C and D are spread alike and one gather maps either.
-    The trivial blocks sort last, and the cell's symmetries are these
-    gathers times the permutations of the trivial blocks, which only
-    permute the last rows (enumerate_cell sorts them, and takes every
-    gather at once).  The first is the identity, pi = id and every psi = id
-    (block bijections come in lexicographic order and automorphisms
-    sorted), so it reads a matrix's own flattened entries, the layout
-    enumerate_cell compares the other gathers with.
+    The trivial blocks sort last and share one tie (_block_bijections):
+    the cell's symmetries are these gathers times the permutations of the
+    trivial blocks, which only permute the last rows (enumerate_cell sorts
+    them, and takes every gather at once).  The first is the identity
+    (bijections come in lexicographic order and automorphisms sorted), so
+    it reads a matrix's own flattened entries, the layout enumerate_cell
+    compares the other gathers with.
     """
     groups = [_abelian_block(t) for t in types]
     auts = [g.automorphisms for g in groups]
-    k, r = len(types), len(types) - types.count(())
+    k = len(types)
     starts = list(itertools.accumulate((k * len(a) for a in auts), initial=0))
 
     def positions() -> Iterator[tuple[int, ...]]:
-        for head in _block_bijections(types[:r], types[:r]):
-            pi = head + tuple(range(r, k))
+        for pi in _block_bijections(types, types, [None if t else () for t in types]):
             # ts[j] is the index of psi_j in auts[j]
             for ts in itertools.product(*(range(len(a)) for a in auts)):
                 pos = [0] * (k * k)
@@ -348,7 +365,9 @@ def canonical_form(u: AbelianUnion) -> AbelianUnion:
         *(q * 2 * k + k + r for r in range(k) for q in range(k)),
     )
     best = None
-    for pi in _block_bijections(types, types):
+    # trivial blocks with equal rows give equal images (_block_bijections)
+    ties = [None if t else (u.c[i], u.d[i]) for t, i in zip(types, order)] if () in types else ()
+    for pi in _block_bijections(types, types, ties):
         # the image under pi's inverse, which runs over the same bijections:
         # column q of the image is column pi[q], its row r from row pi[r]
         pick = operator.itemgetter(*pi, *[k + i for i in pi])
@@ -362,12 +381,8 @@ def canonical_form(u: AbelianUnion) -> AbelianUnion:
         image = to_rows(image)
         if best is None or image < best:
             best = image
-    rows = [slice(i * k, (i + 1) * k) for i in range(2 * k)]
-    return AbelianUnion(
-        groups=groups,
-        c=tuple(map(best.__getitem__, rows[:k])),
-        d=tuple(map(best.__getitem__, rows[k:])),
-    )
+    rows = [best[i * k:(i + 1) * k] for i in range(2 * k)]
+    return AbelianUnion(groups=groups, c=tuple(rows[:k]), d=tuple(rows[k:]))
 
 
 # ---------------------------------------------------------------------------
@@ -602,19 +617,12 @@ class UnionPredicates(namedtuple("UnionPredicates", "involutive square_free cond
 
 def union_predicates(u: AbelianUnion) -> UnionPredicates:
     k = u.k
-    involutive = all(
-        u.d[i][j] == u.groups[j].neg(u.c[i][j]) for i in range(k) for j in range(k)
-    )
+    involutive = all(y == g.neg(x) for c_row, d_row in zip(u.c, u.d)
+                     for g, x, y in zip(u.groups, c_row, d_row))
     square_free = all(u.c[i][i] == 0 and u.d[i][i] == 0 for i in range(k))
-    # the two fixed-point conditions quantify their witness blocks separately
-    condition_star = all(
-        any(u.c[j][i] == 0 for j in range(k)) for i in range(k)
-    ) and all(
-        any(u.d[j][i] == 0 for j in range(k)) for i in range(k)
-    )
-    return UnionPredicates(
-        involutive=involutive, square_free=square_free, condition_star=condition_star
-    )
+    # the two fixed-point conditions, each on its own matrix: every column holds a 0
+    condition_star = all(0 in col for m in (u.c, u.d) for col in zip(*m))
+    return UnionPredicates(involutive, square_free, condition_star)
 
 
 def opposite_union(u: AbelianUnion) -> AbelianUnion:
@@ -642,16 +650,8 @@ class InjectivityReport(namedtuple("InjectivityReport", "diagonal_ok order_ok"))
 
 def injectivity_checks(u: AbelianUnion) -> InjectivityReport:
     """Two necessary conditions for injectivity, on the constant matrices."""
-    k = u.k
-    diagonal_ok = all(
-        u.c[i][i] == u.groups[i].neg(u.d[i][i]) for i in range(k)
-    )
-    order_ok = True
-    for i in range(k):
-        for j in range(k):
-            gi, gj = u.groups[i], u.groups[j]
-            oj = gj.order(gj.add(u.c[i][j], u.d[i][j]))
-            oi = gi.order(gi.add(u.c[j][i], u.d[j][i]))
-            if oj != oi:
-                order_ok = False
-    return InjectivityReport(diagonal_ok=diagonal_ok, order_ok=order_ok)
+    gs = u.groups
+    diagonal_ok = all(c[i] == g.neg(d[i]) for i, (g, c, d) in enumerate(zip(gs, u.c, u.d)))
+    # the order of c[i][j] + d[i][j] in block j, which must be symmetric
+    orders = [[g.order(g.add(x, y)) for g, x, y in zip(gs, c, d)] for c, d in zip(u.c, u.d)]
+    return InjectivityReport(diagonal_ok, orders == list(map(list, zip(*orders))))

@@ -6,7 +6,9 @@ and carrier map), the isomorphism witnesses found for them, the full brace
 reports of the brace catalog, the socle-series quotients of each catalog
 brace and of its opposite, the retraction towers of the small solutions,
 and a corpus of command-line runs with their exit codes, output and
-written files, also with more verify inputs and one digest per command.
+written files, also with more verify inputs and one digest per command,
+and a second corpus of the runs the first does not reach: failing
+witnesses, non-cyclic blocks, runs of trivial blocks and looping towers.
 The witnesses pin the order in which automorphisms and torsor
 isomorphisms are tried, since the first match found is the one returned.
 """
@@ -15,12 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import random
+from math import prod
 
 import pytest
 
 import yangbaxter as yb
+from oracles import automorphisms, generates, transform, validate_oracle
 from test_cli import MALFORMED
 from yangbaxter.cli import brace_report, build_census, main, write_census
 from yangbaxter.solution import solution_to_text
@@ -50,6 +55,12 @@ CLI_COMMAND_SHA256 = {
     "classify": "4e0291602e52a2e4347393e43f70e50bf3ef7d1f6c352bfbd0ec9b55d4c12eae",
     "brace": "8712b8c091a4c12077278c393a883000d7409fdd171e930fdcfc49b8f224d9e3",
     "enumerate": "8434c55178c0a99237ce615cafc83f2b8475e04ea081556b489e7d0c822ee631",
+}
+# the CLI runs of test_cli_edge_digest_by_command, by command
+CLI_EDGE_SHA256 = {
+    "verify": "21af90744e86fecfd9c9210e9e1fb89aa9efee4cd2e46f77d6bd33ab9fbb641b",
+    "classify": "7a2640f726cdad3dd65b3801db9dfbbe72aa1a45f03371136e1364b938be5aaa",
+    "brace": "f4de258c319cbb080506918937eae3f6848534ead6b62ae51d6aacbe240cdce5",
 }
 
 
@@ -251,3 +262,145 @@ def test_cli_digest_by_command(tmp_path, capsys, census, brace_catalog, small_so
     for record in _cli_records(runs, files | extra, tmp_path, capsys):
         by_command[record[0][0]].append(record)
     assert {c: _sha256(records) for c, records in by_command.items()} == CLI_COMMAND_SHA256
+
+
+def _moved_union(union, pi, psis):
+    """The union file of (pi, psis) applied to a union file."""
+    types, c, d = union["groups"], union["C"], union["D"]
+    k = len(types)
+    nc, nd = transform(c, d, pi, psis)
+    moved = [None] * k
+    for i in range(k):
+        moved[pi[i]] = types[i]
+    return {"groups": moved, "C": [list(nc[i * k:(i + 1) * k]) for i in range(k)],
+            "D": [list(nd[i * k:(i + 1) * k]) for i in range(k)]}
+
+
+def _cli_edge_corpus(census):
+    """(argv, files to write first) of the CLI runs that reach what
+    _cli_corpus does not: verify's exit-1 witnesses (a row that is not a
+    permutation, a bijectivity collision, each birack identity), the brace
+    law's failing triple and a dot table with a bad row, classify of unions
+    with non-cyclic blocks and with runs of trivial blocks, and towers that
+    shrink by the quotient loop."""
+    rng = random.Random(RELABEL_SEED)
+    runs, files = [], {}
+
+    def put(name, payload):
+        files[name] = json.dumps(payload)
+        return "{tmp}/" + name
+
+    def relabelled(u):
+        s = yb.union_to_solution(yb.union_from_dict(u))
+        phi = list(range(s.n))
+        rng.shuffle(phi)
+        return yb.relabel(s, phi).to_dict()
+
+    def moved(u):
+        types = [tuple(t) for t in u["groups"]]
+        pi = rng.sample(range(len(types)), len(types))
+        return _moved_union(u, pi, [rng.choice(automorphisms(t)) for t in types])
+
+    def twin(u):
+        # one entry of the first non-trivial column moved by the least step,
+        # first of C's then D's in a seeded row order, that keeps the column
+        # generating
+        j = next(j for j, t in enumerate(u["groups"]) if t)
+        t = tuple(u["groups"][j])
+        k = len(u["groups"])
+        rows = rng.sample(range(k), k)
+        for step, m, i in itertools.product(range(1, prod(t)), "CD", rows):
+            out = json.loads(json.dumps(u))
+            out[m][i][j] = (out[m][i][j] + step) % prod(t)
+            if generates(t, [row[j] for row in out["C"] + out["D"]]):
+                return out
+        raise AssertionError(u)
+
+    # verify's exit-1 tables: the first table pair at n = 2, 3 (every
+    # pair of permutation tables) and at n = 4..6 (seeded random ones)
+    # that fails each check, found by the oracle
+    kinds = {}
+    for n in (2, 3):
+        perms = list(itertools.permutations(range(n)))
+        for sigma, tau in itertools.product(itertools.product(perms, repeat=n), repeat=2):
+            kinds.setdefault((n, (validate_oracle(sigma, tau) or ("ok",))[0]), (sigma, tau))
+    for n in (4, 5, 6):
+        perms = list(itertools.permutations(range(n)))
+        for _ in range(200):
+            sigma, tau = ([rng.choice(perms) for _ in range(n)] for _ in range(2))
+            kinds.setdefault((n, (validate_oracle(sigma, tau) or ("ok",))[0]), (sigma, tau))
+    for (n, kind), (sigma, tau) in sorted(kinds.items()):
+        if kind != "ok":
+            runs.append(["verify", put(f"v{n}-{kind}.json", {"sigma": sigma, "tau": tau})])
+    perm5 = [[(x + a) % 5 for x in range(5)] for a in range(5)]
+    for name, sigma, tau in [
+        ("sigma-row", [[0, 1], [1, 1]], [[0, 1], [0, 1]]),
+        ("tau-row", perm5, perm5[:3] + [[0, 1, 2, 3, 3]] + perm5[4:]),
+        ("late-sigma-row", perm5[:4] + [[4, 3, 2, 1, 1]], perm5),
+    ]:
+        runs.append(["verify", put(f"bad-{name}.json", {"sigma": sigma, "tau": tau})])
+    # braces: the brace law fails, and a dot table has a bad row
+    s3, z6 = yb.symmetric_group(3), yb.cyclic_group(6)
+    bad_braces = {
+        "law": {"dot": [list(r) for r in s3.table], "circle": [list(r) for r in z6.table]},
+        "law-swapped": {"dot": [list(r) for r in z6.table], "circle": [list(r) for r in s3.table]},
+        "dot-row": {"dot": [[0, 1, 2], [1, 2, 0], [2, 2, 1]],
+                    "circle": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+    }
+    for name, data in bad_braces.items():
+        path = put(f"brace-{name}.json", data)
+        runs += [["verify", path], ["brace", path]]
+    # towers that shrink by the quotient loop: Z6 x Triv(Z2), Z6 x Triv(Q8)
+    for name, g in (("z2", yb.cyclic_group(2)), ("q8", yb.quaternion_group())):
+        b = yb.product_brace(yb.z2n_brace(3), yb.trivial_brace(g))
+        path = put(f"z6x{name}.json", b.to_dict())
+        runs += [["verify", path],
+                 ["brace", path, "--report", "full", "--solution-out", f"{{tmp}}/z6x{name}.out"],
+                 ["verify", put(f"z6x{name}-solution.json",
+                                yb.associated_solution(b).to_dict())]]
+    # classify: the n = 4 union with a Z2 x Z2 block (its cell has one
+    # class) against relabelled copies of itself and of each Z4 class, both
+    # ways; a Z2 x Z4 and a Z2^3 union
+    pairs = []
+    z22, = (u.to_dict() for u in census[4] if u.orbit_type() == ((2, 2),))
+    pairs += [(z22, relabelled(z22)), (relabelled(z22), z22)]
+    for v in census[4]:
+        if v.orbit_type() == ((4,),):
+            pairs += [(z22, relabelled(v.to_dict())), (relabelled(v.to_dict()), z22)]
+    for types in ([[2, 4], [2]], [[2, 2, 2], []], [[2, 4]]):
+        k = len(types)
+        while True:
+            c, d = ([[rng.randrange(prod(t)) for t in types] for _ in range(k)] for _ in range(2))
+            if all(generates(tuple(t), [r[j] for r in c + d]) for j, t in enumerate(types)):
+                break
+        u = {"groups": types, "C": c, "D": d}
+        pairs += [(u, relabelled(u)), (u, moved(u)), (moved(u), twin(u))]
+    # classify: a Z2 or Z3 block with 2..6 trivial blocks, whose trivial
+    # rows repeat or are all distinct, against a moved copy, a relabelled
+    # copy and a one-entry twin; and Z2 + Z1^m with only C[0][0] = 1
+    # against its twin that also has C[m][0] = 1, both ways
+    for m in range(2, 7):
+        for a, values in ((2, 2), (3, 2), (3, 3)):
+            rows = [(x, y) for x in range(values) for y in range(values)]
+            picked = (rng.sample(rows, m) if m <= len(rows) and values == 3
+                      else [rng.choice(rows) for _ in range(m)])
+            c = [[1] + [0] * m] + [[x] + [0] * m for x, _ in picked]
+            d = [[rng.randrange(a)] + [0] * m] + [[y] + [0] * m for _, y in picked]
+            u = {"groups": [[a]] + [[]] * m, "C": c, "D": d}
+            pairs += [(u, moved(u)), (relabelled(u), u), (moved(u), twin(u))]
+        zero = [[0] * (m + 1) for _ in range(m + 1)]
+        one = {"groups": [[2]] + [[]] * m, "C": [[1] + [0] * m] + zero[1:], "D": zero}
+        other = json.loads(json.dumps(one))
+        other["C"][m][0] = 1
+        pairs += [(one, other), (other, one), (one, moved(one))]
+    for i, (one, other) in enumerate(pairs):
+        runs.append(["classify", put(f"k{i}a.json", one), put(f"k{i}b.json", other)])
+    return runs, files
+
+
+def test_cli_edge_digest_by_command(tmp_path, capsys, census):
+    runs, files = _cli_edge_corpus(census)
+    by_command = {command: [] for command in CLI_EDGE_SHA256}
+    for record in _cli_records(runs, files, tmp_path, capsys):
+        by_command[record[0][0]].append(record)
+    assert {c: _sha256(records) for c, records in by_command.items()} == CLI_EDGE_SHA256

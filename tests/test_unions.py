@@ -829,6 +829,131 @@ def test_union_isomorphism_and_forms_list_no_automorphisms(monkeypatch):
     assert yb.unions_isomorphic(dec.union, cf) is not None
 
 
+def _moved(u, pi, psis):
+    """The union (pi, psis) maps u to, with M'[pi(i)][pi(j)] = psi_j(M[i][j])."""
+    k = u.k
+    nc, nd = transform(u.c, u.d, pi, psis)
+    groups = [None] * k
+    for i, g in enumerate(u.groups):
+        groups[pi[i]] = g
+    rows = [slice(i * k, (i + 1) * k) for i in range(k)]
+    return AbelianUnion(tuple(groups), tuple(nc[r] for r in rows), tuple(nd[r] for r in rows))
+
+
+def _trivial_tail(block, m, values, rng):
+    """block + Z1^m with C[0][0] = 1, whose trivial rows take their entries
+    in block's column from values, so that rows repeat."""
+    g = yb.abelian_group(list(block))
+    rows = [(1, rng.randrange(g.n))] + [rng.choice(values) for _ in range(m)]
+    c, d = (tuple((row[h],) + (0,) * m for row in rows) for h in (0, 1))
+    return AbelianUnion((g,) + (Z1,) * m, c, d)
+
+
+def _found_pair(m):
+    """Z2 + Z1^m with C[0][0] = 1 and every other entry 0, and its twin that
+    also has C[m][0] = 1: two unions that are not isomorphic."""
+    c = [[0] * (m + 1) for _ in range(m + 1)]
+    c[0][0] = 1
+    twin = [row[:] for row in c]
+    twin[m][0] = 1
+    zero = tuple(map(tuple, [[0] * (m + 1)] * (m + 1)))
+    return tuple(AbelianUnion((Z2,) + (Z1,) * m, tuple(map(tuple, x)), zero) for x in (c, twin))
+
+
+def _counting_walk(monkeypatch, limit=100):
+    """Record each block bijection unions._block_bijections yields; raise
+    past limit since the last clear."""
+    walked = []
+
+    def walk(*args):
+        for pi in original(*args):
+            walked.append(pi)
+            if len(walked) > limit:
+                raise AssertionError(f"more than {limit} block bijections")
+            yield pi
+
+    original = unions_module._block_bijections
+    monkeypatch.setattr(unions_module, "_block_bijections", walk)
+    return walked
+
+
+def test_block_bijections_take_tied_targets_in_order():
+    # against a filter of every permutation: the type-preserving bijections
+    # in which targets with one key other than None come in increasing
+    # order, lexicographically, on random types and keys, k <= 6
+    rng = random.Random(12289)
+    for _ in range(300):
+        k = rng.randrange(7)
+        types1 = [rng.choice([(2,), (3,), ()]) for _ in range(k)]
+        types2 = rng.sample(types1, k)
+        ties = [rng.choice([None, "a", "b"]) for _ in range(k)] if rng.random() < 0.8 else ()
+        keyed = ties or [None] * k
+        expected = [
+            pi for pi in itertools.permutations(range(k))
+            if all(types2[j] == t for j, t in zip(pi, types1))
+            and all(keyed[a] is None or keyed[a] != keyed[b] or a < b
+                    for a, b in itertools.combinations(pi, 2))
+        ]
+        walked = list(unions_module._block_bijections(types1, types2, ties))
+        assert walked == expected, (types1, types2, ties)
+
+
+def test_tied_trivial_blocks_keep_every_form_and_witness():
+    # trivial blocks with equal rows are walked in one order only; the forms
+    # and witnesses are still the oracles', on Z2, Z3 and Z2xZ2 blocks with
+    # trivial rows that repeat, on Z1^k, and on Z3+Z1+Z1 whose form has
+    # D[0][0] = 1 where sorting the trivial rows after the least column
+    # image would give 2; each as built, moved and as a one-entry twin
+    rng = random.Random(40961)
+    bases = [
+        _trivial_tail(block, m, values, rng)
+        for block, values in [((2,), [(0, 0), (1, 0), (1, 1)]), ((3,), [(0, 0), (2, 1), (1, 0)])]
+        for m in range(6) for _ in range(2)
+    ]
+    bases.append(_trivial_tail((2, 2), 3, [(0, 0), (3, 1), (2, 0)], rng))
+    bases += [AbelianUnion((Z1,) * k, ((0,) * k,) * k, ((0,) * k,) * k) for k in range(1, 7)]
+    bases.append(AbelianUnion((Z3, Z1, Z1), ((0, 0, 0), (2, 0, 0), (1, 0, 0)),
+                              ((1, 0, 0), (0, 0, 0), (0, 0, 0))))
+    assert yb.canonical_form(bases[-1]).d[0][0] == 1
+    verdicts, tied = {True: 0, False: 0}, 0
+    for u in bases:
+        types = [g.factors for g in u.groups]
+        pi = rng.sample(range(u.k), u.k)
+        moved = _moved(u, pi, [rng.choice(automorphisms(t)) for t in types])
+        variants = [u, moved]
+        if u.groups[0].n > 1:
+            twin_c = [list(row) for row in moved.c]
+            i = rng.randrange(u.k)
+            twin_c[i][pi[0]] = (twin_c[i][pi[0]] + 1) % u.groups[0].n
+            variants.append(moved._replace(c=tuple(map(tuple, twin_c))))
+        for v in variants:
+            trivial_rows = [(c, d) for g, c, d in zip(v.groups, v.c, v.d) if g.n == 1]
+            tied += len(set(trivial_rows)) < len(trivial_rows)
+            cf = yb.canonical_form(v)
+            assert (sum(cf.c, ()), sum(cf.d, ())) == canonical_union(_plain(v)), v
+            for one, other in ((u, v), (v, u)):
+                witness = yb.unions_isomorphic(one, other)
+                assert witness == witness_scan(_plain(one), _plain(other)), (one, other)
+                verdicts[witness is not None] += 1
+    assert min(verdicts.values()) > 20 and tied > 40, (verdicts, tied)
+
+
+def test_equal_trivial_rows_are_walked_in_one_order(monkeypatch):
+    # the form of Z1^12 walks one of 12! block bijections; the pair of
+    # _found_pair at m = 9 walks one bijection per place of the odd row
+    walked = _counting_walk(monkeypatch)
+    z1 = AbelianUnion((Z1,) * 12, ((0,) * 12,) * 12, ((0,) * 12,) * 12)
+    assert yb.canonical_form(z1) == z1 and len(walked) == 1
+    one, twin = _found_pair(9)
+    for u, v in ((one, twin), (twin, one)):
+        walked.clear()
+        assert yb.unions_isomorphic(u, v) is None and len(walked) <= 9
+        walked.clear()
+        assert yb.canonical_form(u) == u and len(walked) <= 9
+    walked.clear()
+    assert yb.unions_isomorphic(twin, twin).pi == tuple(range(10)) and len(walked) == 1
+
+
 def test_union_predicates_match_solution_predicates(census):
     for n in (3, 4):
         for u in census[n]:
@@ -864,6 +989,25 @@ def test_opposite_union_spec_example():
     opp = yb.opposite_union(u)
     assert opp.c == ((0, 0), (0, 0))
     assert opp.d == ((1, 0), (0, 0))
+
+
+def test_census_is_closed_under_both_dualities(census):
+    # swapping C and D (the solution P r P) and opposite_union (the inverse
+    # solution) send each class to a listed class, each twice to itself;
+    # negating every block is an automorphism taking one image to the
+    # other, so they agree on classes; the swap fixes 1, 2, 6, 31 and 139
+    fixed = []
+    for n in range(1, 6):
+        listed = {_plain(u) for u in census[n]}
+        swap = {}
+        for u in census[n]:
+            image = _plain(yb.canonical_form(u._replace(c=u.d, d=u.c)))
+            assert image in listed, u
+            assert _plain(yb.canonical_form(yb.opposite_union(u))) == image, u
+            swap[_plain(u)] = image
+        assert all(swap[swap[key]] == key for key in listed)
+        fixed.append(sum(swap[key] == key for key in listed))
+    assert fixed == [1, 2, 6, 31, 139]
 
 
 def test_z2n_dual_brace_solution_decomposes_as_displayed():
