@@ -7,9 +7,7 @@ Exit codes: 0 = success / property holds, 1 = mathematical violation
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
 import os
 import sys
@@ -289,8 +287,8 @@ def _create(path: str) -> TextIO:
         raise _Exit(EXIT_USAGE, f"error: {path}: {exc.strerror}") from None
 
 
-def cmd_verify(args) -> int:
-    kind, obj = _load(args.file, violations=VerificationError)
+def cmd_verify(file: str) -> int:
+    kind, obj = _load(file, violations=VerificationError)
     if kind == "union":
         obj = unions.union_to_solution(obj)
         kind = "solution"
@@ -302,7 +300,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(n: int, out: Optional[str] = None) -> int:
     raw_cap = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
     try:
         cap = int(raw_cap)
@@ -310,21 +308,21 @@ def cmd_enumerate(args) -> int:
         cap = 0
     if cap < 1:
         raise _Exit(EXIT_USAGE, f"error: {ENUM_CAP_ENV}: {raw_cap!r} is not a positive integer")
-    if not 1 <= args.n <= cap:
+    if not 1 <= n <= cap:
         raise _Exit(
             EXIT_USAGE, f"error: n must be between 1 and {cap} (override with {ENUM_CAP_ENV})"
         )
-    if args.out and args.n > CENSUS_OUT_MAX_N:
+    if out and n > CENSUS_OUT_MAX_N:
         raise _Exit(
             EXIT_USAGE,
             f"error: --out writes each entry as one digit, so n must be at most "
             f"{CENSUS_OUT_MAX_N}",
         )
     with contextlib.ExitStack() as stack:
-        out = stack.enter_context(_create(args.out)) if args.out else None
-        record = build_census(args.n)
-        if out is not None:
-            write_census(record, out)
+        stream = stack.enter_context(_create(out)) if out else None
+        record = build_census(n)
+        if stream is not None:
+            write_census(record, stream)
     print(json.dumps(record.summary_dict()))
     return EXIT_OK
 
@@ -339,9 +337,9 @@ def _as_union(kind: str, obj) -> Optional[unions.AbelianUnion]:
         return None
 
 
-def cmd_classify(args) -> int:
-    kind1, obj1 = _load(args.file1, ("solution", "union"))
-    kind2, obj2 = _load(args.file2, ("solution", "union"))
+def cmd_classify(file1: str, file2: str) -> int:
+    kind1, obj1 = _load(file1, ("solution", "union"))
+    kind2, obj2 = _load(file2, ("solution", "union"))
     u1, u2 = _as_union(kind1, obj1), _as_union(kind2, obj2)
     if u1 is not None and u2 is not None:
         witness = unions.unions_isomorphic(u1, u2)
@@ -370,66 +368,92 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_brace(args) -> int:
-    _, b = _load(args.file, ("brace",), violations=braces.BraceError)
+def cmd_brace(file: str, report: str = "summary", solution_out: Optional[str] = None) -> int:
+    _, b = _load(file, ("brace",), violations=braces.BraceError)
     with contextlib.ExitStack() as stack:
-        sol_out = stack.enter_context(_create(args.solution_out)) if args.solution_out else None
-        profile = brace_report(b, full=args.report == "full", out=sys.stdout)
+        sol_out = stack.enter_context(_create(solution_out)) if solution_out else None
+        profile = brace_report(b, full=report == "full", out=sys.stdout)
         if sol_out is not None:
             write_solution(profile.solution, sol_out)
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser, its subcommands' too, whose usage errors end the
-    command with exit code 2 and one line, as malformed files do."""
+# The commands: each one's function, positional arguments with their types,
+# and options with their values' metavariables (a|b takes a or b only).
+_COMMANDS = {
+    "verify": (cmd_verify, {"FILE": str}, {}),
+    "enumerate": (cmd_enumerate, {"N": int}, {"--out": "PATH"}),
+    "classify": (cmd_classify, {"FILE1": str, "FILE2": str}, {}),
+    "brace": (cmd_brace, {"FILE": str}, {"--report": "summary|full", "--solution-out": "PATH"}),
+}
 
-    def error(self, message: str):
-        raise _Exit(EXIT_USAGE, f"error: {self.prog}: {message}")
+
+def _usage(name: str) -> str:
+    _, positionals, options = _COMMANDS[name]
+    flags = [f"[{flag} {meta}]" for flag, meta in options.items()]
+    return " ".join(["yangbaxter", name, *positionals, *flags])
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: main runs once per
-    request when the library serves several in one process."""
-    parser = _Parser(
-        prog="yangbaxter",
-        description=(
-            "Verify, enumerate, and classify finite braid-relation solutions "
-            "and skew left braces."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse(argv: Sequence[str]):
+    """The function and keyword arguments of a command line, read against
+    _COMMANDS as argparse read it (README, "Command line"); --help prints the
+    usage and raises SystemExit(0), a malformed line raises _Exit."""
+    prog, command, kwargs, unknown, dashed = "yangbaxter", None, {}, [], False
+    positionals, options, args = [("COMMAND", None)], {}, list(reversed(argv))
 
-    p_verify = sub.add_parser("verify", help="Verify a solution, brace, or union file.")
-    p_verify.add_argument("file")
-    p_verify.set_defaults(func=cmd_verify)
+    def fail(reason: str):
+        raise _Exit(EXIT_USAGE, f"error: {prog}: {reason}")
 
-    p_enum = sub.add_parser(
-        "enumerate", help="Census of 2-reductive solutions of a given size."
-    )
-    p_enum.add_argument("n", type=int)
-    p_enum.add_argument("--out", help="Write JSON-lines census to this path.")
-    p_enum.set_defaults(func=cmd_enumerate)
+    def is_option(arg: str) -> bool:  # "-" and negative integers are values
+        return arg[:1] == "-" and arg != "-" and not arg[1:].isdecimal()
 
-    p_cls = sub.add_parser("classify", help="Decide isomorphism of two inputs.")
-    p_cls.add_argument("file1")
-    p_cls.add_argument("file2")
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_brace = sub.add_parser("brace", help="Analyze a skew left brace file.")
-    p_brace.add_argument("file")
-    p_brace.add_argument("--report", choices=("summary", "full"), default="summary")
-    p_brace.add_argument("--solution-out", dest="solution_out")
-    p_brace.set_defaults(func=cmd_brace)
-
-    return parser
+    while args:
+        arg = args.pop()
+        if arg == "--" and not dashed:
+            dashed = True
+        elif not dashed and is_option(arg):
+            flag, eq, value = arg.partition("=")
+            known = [o for o in ("-h", "--help", *options) if o.startswith(flag)]
+            if len(known) != 1:
+                unknown.append(arg)
+            elif known[0] in ("-h", "--help"):
+                if eq:
+                    fail(f"argument -h/--help: ignored explicit argument {value!r}")
+                names = [command] if command else _COMMANDS
+                print("usage: " + "\n       ".join(map(_usage, names)))
+                raise SystemExit(0)
+            else:
+                flag, choices = known[0], options[known[0]].split("|")
+                if not eq and (not args or is_option(args[-1])):
+                    fail(f"argument {flag}: expected one argument")
+                value = value if eq else args.pop()
+                if len(choices) > 1 and value not in choices:
+                    fail(f"argument {flag}: invalid choice: {value!r} (choose {options[flag]})")
+                kwargs[flag[2:].replace("-", "_")] = value
+        elif command is None:
+            if arg not in _COMMANDS:
+                fail(f"invalid choice: {arg!r} (choose from {', '.join(_COMMANDS)})")
+            command, prog, (_, positionals, options) = arg, f"yangbaxter {arg}", _COMMANDS[arg]
+            positionals = list(positionals.items())
+        elif positionals:
+            (name, kind), *positionals = positionals
+            try:
+                kwargs[name.lower()] = kind(arg)
+            except ValueError:
+                fail(f"argument {name}: invalid {kind.__name__} value: {arg!r}")
+        else:
+            unknown.append(arg)
+    if positionals:
+        fail(f"the following arguments are required: {', '.join(n for n, _ in positionals)}")
+    if unknown:
+        fail(f"unrecognized arguments: {' '.join(unknown)}")
+    return _COMMANDS[command][0], kwargs
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        func, kwargs = _parse(sys.argv[1:] if argv is None else argv)
+        return func(**kwargs)
     except _Exit as exc:
         code, message = exc.args
         print(message, file=sys.stderr)

@@ -455,7 +455,9 @@ class AbelianGroup(namedtuple("AbelianGroup", "factors")):
         return self.as_finite_group.inv[a]
 
     def translation(self, a: int) -> tuple[int, ...]:
-        """The map y -> y + a, as a tuple."""
+        """The map y -> y + a for an element a, as a tuple; in Z_m a rotation (no table)."""
+        if len(self.factors) <= 1:
+            return tuple([*range(a, self.n), *range(a)])
         return self.as_finite_group.table[a]
 
     def order(self, x: int) -> int:

@@ -25,6 +25,7 @@ from .groups import (
     _gather,
     _int_table,
     _partitions,
+    _row_classes,
     _torsor_isomorphism,
     abelian_groups_of_order,
 )
@@ -129,17 +130,26 @@ def union_to_solution(u: AbelianUnion) -> FiniteSolution:
     """The solution of a union.  sigma_x and tau_x depend only on x's block
     i, so one sigma-row and one tau-row are built per block and shared by
     its points: over each block j, A_j's translation y -> y + c[i][j] (or
-    d[i][j]), shifted by block j's offset."""
+    d[i][j]), shifted by block j's offset.  The row classes are seeded from
+    the k block rows, equal rows one class, numbered by least points as
+    groups._row_classes numbers them, so no row of n entries is hashed."""
     offsets = u.offsets
 
     def block_row(m: Matrix, i: int) -> tuple[int, ...]:
         return tuple(at + y for at, g, e in zip(offsets, u.groups, m[i]) for y in g.translation(e))
 
-    sig, ta = [], []
-    for i, g in enumerate(u.groups):
-        sig += [block_row(u.c, i)] * g.n
-        ta += [block_row(u.d, i)] * g.n
-    return FiniteSolution(n=len(sig), sigma=tuple(sig), tau=tuple(ta))
+    def spread(per_block: list) -> list:
+        return [x for x, g in zip(per_block, u.groups) for _ in range(g.n)]
+
+    def table(m: Matrix):
+        rows = [block_row(m, i) for i in range(u.k)]
+        reps, cls = _row_classes(rows)
+        return tuple(spread(rows)), ([offsets[i] for i in reps], spread(cls))
+
+    (sig, sig_cls), (ta, tau_cls) = table(u.c), table(u.d)
+    s = FiniteSolution(n=len(sig), sigma=sig, tau=ta)
+    vars(s).update(sigma_classes=sig_cls, tau_classes=tau_cls)
+    return s
 
 
 class UnionDecomposition(namedtuple("UnionDecomposition", "union blocks carrier_map")):

@@ -15,6 +15,7 @@ for small inputs.  Conventions are the library's file formats:
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 import random
@@ -412,3 +413,37 @@ def family_flags_oracle(dot, circ, fam):
         all(fam[dot[x][y]] == after(fam[y], fam[x]) for x, y in pairs),
         all(fam[dot[x][y]] == fam[dot[y][x]] == fam[circ[x][y]] for x, y in pairs),
     )
+
+
+# ---------------------------------------------------------------------------
+# command line
+
+
+class UsageError(Exception):
+    """A command line the reference parser refuses; args[0] is its message."""
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"error: {self.prog}: {message}")
+
+
+def reference_parser():
+    """The command-line grammar as argparse reads it, the reference for the
+    CLI's own parser.  parse_args returns a namespace holding the command and
+    every argument, prints the help and raises SystemExit(0) on -h or
+    --help, and raises UsageError on a malformed line."""
+    parser = _ReferenceParser(prog="yangbaxter")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("verify").add_argument("file")
+    enum = sub.add_parser("enumerate")
+    enum.add_argument("n", type=int)
+    enum.add_argument("--out")
+    cls = sub.add_parser("classify")
+    cls.add_argument("file1")
+    cls.add_argument("file2")
+    brace = sub.add_parser("brace")
+    brace.add_argument("file")
+    brace.add_argument("--report", choices=("summary", "full"), default="summary")
+    brace.add_argument("--solution-out", dest="solution_out")
+    return parser

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import errno
+import inspect
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import tracemalloc
 import pytest
 
 import yangbaxter as yb
-from oracles import distributive_oracle, moving_perm
+from oracles import UsageError, distributive_oracle, moving_perm, reference_parser
 from yangbaxter import brace as brace_module
 from yangbaxter import cli, groups, unions
 from yangbaxter.cli import main
@@ -322,6 +323,173 @@ def test_help_still_prints_usage(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: yangbaxter verify")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["yangbaxter", "enumerate", "2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 4
+
+
+# Command lines for the CLI's parser and for the argparse grammar it replaced
+# (tests/oracles.py::reference_parser).  Only the parse is compared, so the
+# files need not exist.  No two options of a command share a prefix longer
+# than "--", so "--=full" is the one ambiguous prefix.
+PARSER_CORPUS = [
+    # the documented forms
+    ["verify", "a.json"],
+    ["enumerate", "4"],
+    ["enumerate", "4", "--out", "c.jsonl"],
+    ["classify", "a.json", "b.json"],
+    ["brace", "b.json"],
+    ["brace", "b.json", "--report", "summary"],
+    ["brace", "b.json", "--report", "full", "--solution-out", "s.json"],
+    # --opt=value
+    ["enumerate", "4", "--out=c.jsonl"],
+    ["brace", "b.json", "--report=full", "--solution-out=s.json"],
+    ["enumerate", "4", "--out="],
+    ["enumerate", "4", "--out=-x"],
+    # options before, between and after positionals
+    ["enumerate", "--out", "c.jsonl", "4"],
+    ["brace", "--report", "full", "b.json"],
+    ["brace", "--solution-out", "s.json", "b.json", "--report", "full"],
+    ["classify", "a.json", "--report", "full", "b.json"],
+    # repeated options: the last one holds
+    ["brace", "b.json", "--report", "summary", "--report", "full"],
+    ["enumerate", "4", "--out", "x", "--out", "y"],
+    # unique and ambiguous prefixes
+    ["brace", "b.json", "--rep", "full"],
+    ["brace", "b.json", "--rep=full"],
+    ["brace", "b.json", "--r", "full", "--sol", "s.json"],
+    ["enumerate", "4", "--o", "c.jsonl"],
+    ["brace", "b.json", "--=full"],
+    ["verify", "a.json", "--rep", "full"],
+    # "--": every later argument is a value
+    ["verify", "--", "a.json"],
+    ["verify", "--", "-h"],
+    ["enumerate", "--", "-3"],
+    ["brace", "b.json", "--", "--report", "full"],
+    # a negative N
+    ["enumerate", "-3"],
+    ["enumerate", "-3", "--out", "c.jsonl"],
+    ["enumerate", "--out", "-3", "4"],
+    # missing, extra and unknown arguments
+    [],
+    ["verify"],
+    ["enumerate"],
+    ["enumerate", "--out", "c.jsonl"],
+    ["classify", "a.json"],
+    ["verify", "a.json", "b.json"],
+    ["classify", "a.json", "b.json", "c.json"],
+    ["brace", "b.json", "--report", "full", "full"],
+    ["verify", "a.json", "--format", "json"],
+    ["enumerate", "4", "--jobs", "2"],
+    ["verify", "-x", "a.json"],
+    ["--x", "verify", "a.json"],
+    ["verify", "-hx"],
+    # a bad int, a bad choice, a missing option value
+    ["enumerate", "abc"],
+    ["enumerate", "4.5"],
+    ["enumerate", "+5"],
+    ["enumerate", "1_000"],
+    ["brace", "b.json", "--report", "fancy"],
+    ["brace", "b.json", "--report="],
+    ["brace", "b.json", "--report"],
+    ["brace", "b.json", "--report", "--solution-out", "s.json"],
+    ["enumerate", "4", "--out"],
+    ["enumerate", "4", "--out", "-x"],
+    # -h and --help in several places: a bad value read before them wins,
+    # an unknown or extra argument does not
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["verify", "-h"],
+    ["verify", "a.json", "--help"],
+    ["brace", "--help", "b.json"],
+    ["brace", "b.json", "--h"],
+    ["enumerate", "abc", "-h"],
+    ["enumerate", "-h", "abc"],
+    ["verify", "a.json", "b.json", "-h"],
+    ["verify", "--bogus", "-h"],
+    ["--x", "verify", "-h"],
+    ["-h", "frobnicate"],
+    ["frobnicate", "-h"],
+    ["brace", "b.json", "--report", "fancy", "-h"],
+    ["--help=x"],
+    ["verify", "--help=x"],
+    # unknown commands and odd values
+    ["frobnicate", "a.json"],
+    ["verif", "a.json"],
+    ["verify", "-"],
+    ["verify", ""],
+]
+
+
+def _reference_outcome(argv):
+    try:
+        values = vars(reference_parser().parse_args(argv))
+    except UsageError as exc:
+        return 2, exc.args[0]
+    except SystemExit as exc:
+        return exc.code, None
+    return 0, values
+
+
+def _cli_outcome(argv):
+    """(0, the command and its arguments with their defaults) for a line the
+    parser accepts, (2, the error line) for one it refuses, (0, None) for help."""
+    try:
+        func, kwargs = cli._parse(argv)
+    except cli._Exit as exc:
+        return tuple(exc.args)
+    except SystemExit as exc:
+        return exc.code, None
+    bound = inspect.signature(func).bind(**kwargs)
+    bound.apply_defaults()
+    command = next(name for name, (f, _, _) in cli._COMMANDS.items() if f is func)
+    return 0, {"command": command, **bound.arguments}
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parser_reads_command_lines_as_argparse_did(capsys, argv):
+    expected = _reference_outcome(argv)
+    expected_out = capsys.readouterr().out
+    got = _cli_outcome(argv)
+    got_out = capsys.readouterr().out
+    assert got[0] == expected[0], (got, expected)
+    if got[0] == 2:
+        assert re.fullmatch(r"error: yangbaxter( [a-z]+)?: [^\n]+", got[1]), got
+    elif expected[1] is None:
+        assert got[1] is None
+        assert got_out.startswith("usage: yangbaxter ") and expected_out.startswith("usage: ")
+    else:
+        assert got[1] == expected[1]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # argparse reads a negative decimal, and a dash argument holding a
+        # space, as a value
+        (["verify", "-1.5"], 2),
+        (["verify", "-a b"], 2),
+        # argparse (3.11) takes "--" for the command
+        (["--", "verify", "a.json"], 0),
+    ],
+)
+def test_parser_divergences_from_argparse(argv, code):
+    # kept on purpose, and named in README "Command line"
+    assert _cli_outcome(argv)[0] == code
+
+
+def test_readme_usage_is_the_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1]
+    assert section.split("```\n", 2)[1] == capsys.readouterr().out
 
 
 def test_enumerate_unwritable_out_fails_before_building(tmp_path, capsys, monkeypatch):

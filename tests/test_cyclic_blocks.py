@@ -1,9 +1,10 @@
 """Cyclic blocks by their units: Aut(Z_m) = {x -> u x : gcd(u, m) = 1}.
 
 AbelianGroup.automorphisms, AbelianGroup.least_image and the psi_j that
-unions_isomorphic picks for a Z_m block are read off the units of m; here
-each is checked against the generic search groups._isomorphisms on Z_m's
-Cayley table, for Z1 and every Z_m with m <= 64.  The module needs only
+unions_isomorphic picks for a Z_m block are read off the units of m, and
+AbelianGroup.translation is a rotation of 0..m-1; here each is checked
+against the generic search groups._isomorphisms or the rows of Z_m's Cayley
+table, for Z1 and every Z_m with m <= 64.  The module needs only
 the standard library, so it runs without pytest as well:
 ``PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
 import test_cyclic_blocks as t; t.test_cyclic_closed_forms_match_the_search()"``.
@@ -38,6 +39,7 @@ def test_cyclic_closed_forms_match_the_search():
     for g in [z1] + [yb.AbelianGroup((m,)) for m in range(2, 65)]:
         m, table = g.n, g.as_finite_group
         assert g.automorphisms == tuple(sorted(_isomorphisms(g, table))), m
+        assert tuple(map(g.translation, range(m))) == tuple(table.table), m
         units = [psi[1] for psi in g.automorphisms] if m > 1 else [0]
         cols = _columns(rng, m)
         for key in cols + [cols[0][:1], cols[0] + cols[2][:3]]:

@@ -111,13 +111,15 @@ def test_abelian_group_rejects_factors_out_of_invariant_form(factors, message):
 @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
 def test_import_loads_neither_dataclasses_nor_inspect(flags):
     # the records are named tuples, so importing the CLI pulls in neither
-    # dataclasses nor what it imports; with -S no site hook loads them first
+    # dataclasses nor what it imports, and the CLI reads its command line
+    # without argparse; with -S no site hook loads them first
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import yangbaxter.cli\n"
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n"
+        "unwanted = {'argparse', 'dataclasses', 'inspect'}\n"
+        "print(' '.join(sorted(unwanted & (set(sys.modules) - before))))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(

@@ -173,11 +173,14 @@ def _wide_unions():
 
 
 def test_union_to_solution_matches_the_entry_formula(census):
-    # one sigma-row and one tau-row per block, shared by the block's points
+    # one sigma-row and one tau-row per block, shared by the block's points;
+    # the row classes seeded from the k block rows are those of the n rows
     for u in [v for n in range(1, 6) for v in census[n]] + _wide_unions():
         s = yb.union_to_solution(u)
         assert (s.n, (s.sigma, s.tau)) == (u.n, union_tables(_plain(u))), u
         assert len({id(row) for row in s.sigma}) == len({id(row) for row in s.tau}) == u.k
+        assert s.sigma_classes == groups_module._row_classes(s.sigma), u
+        assert s.tau_classes == groups_module._row_classes(s.tau), u
 
 
 def test_decomposition_of_interleaved_orbits(census):
