@@ -9,10 +9,7 @@ import pytest
 
 import yangbaxter
 
-MODULES = sorted(
-    path for path in pathlib.Path(yangbaxter.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"  # it imports names to export them
-)
+MODULES = sorted(pathlib.Path(yangbaxter.__file__).parent.glob("*.py"))
 
 
 def unread_imports(source):

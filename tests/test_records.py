@@ -62,7 +62,8 @@ CACHED = {
 
 
 def test_samples_cover_every_record_class():
-    # yangbaxter.retraction is the function the package exports, not the module
+    # yangbaxter.retraction is the exported function in every import order
+    # (test_exports.py), so each module is read from sys.modules
     names = ("groups", "solution", "retraction", "unions", "brace", "cli")
     records = {
         cls for name in names
