@@ -353,7 +353,8 @@ def cmd_classify(file1: str, file2: str) -> int:
     if u1 is not None or u2 is not None or obj1.n != obj2.n:
         print("not isomorphic")
         return EXIT_VIOLATION
-    # neither is 2-reductive, so both are solutions: brute force fits only n <= 6
+    # neither is 2-reductive, so both are solutions; the search stays at n <= 6, as
+    # pairs that are not isomorphic but share point invariants can still branch exponentially
     if obj1.n > 6:
         raise _Exit(
             EXIT_USAGE,

@@ -421,75 +421,58 @@ def relabel(s: FiniteSolution, phi: Sequence[int]) -> FiniteSolution:
     return FiniteSolution(n=s.n, sigma=moved(s.sigma), tau=moved(s.tau))
 
 
-def solutions_isomorphic(
-    s1: FiniteSolution, s2: FiniteSolution
-) -> Optional[tuple[int, ...]]:
-    """Find a bijection phi with phi sigma_x = sigma'_{phi(x)} phi (and tau alike).
+def _point_invariants(s: FiniteSolution) -> list[tuple]:
+    """Per point x: how many points sigma_x, sigma_x^2, tau_x and tau_x^2 fix,
+    and whether sigma_x and tau_x fix x.  An isomorphism keeps each."""
+    def fixed(row):
+        return sum(v == y for y, v in enumerate(row)), sum(row[v] == y for y, v in enumerate(row))
 
-    Backtracking with forced-assignment propagation; returns phi or None.
-    """
-    if s1.n != s2.n:
+    return [(*fixed(s.sigma[x]), *fixed(s.tau[x]), s.sigma[x][x] == x, s.tau[x][x] == x)
+            for x in range(s.n)]
+
+
+def solutions_isomorphic(s1: FiniteSolution, s2: FiniteSolution) -> Optional[tuple[int, ...]]:
+    """The least bijection phi in lex order with phi sigma_x = sigma'_{phi(x)} phi
+    (and tau alike), or None.  Depth first: the least unmapped point x tries its
+    unused images with x's point invariants in increasing order, and each choice is
+    closed under the images it forces, phi(t1[p][q]) = t2[phi(p)][phi(q)], so a
+    branch dies at its first clash.  Every isomorphism that extends a choice takes
+    what it forces, so the first map found is the least."""
+    n, inv1, inv2 = s1.n, _point_invariants(s1), _point_invariants(s2)
+    if sorted(inv1) != sorted(inv2):  # sizes or invariants differ
         return None
-    n = s1.n
-    phi: list[int] = [-1] * n
-    used = [False] * n
+    tables = ((s1.sigma, s2.sigma), (s1.tau, s2.tau))
 
-    def propagate(stack: list[int]) -> Optional[list[int]]:
-        """Close assigned pairs under sigma/tau images; returns new fixes or None."""
-        added: list[int] = []
-        queue = list(stack)
+    def extend(phi: dict, x: int, u: int) -> Optional[dict]:
+        """phi with x -> u and every image that forces, or None at a clash."""
+        phi, images, queue = {**phi, x: u}, {*phi.values(), u}, [x]
         while queue:
-            x = queue.pop()
-            for a in range(n):
-                if phi[a] < 0:
-                    continue
-                for (src, dst) in (
-                    (s1.sigma[x][a], s2.sigma[phi[x]][phi[a]]),
-                    (s1.sigma[a][x], s2.sigma[phi[a]][phi[x]]),
-                    (s1.tau[x][a], s2.tau[phi[x]][phi[a]]),
-                    (s1.tau[a][x], s2.tau[phi[a]][phi[x]]),
-                ):
-                    cur = phi[src]
-                    if cur < 0:
-                        if used[dst]:
-                            _undo(added)
+            p = queue.pop()
+            for q in list(phi):
+                for t1, t2 in tables:
+                    for a, b in ((p, q), (q, p)):
+                        src, dst = t1[a][b], t2[phi[a]][phi[b]]
+                        if src not in phi and dst not in images and inv1[src] == inv2[dst]:
+                            phi[src] = dst
+                            images.add(dst)
+                            queue.append(src)
+                        elif phi.get(src) != dst:
                             return None
-                        phi[src] = dst
-                        used[dst] = True
-                        added.append(src)
-                        queue.append(src)
-                    elif cur != dst:
-                        _undo(added)
-                        return None
-        return added
+        return phi
 
-    def _undo(added: list[int]) -> None:
-        for x in added:
-            used[phi[x]] = False
-            phi[x] = -1
-
-    def search() -> bool:
-        try:
-            x = phi.index(-1)
-        except ValueError:
-            return True
+    def search(phi: dict) -> Optional[tuple[int, ...]]:
+        x = next((p for p in range(n) if p not in phi), None)
+        if x is None:
+            return tuple(phi[p] for p in range(n))
+        used = set(phi.values())
         for u in range(n):
-            if used[u]:
-                continue
-            phi[x] = u
-            used[u] = True
-            added = propagate([x])
-            if added is not None:
-                if search():
-                    return True
-                _undo(added)
-            used[u] = False
-            phi[x] = -1
-        return False
+            if u not in used and inv2[u] == inv1[x]:
+                closed = extend(phi, x, u)
+                if closed is not None and (found := search(closed)) is not None:
+                    return found
+        return None
 
-    if search():
-        return tuple(phi)
-    return None
+    return search({})
 
 
 # ---------------------------------------------------------------------------

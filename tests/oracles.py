@@ -168,6 +168,18 @@ def class_key(sigma, tau):
     )
 
 
+def least_isomorphism(one, other):
+    """The first bijection in itertools.permutations order that relabels the
+    solution one = (sigma, tau) onto other (relabel_table), or None."""
+    target = tuple(tuple(map(tuple, table)) for table in other)
+    if len(one[0]) != len(target[0]):
+        return None
+    return next((
+        phi for phi in itertools.permutations(range(len(one[0])))
+        if (relabel_table(one[0], phi), relabel_table(one[1], phi)) == target
+    ), None)
+
+
 # ---------------------------------------------------------------------------
 # abelian blocks
 

@@ -9,7 +9,15 @@ import random
 import pytest
 
 import yangbaxter as yb
-from oracles import class_key, distributive_oracle, perms_commute, relabel_table, validate_oracle
+from oracles import (
+    class_key,
+    distributive_oracle,
+    least_isomorphism,
+    moving_perm,
+    perms_commute,
+    relabel_table,
+    validate_oracle,
+)
 from yangbaxter.groups import invert_perm
 from yangbaxter.solution import (
     _braid_mismatch,
@@ -384,6 +392,42 @@ def test_solutions_isomorphic_finds_relabelings(small_solutions):
         assert found is not None
         assert yb.relabel(s, found) == t
         assert yb.solutions_isomorphic(s, yb.projection_solution(s.n + 1)) is None
+
+
+def test_solutions_isomorphic_returns_the_least_isomorphism(small_solutions):
+    """The witness is the lex-least isomorphism, the first of a scan of all
+    bijections, on every ordered same-size pair of small solutions and on
+    seeded relabellings of the order-6 brace solutions."""
+    pairs = [(s, t) for s in small_solutions for t in small_solutions if s.n == t.n]
+    six = [yb.associated_solution(b) for b in (
+        yb.z2n_brace(3), yb.z2n_dual_brace(3),
+        yb.trivial_brace(yb.symmetric_group(3)), yb.almost_trivial_brace(yb.symmetric_group(3)),
+    )]
+    pairs += itertools.product(six, repeat=2)
+    for k, s in enumerate(six):
+        for seed in range(3):
+            t = yb.relabel(s, moving_perm(6, 0, 10 * k + seed))
+            pairs += [(s, t), (t, s)]
+    found = [yb.solutions_isomorphic(s, t) for s, t in pairs]
+    assert found == [least_isomorphism((s.sigma, s.tau), (t.sigma, t.tau)) for s, t in pairs]
+    assert None in found
+
+
+def test_solutions_isomorphic_decides_order_24_and_catalog_relabellings(brace_catalog):
+    """The trivial braces of S3xZ4 and D12 (n = 24) have solutions that are not
+    isomorphic, though neither is 2-reductive; a seeded relabelling of the
+    first, and of every catalog brace's solution, is found."""
+    s3z4 = yb.associated_solution(yb.trivial_brace(
+        yb.direct_product_group(yb.symmetric_group(3), yb.cyclic_group(4))))
+    d12 = yb.associated_solution(yb.trivial_brace(yb.dihedral_group(12)))
+    assert (s3z4.n, d12.n) == (24, 24)
+    assert not (yb.is_2reductive(s3z4).holds or yb.is_2reductive(d12).holds)
+    assert yb.solutions_isomorphic(s3z4, d12) is None
+    rng = random.Random(24)
+    for s in [s3z4] + [yb.associated_solution(b) for _, b in brace_catalog]:
+        t = yb.relabel(s, rng.sample(range(s.n), s.n))
+        phi = yb.solutions_isomorphic(s, t)
+        assert phi is not None and yb.relabel(s, phi) == t
 
 
 # the last two sort like 0..2, but a bool or a float is not an int label
